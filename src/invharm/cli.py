@@ -37,7 +37,12 @@ from .analysis import (
     find_divergences,
     fit_entropy_line,
 )
-from .coefficients import EnvVariance, coeffs_closed, coeffs_general
+from .coefficients import (
+    EnvVariance,
+    coeffs_closed,
+    coeffs_general,
+    env_variance_from_cov,
+)
 from .evolution import (
     IntegratorOptions,
     StepFailure,
@@ -117,13 +122,7 @@ class RunConfig:
 
     def env_variance(self) -> EnvVariance:
         env0 = squeezed_pure(self.environment, self.modes.hbar)
-        return EnvVariance(
-            dy2=float(env0.cov[0, 0]),
-            dq2=float(env0.cov[1, 1]),
-            dyq=float(env0.cov[0, 1]),
-            mean_y=float(self.env_mean[0]),
-            mean_q=float(self.env_mean[1]),
-        )
+        return env_variance_from_cov(env0.cov, self.env_mean)
 
     def echo(self) -> dict:
         """JSON-ready form that re-parses to an equivalent config."""
@@ -151,7 +150,6 @@ class RunConfig:
                 "rel_tol": self.integrator.rel_tol,
                 "abs_tol": self.integrator.abs_tol,
                 "divergence_guard": self.integrator.divergence_guard,
-                "dp2_omega": self.integrator.dp2_omega,
             },
             "method": self.method,
             "fit_window": list(self.fit_window),
@@ -247,7 +245,6 @@ def parse_config(raw: dict) -> RunConfig:
             rel_tol=_require_number(integ_raw, "rel_tol", 1e-10),
             abs_tol=_require_number(integ_raw, "abs_tol", 1e-12),
             divergence_guard=_require_number(integ_raw, "divergence_guard", 1e-3),
-            dp2_omega=integ_raw.get("dp2_omega", "eff"),
         )
         method = raw.get("method", "exact")
         if method not in ("exact", "me", "compare"):
@@ -387,7 +384,7 @@ def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
     return {"path": path, "rows": len(rows)}
 
 
-def _evolve_rows(traj, hbar):
+def _evolve_rows(traj):
     rows = []
     for i, t in enumerate(traj.times):
         d = traj.diags[i]
@@ -408,7 +405,14 @@ def _run_config_trajectory(cfg: RunConfig, method: str):
             sys_mean=cfg.sys_mean,
             env_mean=cfg.env_mean,
         )
-    return run_me(cfg.modes, cfg.env_variance(), cfg.system, cfg.grid(), cfg.integrator)
+    return run_me(
+        cfg.modes,
+        cfg.env_variance(),
+        cfg.system,
+        cfg.grid(),
+        cfg.integrator,
+        sys_mean=cfg.sys_mean,
+    )
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
@@ -416,9 +420,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
         tr_exact = _run_config_trajectory(cfg, "exact")
         tr_me = _run_config_trajectory(cfg, "me")
         rows = []
-        for base, me_row in zip(
-            _evolve_rows(tr_exact, cfg.modes.hbar), _evolve_rows(tr_me, cfg.modes.hbar)
-        ):
+        for base, me_row in zip(_evolve_rows(tr_exact), _evolve_rows(tr_me)):
             moments_e = base[1:6]
             moments_m = me_row[1:6]
             rel = max(
@@ -434,7 +436,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
         traj = tr_exact
     else:
         traj = _run_config_trajectory(cfg, cfg.method)
-        rows = _evolve_rows(traj, cfg.modes.hbar)
+        rows = _evolve_rows(traj)
         columns = EVOLVE_COLUMNS
     path = os.path.join(out_dir, "evolve.csv")
     _write_csv(path, columns, rows)
@@ -486,7 +488,7 @@ def _scan_one(args):
     _write_csv(
         os.path.join(out_dir, filename),
         EVOLVE_COLUMNS,
-        _evolve_rows(traj, run_cfg.modes.hbar),
+        _evolve_rows(traj),
     )
     try:
         slope, s0 = fit_entropy_line(traj, run_cfg.fit_window)
@@ -569,16 +571,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> dict:
     # exact vs master-equation moments up to 90% of the first divergence
     roots = find_divergences(cfg.modes, max(cfg.t_max, 1.0))
     t_end = 0.9 * roots[0] if roots else cfg.t_max
-    grid = np.linspace(0.0, t_end, 201)
-    tr_me = run_me(cfg.modes, cfg.env_variance(), cfg.system, grid, cfg.integrator)
-    tr_exact = run_exact(
-        cfg.modes,
-        cfg.system,
-        cfg.environment,
-        grid,
-        sys_mean=cfg.sys_mean,
-        env_mean=cfg.env_mean,
-    )
+    oracle_cfg = dataclasses.replace(cfg, t_max=t_end, samples=201)
+    tr_me = _run_config_trajectory(oracle_cfg, "me")
+    tr_exact = _run_config_trajectory(oracle_cfg, "exact")
     comp = compare_trajectories(tr_exact, tr_me)
     checks["oracle"] = {
         "max_rel_err": comp.worst_rel,

@@ -78,18 +78,16 @@ class MECoefficients:
 
 
 def contract(tensor: np.ndarray, envvar: EnvVariance) -> float:
-    """Contract a 2x2 sub-coefficient tensor with the environment variances.
+    """Fully contract a 2x2 sub-coefficient tensor with the environment
+    covariance: t_yy dy2 + (t_yq + t_qy) dyq + t_qq dq2.
 
-    Off-diagonal entries enter with weight 1/2.
+    This is the weighting the exact diffusion K Ve M1^T + M1 Ve K^T gives
+    each sub-tensor entry.
     """
     t = np.asarray(tensor)
-    weighted = np.array(
-        [
-            [t[0, 0], 0.5 * t[0, 1]],
-            [0.5 * t[1, 0], t[1, 1]],
-        ]
+    return float(
+        t[0, 0] * envvar.dy2 + (t[0, 1] + t[1, 0]) * envvar.dyq + t[1, 1] * envvar.dq2
     )
-    return float(np.trace(weighted @ envvar.matrix()))
 
 
 def env_variance_from_cov(
@@ -116,8 +114,8 @@ def coeffs_general(
     """Coefficients from the mode-function ratio formulas.
 
     The diffusion sub-tensors are built from the force couplings and the
-    phi_1 derivative ladder; the scalar f_n is their half-weighted
-    contraction with the environment variances.
+    phi_1 derivative ladder; the scalar f_n is their full contraction
+    with the environment covariance.
     """
     mf = mode_functions(modes, t)
     m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
@@ -137,7 +135,7 @@ def coeffs_general(
             [m_e * fq * mf.d2phi1, fq * mf.dphi1],
         ]
     )
-    f2_tensor = pref * np.array(
+    f2_tensor = (pref / m_s) * np.array(
         [
             [m_e * fy * mf.dphi1, fy * mf.phi1],
             [m_e * fq * mf.dphi1, fq * mf.phi1],
@@ -235,7 +233,7 @@ def coeffs_closed(
             [q_fac * sum_fac, q_fac * diff_c / m_e],
         ]
     )
-    f2_tensor = beta * np.array(
+    f2_tensor = (beta / m_s) * np.array(
         [
             [m_e * w * lam * p_fac * diff_c, p_fac * diff_s],
             [q_fac * diff_c, q_fac * diff_s / (m_e * w * lam)],

@@ -17,19 +17,18 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .analysis import find_divergences
-from .coefficients import EnvVariance, MECoefficients, coeffs_general
+from .coefficients import EnvVariance, coeffs_general
 from .gaussian import (
     Diagnostics,
     GaussianState,
     SqueezeSpec,
-    diagnostics,
     diagnostics_from_area,
     product_state,
     propagate,
     reduce_system,
     squeezed_pure,
 )
-from .modes import NormalModes, params_from_modes
+from .modes import NormalModes
 from .propagator import cross_block, det_m1, dtilde, full_transition
 
 __all__ = [
@@ -57,17 +56,11 @@ class GridMismatch(ValueError):
 class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     divergence_guard: float = 1e-3
-    # which frequency multiplies the cross moment in the dp^2 equation:
-    # "eff" (consistent with the drift matrix) or "bare"
-    dp2_omega: str = "eff"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.dp2_omega not in ("eff", "bare"):
-            raise ValueError("dp2_omega must be 'eff' or 'bare'")
 
 
 MOMENT_NAMES = ("mean_x", "mean_p", "dx2", "dp2", "dxp")
@@ -80,7 +73,6 @@ class Trajectory:
     times: np.ndarray
     moments: np.ndarray  # shape (n, 5): mean_x, mean_p, dx2, dp2, dxp
     diags: list[Diagnostics]
-    coeffs: list[MECoefficients] | None = None
     bridged: np.ndarray | None = None  # bool mask of exact-bridged samples
     meta: dict = field(default_factory=dict)
 
@@ -172,8 +164,6 @@ def run_exact(
     grid,
     sys_mean=(0.0, 0.0),
     env_mean=(0.0, 0.0),
-    collect_coeffs: bool = False,
-    envvar: EnvVariance | None = None,
 ) -> Trajectory:
     """Exact trajectory: each grid point evaluated independently."""
     grid = np.asarray(grid, dtype=float)
@@ -188,18 +178,8 @@ def run_exact(
         env0 = GaussianState(mean=np.asarray(env_mean, float), cov=env0.cov)
     full0 = product_state(sys0, env0)
 
-    if envvar is None:
-        envvar = EnvVariance(
-            dy2=float(env0.cov[0, 0]),
-            dq2=float(env0.cov[1, 1]),
-            dyq=float(env0.cov[0, 1]),
-            mean_y=float(env0.mean[0]),
-            mean_q=float(env0.mean[1]),
-        )
-
     moments = np.empty((grid.size, 5))
     diags = []
-    coeffs = [] if collect_coeffs else None
     for i, t in enumerate(grid):
         red = _exact_reduced(modes, full0, t)
         moments[i] = _moments_of(red)
@@ -207,13 +187,10 @@ def run_exact(
         diags.append(
             diagnostics_from_area(A, red, modes.m_s, modes.omega, modes.hbar)
         )
-        if collect_coeffs:
-            coeffs.append(coeffs_general(modes, envvar, t))
     return Trajectory(
         times=grid,
         moments=moments,
         diags=diags,
-        coeffs=coeffs,
         bridged=np.zeros(grid.size, dtype=bool),
         meta={
             "method": "exact",
@@ -229,7 +206,6 @@ def run_exact(
 
 def _blocked_window(modes, root, guard, t_end):
     """Interval around a determinant root where |Dtilde| < guard."""
-    from .propagator import dtilde
 
     def edge(direction):
         step = 0.01
@@ -261,12 +237,14 @@ def run_me(
     sys_spec: SqueezeSpec,
     grid,
     opts: IntegratorOptions = IntegratorOptions(),
+    sys_mean=(0.0, 0.0),
 ) -> Trajectory:
     """Integrate the five moment ODEs of the master equation on a grid.
 
     Within blocked windows around determinant roots the trajectory is
     filled from the exact propagator and the integrator restarts from
-    the exact state at the window's far edge.
+    the exact state at the window's far edge.  Each segment between
+    windows is integrated once, and only if it holds a grid point.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or grid[0] != 0.0:
@@ -274,27 +252,22 @@ def run_me(
 
     m_s = modes.m_s
     hbar = modes.hbar
-    bare = params_from_modes(
-        modes.omega, modes.lambda_sq, modes.theta_c, m_s, modes.m_e, hbar
-    )
-    om2_bare = bare.omega_bare**2
-    use_eff = opts.dp2_omega == "eff"
 
     def rhs(t, y):
         c = coeffs_general(modes, envvar, t, guard=opts.divergence_guard)
         om2 = c.omega_eff_sq
-        om2_dp = om2 if use_eff else om2_bare
         gam = c.gamma_eff
         mx, mp, dx2, dp2, dxp = y
         return [
             mp / m_s,
             -m_s * om2 * mx - gam * mp + c.F,
             2.0 * dxp / m_s,
-            -2.0 * m_s * om2_dp * dxp - 2.0 * gam * dp2 + 2.0 * hbar**2 * c.f1,
+            -2.0 * m_s * om2 * dxp - 2.0 * gam * dp2 + 2.0 * hbar**2 * c.f1,
             -m_s * om2 * dx2 + dp2 / m_s - gam * dxp + hbar**2 * c.f2,
         ]
 
     sys0 = squeezed_pure(sys_spec, hbar)
+    sys0 = GaussianState(mean=np.asarray(sys_mean, float), cov=sys0.cov)
     env0 = env_state_from_variance(envvar)
     full0 = product_state(sys0, env0)
 
@@ -317,7 +290,6 @@ def run_me(
     y = _moments_of(sys0)
     moments[0] = y
     t_cur = 0.0
-    idx_done = 0  # grid[:idx_done + 1] filled
 
     segments = []
     for a, b in windows:
@@ -337,40 +309,23 @@ def run_me(
             # restart from the exact state at the far edge
             y = _moments_of(_exact_reduced(modes, full0, b))
             continue
-        t_eval = grid[sel]
+        # an unblocked segment ends at a window (whose far edge restarts
+        # from the exact state) or at t_end, so only its grid points
+        # are read
+        if sel.size == 0:
+            continue
         sol = solve_ivp(
             rhs,
             (a, b),
             y,
             method="DOP853",
-            t_eval=t_eval if t_eval.size else None,
+            t_eval=grid[sel],
             rtol=opts.rel_tol,
             atol=opts.abs_tol,
-            max_step=opts.max_step,
-            dense_output=False,
         )
         if not sol.success:
             raise StepFailure(f"integrator failed on [{a}, {b}]: {sol.message}")
-        if t_eval.size:
-            moments[sel] = sol.y.T
-        # advance the running state to the segment end
-        if t_eval.size == 0 or not math.isclose(t_eval[-1], b, abs_tol=1e-12):
-            sol_end = solve_ivp(
-                rhs,
-                (a, b),
-                y,
-                method="DOP853",
-                rtol=opts.rel_tol,
-                atol=opts.abs_tol,
-                max_step=opts.max_step,
-            )
-            if not sol_end.success:
-                raise StepFailure(
-                    f"integrator failed on [{a}, {b}]: {sol_end.message}"
-                )
-            y = sol_end.y[:, -1]
-        else:
-            y = sol.y[:, -1]
+        moments[sel] = sol.y.T
 
     # The covariance determinant is a difference of near-equal large
     # numbers once the entries have grown several orders beyond the
@@ -398,7 +353,6 @@ def run_me(
             "m_s": m_s,
             "m_e": modes.m_e,
             "hbar": hbar,
-            "dp2_omega": opts.dp2_omega,
             "bridges": windows,
             "first_bridge_time": windows[0][0] if windows else None,
         },

@@ -89,18 +89,19 @@ class NormalModes:
 
 
 def derive_modes(params: SupersystemParams) -> NormalModes:
-    """Diagonalize the mass-scaled stiffness matrix [[W2, g], [g, -L2]].
+    """Diagonalize the mass-scaled stiffness matrix [[W2, -g], [-g, -L2]].
 
-    Returns the normal-mode frequency, signed second-mode stiffness and
-    mixing angle.  The branch of the radical is chosen so that ``omega``
-    is continuously connected to the bare system frequency as g -> 0,
-    which also covers strongly stable environments (W2 + L2 < 0) where
-    the naive branch would swap the two modes.
+    The coupling enters the dynamics as -g x y, so the mixing angle is
+    negative for g > 0.  Returns the normal-mode frequency, signed
+    second-mode stiffness and mixing angle.  The branch of the radical is
+    chosen so that ``omega`` is continuously connected to the bare system
+    frequency as g -> 0, which also covers strongly stable environments
+    (W2 + L2 < 0) where the naive branch would swap the two modes.
     """
     w2 = params.omega_bare**2
     l2 = params.lambda_sq_bare
     g = params.g
-    rad = math.sqrt((w2 + l2) ** 2 + 4.0 * g * g)
+    rad = math.hypot(w2 + l2, 2.0 * g)
     branch = 1.0 if (w2 + l2) >= 0 else -1.0
 
     omega_sq = 0.5 * (w2 - l2 + branch * rad)

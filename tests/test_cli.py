@@ -384,3 +384,18 @@ class TestVerifyCommand:
         assert report["checks"]["oracle"]["max_rel_err"] < 1e-6
         on_disk = json.loads((tmp_path / "verify.json").read_text())
         assert on_disk == report
+
+    @pytest.mark.parametrize(
+        "modes, extra",
+        [
+            ({"m_s": 0.9}, None),
+            ({}, {"environment": {"angle": 0.3}}),
+            ({}, {"system": {"mean": [1.0, -0.5]}}),
+        ],
+        ids=["m_s", "env_angle", "sys_mean"],
+    )
+    def test_passes_off_the_default_config(self, tmp_path, capsys, modes, extra):
+        cfg = write_config(tmp_path / "c.json", extra=extra, modes=modes)
+        assert run_cli(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["oracle"]["max_rel_err"] < 1e-6

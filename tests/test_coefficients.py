@@ -50,8 +50,9 @@ class TestContract:
     def test_off_diagonal_half_weight(self):
         v = EnvVariance(dy2=0.0, dq2=0.0, dyq=1.5)
         tensor = np.array([[0.0, 2.0], [2.0, 0.0]])
-        # both off-diagonal entries carry weight 1/2: 2*(1/2)*2*1.5
-        assert contract(tensor, v) == pytest.approx(3.0, rel=1e-15)
+        # each off-diagonal entry meets dyq once, as in the exact
+        # diffusion K Ve M1^T + M1 Ve K^T: (2 + 2)*1.5
+        assert contract(tensor, v) == pytest.approx(6.0, rel=1e-15)
 
 
 class TestDecoupledLimit:

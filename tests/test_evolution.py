@@ -11,6 +11,8 @@ from invharm import (
     Trajectory,
     compare_trajectories,
     env_state_from_variance,
+    env_variance_from_cov,
+    find_divergences,
     full_transition,
     product_state,
     propagate,
@@ -33,10 +35,6 @@ class TestIntegratorOptions:
             IntegratorOptions(rel_tol=0.0)
         with pytest.raises(ValueError):
             IntegratorOptions(abs_tol=-1.0)
-
-    def test_rejects_unknown_frequency_choice(self):
-        with pytest.raises(ValueError):
-            IntegratorOptions(dp2_omega="other")
 
 
 class TestDecoupledLimit:
@@ -89,6 +87,33 @@ class TestOracleAgreement:
         cmp_ = compare_trajectories(exact, me)
         assert cmp_.max_rel["mean_x"] < 1e-6
         assert cmp_.max_rel["mean_p"] < 1e-6
+
+    @pytest.mark.parametrize(
+        "m_s, env_angle", [(0.9, 0.0), (1.0, 0.3)], ids=["m_s", "env_angle"]
+    )
+    def test_me_matches_exact_off_unit_mass_and_rotated_env(self, m_s, env_angle):
+        # the f2 diffusion and the y-q covariance weight only show when
+        # m_s != 1 or the environment squeezing is rotated
+        modes = NormalModes(
+            omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=m_s, m_e=1.0
+        )
+        env_spec = SqueezeSpec(2.0, env_angle)
+        grid = grid_to(0.9 * find_divergences(modes, 16.0)[0], 201)
+        envvar = env_variance_from_cov(squeezed_pure(env_spec).cov)
+        assert (envvar.dyq != 0.0) == (env_angle != 0.0)
+        exact = run_exact(modes, SqueezeSpec(4.0), env_spec, grid)
+        me = run_me(modes, envvar, SqueezeSpec(4.0), grid)
+        assert compare_trajectories(exact, me).worst_rel < 1e-6
+
+    def test_system_mean_is_propagated(self, base_modes):
+        grid = grid_to(6.0, 151)
+        sys_mean = (1.0, -0.5)
+        exact = run_exact(
+            base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid, sys_mean=sys_mean
+        )
+        me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid, sys_mean=sys_mean)
+        assert tuple(me.moments[0, :2]) == sys_mean
+        assert compare_trajectories(exact, me).worst_rel < 1e-6
 
 
 class TestSymmetries:
@@ -254,14 +279,3 @@ class TestValidationAndComparison:
         assert traj.energies().shape == (21,)
         assert traj.areas().shape == (21,)
         assert traj.areas().min() >= 1.0 - 1e-9
-
-    def test_collect_coeffs(self, base_modes):
-        traj = run_exact(
-            base_modes,
-            SqueezeSpec(4.0),
-            SqueezeSpec(2.0),
-            grid_to(2.0, 11),
-            collect_coeffs=True,
-        )
-        assert len(traj.coeffs) == 11
-        assert traj.coeffs[0].t == 0.0
