@@ -1,13 +1,12 @@
 """Exact reduced dynamics of a harmonic oscillator coupled to a single
 inverted-oscillator environment.
 
-The package computes the full two-mode Gaussian evolution, extracts the
+The package computes the exact reduced Gaussian evolution, extracts the
 time-dependent master-equation coefficients of the reduced system, and
 provides entropy/energy/decoherence analysis plus a deterministic CLI.
 """
 
 from .analysis import (
-    AnalysisReport,
     DomainError,
     WindowTooShort,
     approx_D,
@@ -67,21 +66,14 @@ from .modes import (
     params_from_modes,
 )
 from .propagator import (
-    DELTA_SINGULAR,
     ModeFunctions,
-    PropagatorMatrices,
-    SingularAtDivergence,
     SYMPLECTIC_FORM,
     cross_block,
     det_m1,
-    drift_matrix,
     dtilde,
     full_transition,
     mode_blocks,
     mode_functions,
-    propagator_matrices,
-    tp_inverse,
-    tp_matrix,
 )
 
 __version__ = "0.1.0"
@@ -95,20 +87,13 @@ __all__ = [
     "params_from_modes",
     "gkernels",
     # propagator
-    "SingularAtDivergence",
     "ModeFunctions",
-    "PropagatorMatrices",
     "mode_functions",
     "full_transition",
-    "tp_matrix",
     "dtilde",
     "det_m1",
     "mode_blocks",
     "cross_block",
-    "tp_inverse",
-    "drift_matrix",
-    "propagator_matrices",
-    "DELTA_SINGULAR",
     "SYMPLECTIC_FORM",
     # coefficients
     "UnsupportedRegime",
@@ -149,7 +134,6 @@ __all__ = [
     # analysis
     "DomainError",
     "WindowTooShort",
-    "AnalysisReport",
     "critical_time_paper",
     "critical_time_derived",
     "find_divergences",

@@ -6,7 +6,6 @@ decoherence timescale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +15,6 @@ from .propagator import dtilde
 __all__ = [
     "DomainError",
     "WindowTooShort",
-    "AnalysisReport",
     "critical_time_paper",
     "critical_time_derived",
     "find_divergences",
@@ -35,20 +33,6 @@ class DomainError(ValueError):
 
 class WindowTooShort(ValueError):
     """A fit window does not span enough of the trajectory."""
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Summary of divergence structure and entropy-line fits for one run."""
-
-    t_c_paper: float | None = None
-    t_c_derived: float | None = None
-    divergence_times: list = field(default_factory=list)
-    kappa: float | None = None
-    S0: float | None = None
-    slope: float | None = None
-    t_d: float | None = None
-    S_d: float | None = None
 
 
 def _check_tc_args(lam: float, theta_c: float):

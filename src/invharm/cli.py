@@ -21,7 +21,6 @@ inputs: floats are written with 17 significant digits, lines end in
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -156,12 +155,21 @@ class RunConfig:
         }
 
 
+def _is_number(val) -> bool:
+    """A finite int or float; booleans are not numbers here."""
+    return (
+        isinstance(val, (int, float))
+        and not isinstance(val, bool)
+        and math.isfinite(val)
+    )
+
+
 def _require_number(obj, key, default=None):
     val = obj.get(key, default)
     if val is None:
         raise ConfigError(f"missing required field '{key}'")
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"field '{key}' must be a number, got {val!r}")
+    if not _is_number(val):
+        raise ConfigError(f"field '{key}' must be a finite number, got {val!r}")
     return float(val)
 
 
@@ -170,7 +178,7 @@ def _mean_pair(obj, key):
     if (
         not isinstance(val, (list, tuple))
         or len(val) != 2
-        or not all(isinstance(v, (int, float)) for v in val)
+        or not all(_is_number(v) for v in val)
     ):
         raise ConfigError(f"field '{key}' must be a pair of numbers")
     return (float(val[0]), float(val[1]))
@@ -253,13 +261,13 @@ def parse_config(raw: dict) -> RunConfig:
         if (
             not isinstance(fw, (list, tuple))
             or len(fw) != 2
-            or not all(isinstance(v, (int, float)) for v in fw)
+            or not all(_is_number(v) for v in fw)
             or not fw[0] < fw[1]
         ):
             raise ConfigError("fit_window must be [t0, t1] with t0 < t1")
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(
         modes=modes,
@@ -433,7 +441,8 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
             + tuple(f"{c}_me" for c in EVOLVE_COLUMNS[1:])
             + ("rel_err_max",)
         )
-        traj = tr_exact
+        # only the master-equation run has bridges to report
+        traj = tr_me
     else:
         traj = _run_config_trajectory(cfg, cfg.method)
         rows = _evolve_rows(traj)
@@ -502,31 +511,12 @@ def _scan_one(args):
     }
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("INVHARM_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError("INVHARM_THREADS must be an integer") from exc
-        if n < 1:
-            raise ConfigError("INVHARM_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def cmd_scan(cfg: RunConfig, out_dir: str, vary: str, values) -> dict:
     if vary is None or values is None:
         raise ConfigError("scan requires --vary and --values")
     if not values:
         raise ConfigError("scan requires at least one value")
-    tasks = [(cfg, vary, v, out_dir, i) for i, v in enumerate(values)]
-    workers = min(_max_threads(), len(tasks))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_scan_one, tasks))
-    else:
-        runs = [_scan_one(t) for t in tasks]
+    runs = [_scan_one((cfg, vary, v, out_dir, i)) for i, v in enumerate(values)]
     # index written last, in input order
     index = {"config": cfg.echo(), "vary": vary, "runs": runs}
     _write_json(os.path.join(out_dir, "scan_index.json"), index)

@@ -1,7 +1,8 @@
 """Trajectories of the reduced system, produced two ways.
 
-``run_exact`` propagates the full two-mode Gaussian state with the exact
-transition matrix and reduces, which involves no time-stepping error.
+``run_exact`` evaluates the reduced state at each time from the system
+rows [M_0 | M_1] of the exact transition matrix, which involves no
+time-stepping error.
 ``run_me`` integrates the five moment ODEs of the master equation with
 adaptive stepping; across windows where the determinant guard trips
 (master-equation breakdown instants) it bridges with the exact
@@ -23,13 +24,10 @@ from .gaussian import (
     GaussianState,
     SqueezeSpec,
     diagnostics_from_area,
-    product_state,
-    propagate,
-    reduce_system,
     squeezed_pure,
 )
 from .modes import NormalModes
-from .propagator import cross_block, det_m1, dtilde, full_transition
+from .propagator import cross_block, det_m1, dtilde, mode_blocks
 
 __all__ = [
     "StepFailure",
@@ -114,8 +112,16 @@ def _state_of(moments: np.ndarray) -> GaussianState:
     )
 
 
-def _exact_reduced(modes: NormalModes, full0: GaussianState, t: float) -> GaussianState:
-    return reduce_system(propagate(full0, full_transition(modes, t)))
+def _exact_reduced(
+    modes: NormalModes, sys0: GaussianState, env0: GaussianState, t: float
+) -> GaussianState:
+    """Reduced state at t of the product state sys0 x env0: only the
+    system rows [M_0 | M_1] of the transition matrix act on it."""
+    m0, m1 = mode_blocks(modes, t)
+    cov = m0 @ sys0.cov @ m0.T + m1 @ env0.cov @ m1.T
+    return GaussianState(
+        mean=m0 @ sys0.mean + m1 @ env0.mean, cov=0.5 * (cov + cov.T)
+    )
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -129,13 +135,19 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _reduced_area(
-    modes: NormalModes, cov_s: np.ndarray, cov_e: np.ndarray, t: float
+    modes: NormalModes,
+    cs: np.ndarray,
+    ce: np.ndarray,
+    det_s: float,
+    det_e: float,
+    t: float,
 ) -> float:
     """Scaled area of the reduced state of an initially uncorrelated
     two-mode state, evaluated without catastrophic cancellation.
 
     The reduced covariance is L L^T with L = [M0 Cs | M1 Ce] (Cs, Ce
-    factors of the initial covariances), so by the Cauchy-Binet formula
+    factors of the initial covariances Vs, Ve, whose determinants are
+    det_s, det_e), so by the Cauchy-Binet formula
     its determinant is the sum of squared 2-column minors of L:
 
         Dtilde^2 det(Vs) + det(M1)^2 det(Ve) + ||Cs^T X Ce||_F^2
@@ -148,10 +160,8 @@ def _reduced_area(
     loses all precision once the entries exceed the area by more than
     half the working precision.
     """
-    det_a = dtilde(modes, t) ** 2 * float(np.linalg.det(cov_s))
-    det_b = det_m1(modes, t) ** 2 * float(np.linalg.det(cov_e))
-    cs = _psd_factor(np.asarray(cov_s, float))
-    ce = _psd_factor(np.asarray(cov_e, float))
+    det_a = dtilde(modes, t) ** 2 * det_s
+    det_b = det_m1(modes, t) ** 2 * det_e
     minors = cs.T @ cross_block(modes, t) @ ce
     rad = det_a + det_b + float(np.sum(minors * minors))
     return math.sqrt(max(rad, 0.0)) / (modes.hbar / 2.0)
@@ -176,14 +186,17 @@ def run_exact(
     else:
         env0 = squeezed_pure(env_spec, modes.hbar)
         env0 = GaussianState(mean=np.asarray(env_mean, float), cov=env0.cov)
-    full0 = product_state(sys0, env0)
+    # per-run invariants of the area expansion
+    cs, ce = _psd_factor(sys0.cov), _psd_factor(env0.cov)
+    det_s = float(np.linalg.det(sys0.cov))
+    det_e = float(np.linalg.det(env0.cov))
 
     moments = np.empty((grid.size, 5))
     diags = []
     for i, t in enumerate(grid):
-        red = _exact_reduced(modes, full0, t)
+        red = _exact_reduced(modes, sys0, env0, t)
         moments[i] = _moments_of(red)
-        A = _reduced_area(modes, sys0.cov, env0.cov, t)
+        A = _reduced_area(modes, cs, ce, det_s, det_e, t)
         diags.append(
             diagnostics_from_area(A, red, modes.m_s, modes.omega, modes.hbar)
         )
@@ -269,7 +282,6 @@ def run_me(
     sys0 = squeezed_pure(sys_spec, hbar)
     sys0 = GaussianState(mean=np.asarray(sys_mean, float), cov=sys0.cov)
     env0 = env_state_from_variance(envvar)
-    full0 = product_state(sys0, env0)
 
     t_end = float(grid[-1])
     roots = find_divergences(modes, t_end) if t_end > 0 else []
@@ -304,10 +316,10 @@ def run_me(
         sel = np.where((grid > a + 1e-15) & (grid <= b + 1e-15))[0]
         if blocked:
             for i in sel:
-                moments[i] = _moments_of(_exact_reduced(modes, full0, grid[i]))
+                moments[i] = _moments_of(_exact_reduced(modes, sys0, env0, grid[i]))
                 bridged[i] = True
             # restart from the exact state at the far edge
-            y = _moments_of(_exact_reduced(modes, full0, b))
+            y = _moments_of(_exact_reduced(modes, sys0, env0, b))
             continue
         # an unblocked segment ends at a window (whose far edge restarts
         # from the exact state) or at t_end, so only its grid points

@@ -1,5 +1,6 @@
-"""Mode functions, the full transition matrix T(t), the partial-knowledge
-matrix T_p(t) with its cofactor inverse, and the drift matrix Tdot_p T_p^-1.
+"""Mode functions, the system rows [M_0 | M_1] of the transition matrix
+with the cancellation-free minors of those rows, and the full 4x4
+transition matrix T(t).
 
 Phase-space ordering is [x, p, y, q] throughout: system position/momentum
 first, environment second.
@@ -15,25 +16,15 @@ import numpy as np
 from .modes import NormalModes, gkernels
 
 __all__ = [
-    "SingularAtDivergence",
     "ModeFunctions",
-    "PropagatorMatrices",
     "mode_functions",
     "full_transition",
-    "tp_matrix",
     "dtilde",
     "det_m1",
     "mode_blocks",
     "cross_block",
-    "tp_inverse",
-    "drift_matrix",
-    "propagator_matrices",
-    "DELTA_SINGULAR",
     "SYMPLECTIC_FORM",
 ]
-
-# default |Dtilde| below which T_p is treated as non-invertible
-DELTA_SINGULAR = 1e-12
 
 # canonical antisymmetric form for ordering [x, p, y, q]
 SYMPLECTIC_FORM = np.array(
@@ -44,14 +35,6 @@ SYMPLECTIC_FORM = np.array(
         [0.0, 0.0, -1.0, 0.0],
     ]
 )
-
-
-class SingularAtDivergence(ArithmeticError):
-    """Raised when |Dtilde| is below the singularity guard.
-
-    At these instants the map from the current system state back to the
-    initial one is non-invertible and no master equation exists.
-    """
 
 
 @dataclass(frozen=True)
@@ -66,16 +49,6 @@ class ModeFunctions:
     dphi1: float
     d2phi1: float
     d3phi1: float
-
-
-@dataclass(frozen=True)
-class PropagatorMatrices:
-    """Full transition matrix, partial-knowledge matrix, and determinant."""
-
-    T: np.ndarray
-    Tp: np.ndarray
-    Dtilde: float
-    t: float
 
 
 def mode_functions(modes: NormalModes, t: float) -> ModeFunctions:
@@ -105,7 +78,7 @@ def mode_functions(modes: NormalModes, t: float) -> ModeFunctions:
 
 
 def _mode_blocks(mf: ModeFunctions, m_s: float, m_e: float):
-    """The 2x2 blocks M_0, M_1 forming rows 1-2 of T and T_p."""
+    """The 2x2 blocks M_0, M_1 forming rows 1-2 of T."""
     m0 = np.array(
         [
             [mf.dphi0, mf.phi0 / m_s],
@@ -161,18 +134,8 @@ def full_transition(modes: NormalModes, t: float) -> np.ndarray:
     return unscale @ rot @ block @ rot.T @ scale
 
 
-def tp_matrix(modes: NormalModes, t: float) -> np.ndarray:
-    """Partial-knowledge matrix: rows 1-2 of T, identity rows below."""
-    mf = mode_functions(modes, t)
-    m0, m1 = _mode_blocks(mf, modes.m_s, modes.m_e)
-    tp = np.eye(4)
-    tp[0:2, 0:2] = m0
-    tp[0:2, 2:4] = m1
-    return tp
-
-
 def dtilde(modes: NormalModes, t: float) -> float:
-    """Determinant of the system block of T_p (dimensionless, 1 at t=0).
+    """Determinant of the system block M_0 (dimensionless, 1 at t=0).
 
     Algebraically dphi0^2 - phi0 d2phi0, but evaluated via the kernel
     identity c^2 - k s^2 = 1 so that the exponentially large squares
@@ -198,7 +161,7 @@ def det_m1(modes: NormalModes, t: float) -> float:
 
 
 def mode_blocks(modes: NormalModes, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 blocks (M_0, M_1) of rows 1-2 of the transition matrices."""
+    """The 2x2 blocks (M_0, M_1) of rows 1-2 of the transition matrix."""
     mf = mode_functions(modes, t)
     return _mode_blocks(mf, modes.m_s, modes.m_e)
 
@@ -237,68 +200,4 @@ def cross_block(modes: NormalModes, t: float) -> np.ndarray:
             [math.sqrt(m_s * m_e) * w_dd, math.sqrt(m_s / m_e) * w_dc],
             [math.sqrt(m_e / m_s) * w_cd, w_cc / math.sqrt(m_s * m_e)],
         ]
-    )
-
-
-def tp_inverse(tp: np.ndarray, delta_singular: float = DELTA_SINGULAR) -> np.ndarray:
-    """Invert T_p via the 2x2 cofactor structure of its special form.
-
-    Raises :class:`SingularAtDivergence` when the system-block determinant
-    is within ``delta_singular`` of zero.
-    """
-    a, b, e, f = tp[0]
-    c, d, g, h = tp[1]
-    d12 = a * d - b * c
-    if abs(d12) <= delta_singular:
-        raise SingularAtDivergence(f"|Dtilde| = {abs(d12):.3e} below guard")
-    d13 = a * g - e * c
-    d14 = a * h - f * c
-    d23 = b * g - e * d
-    d24 = b * h - f * d
-    inv = np.array(
-        [
-            [d, -b, d23, d24],
-            [-c, a, -d13, -d14],
-            [0.0, 0.0, d12, 0.0],
-            [0.0, 0.0, 0.0, d12],
-        ]
-    )
-    return inv / d12
-
-
-def _tp_dot(modes: NormalModes, t: float) -> np.ndarray:
-    mf = mode_functions(modes, t)
-    m_s, m_e = modes.m_s, modes.m_e
-    dot = np.zeros((4, 4))
-    dot[0, 0] = mf.d2phi0
-    dot[0, 1] = mf.dphi0 / m_s
-    dot[1, 0] = m_s * mf.d3phi0
-    dot[1, 1] = mf.d2phi0
-    dot[0, 2] = math.sqrt(m_e / m_s) * mf.d2phi1
-    dot[0, 3] = mf.dphi1 / math.sqrt(m_s * m_e)
-    dot[1, 2] = math.sqrt(m_s * m_e) * mf.d3phi1
-    dot[1, 3] = math.sqrt(m_s / m_e) * mf.d2phi1
-    return dot
-
-
-def drift_matrix(
-    modes: NormalModes, t: float, delta_singular: float = DELTA_SINGULAR
-) -> np.ndarray:
-    """Tdot_p T_p^-1: the generator of the partial-knowledge flow.
-
-    Rows 3-4 vanish identically; entry (0, 1) is 1/m_s exactly; entry
-    (1, 0) is -m_s omega_eff^2, (1, 1) is -gamma_eff, and (1, 2), (1, 3)
-    are the force couplings F_y, F_q.
-    """
-    tp = tp_matrix(modes, t)
-    return _tp_dot(modes, t) @ tp_inverse(tp, delta_singular)
-
-
-def propagator_matrices(modes: NormalModes, t: float) -> PropagatorMatrices:
-    """Bundle T, T_p, and Dtilde at a single time."""
-    return PropagatorMatrices(
-        T=full_transition(modes, t),
-        Tp=tp_matrix(modes, t),
-        Dtilde=dtilde(modes, t),
-        t=t,
     )

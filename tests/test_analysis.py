@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from invharm import (
-    AnalysisReport,
     Diagnostics,
     DomainError,
     NormalModes,
@@ -268,10 +267,3 @@ class TestFreeParticleOnset:
             assert roots, f"no root found below {horizon} for theta={th}"
             first[th] = roots[0]
         assert first[math.pi / 64] / first[math.pi / 16] > 4.0
-
-
-class TestAnalysisReport:
-    def test_defaults(self):
-        r = AnalysisReport()
-        assert r.divergence_times == []
-        assert r.slope is None and r.S0 is None

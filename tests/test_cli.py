@@ -111,6 +111,38 @@ class TestExitCodesAndErrors:
         assert code == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"modes": {"omega": math.nan}},
+            {"modes": {"lambda_sq": math.inf}},
+            {"modes": {"m_e": 10**400}},
+            {"modes": {}, "system": {"r": math.nan}},
+            {"modes": {}, "system": {"mean": [True, False]}},
+            {"modes": {}, "environment": {"mean": [0.0, math.nan]}},
+            {"modes": {}, "fit_window": [False, True]},
+            {"modes": {}, "fit_window": [0.0, math.inf]},
+        ],
+        ids=[
+            "nan_omega",
+            "inf_lambda_sq",
+            "int_beyond_float",
+            "nan_squeezing",
+            "bool_mean",
+            "nan_mean",
+            "bool_fit_window",
+            "inf_fit_window",
+        ],
+    )
+    def test_rejects_non_finite_and_boolean_numbers(self, tmp_path, capsys, raw):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(raw))  # NaN and Infinity as JSON extensions
+        code = run_cli(["evolve", "--config", str(p), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert not (tmp_path / "evolve.csv").exists()
+
     def test_invalid_parameters(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", modes={"omega": -2.0})
         code = run_cli(["modes", "--config", cfg, "--out", str(tmp_path)])
@@ -243,6 +275,21 @@ class TestEvolveCommand:
         a, b = meta["bridges"][0]
         assert 7.5 < a < b < 8.5
 
+    def test_compare_meta_reports_the_me_bridges(self, tmp_path, capsys):
+        metas = {}
+        for method in ("me", "compare"):
+            out = tmp_path / method
+            cfg = write_config(
+                tmp_path / f"{method}.json",
+                extra={"grid": {"t_max": 20.0, "samples": 401}, "method": method},
+                modes={"omega": 1.3, "lambda_sq": 0.7, "theta_c": 0.08, "m_e": 1.6},
+            )
+            assert run_cli(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            metas[method] = json.loads((out / "evolve.meta.json").read_text())
+        capsys.readouterr()
+        assert len(metas["me"]["bridges"]) == 6
+        assert metas["compare"]["bridges"] == metas["me"]["bridges"]
+
 
 class TestDivergencesCommand:
     def test_matches_library(self, tmp_path, capsys):
@@ -280,10 +327,9 @@ class TestDivergencesCommand:
 
 
 class TestScanCommand:
-    def test_intercept_ladder_over_coupling(self, tmp_path, capsys, monkeypatch):
+    def test_intercept_ladder_over_coupling(self, tmp_path, capsys):
         # successive theta/4 steps lower the fitted intercept by ~ ln 4;
         # late window keeps all three couplings in the linear regime
-        monkeypatch.setenv("INVHARM_THREADS", "2")
         cfg = write_config(
             tmp_path / "c.json",
             extra={
@@ -324,32 +370,13 @@ class TestScanCommand:
         for s in spacings:
             assert s == pytest.approx(-math.log(4.0), rel=0.3)
 
-    def test_thread_cap_validation(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("INVHARM_THREADS", "zero")
-        cfg = write_config(tmp_path / "c.json")
-        code = run_cli(
-            [
-                "scan",
-                "--config",
-                cfg,
-                "--out",
-                str(tmp_path),
-                "--vary",
-                "omega",
-                "--values",
-                "1.0",
-            ]
-        )
-        assert code == EXIT_CONFIG
-        capsys.readouterr()
-
-    def test_single_threaded_same_bytes(self, tmp_path, capsys, monkeypatch):
+    def test_single_threaded_same_bytes(self, tmp_path, capsys):
+        # two identical scans write identical bytes
         cfg = write_config(
             tmp_path / "c.json", extra={"grid": {"t_max": 4.0, "samples": 41}}
         )
         outs = []
-        for name, threads in (("a", "1"), ("b", "4")):
-            monkeypatch.setenv("INVHARM_THREADS", threads)
+        for name in ("a", "b"):
             out = tmp_path / name
             assert (
                 run_cli(

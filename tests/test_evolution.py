@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from invharm import (
+    GaussianState,
     GridMismatch,
     IntegratorOptions,
     NormalModes,
@@ -16,6 +17,7 @@ from invharm import (
     full_transition,
     product_state,
     propagate,
+    reduce_system,
     run_exact,
     run_me,
     squeezed_pure,
@@ -114,6 +116,41 @@ class TestOracleAgreement:
         me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid, sys_mean=sys_mean)
         assert tuple(me.moments[0, :2]) == sys_mean
         assert compare_trajectories(exact, me).worst_rel < 1e-6
+
+
+class TestFullStateReference:
+    def test_run_exact_matches_4x4_propagation(self):
+        # run_exact builds the reduced state from the system rows
+        # [M_0 | M_1] alone; the reference pushes the whole two-mode state
+        # through the 4x4 transition matrix and reduces afterwards
+        modes = NormalModes(
+            omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=0.9, m_e=1.6
+        )
+        sys_spec, env_spec = SqueezeSpec(4.0, 0.2), SqueezeSpec(2.0, 0.3)
+        sys_mean, env_mean = (0.5, -0.2), (0.1, 0.3)
+        grid = grid_to(12.0, 241)
+        assert find_divergences(modes, 12.0)[0] < 10.0
+        traj = run_exact(
+            modes, sys_spec, env_spec, grid, sys_mean=sys_mean, env_mean=env_mean
+        )
+        sys0 = squeezed_pure(sys_spec)
+        env0 = squeezed_pure(env_spec)
+        full0 = product_state(
+            GaussianState(mean=np.array(sys_mean), cov=sys0.cov),
+            GaussianState(mean=np.array(env_mean), cov=env0.cov),
+        )
+        ref = np.empty_like(traj.moments)
+        for i, t in enumerate(grid):
+            red = reduce_system(propagate(full0, full_transition(modes, t)))
+            ref[i] = (
+                red.mean[0],
+                red.mean[1],
+                red.cov[0, 0],
+                red.cov[1, 1],
+                red.cov[0, 1],
+            )
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(traj.moments - ref) <= 1e-12 * scale)
 
 
 class TestSymmetries:

@@ -5,21 +5,14 @@ import pytest
 
 from invharm import (
     NormalModes,
-    SingularAtDivergence,
     SYMPLECTIC_FORM,
     coeffs_closed,
     cross_block,
     det_m1,
-    drift_matrix,
     dtilde,
-    find_divergences,
     full_transition,
     mode_blocks,
     mode_functions,
-    params_from_modes,
-    propagator_matrices,
-    tp_inverse,
-    tp_matrix,
 )
 from invharm.coefficients import EnvVariance
 
@@ -123,26 +116,25 @@ class TestFullTransition:
             )
 
     def test_rows_match_tp(self, base_modes):
+        # rows 1-2 of T are the system rows [M_0 | M_1] that T_p keeps
         T = full_transition(base_modes, 1.7)
-        Tp = tp_matrix(base_modes, 1.7)
-        assert np.abs(T[:2] - Tp[:2]).max() < 1e-12 * max(1.0, np.abs(T).max())
+        rows = np.hstack(mode_blocks(base_modes, 1.7))
+        assert np.abs(T[:2] - rows).max() < 1e-12 * max(1.0, np.abs(T).max())
 
 
 class TestTpMatrix:
+    """The system rows [M_0 | M_1] of the partial-knowledge matrix T_p,
+    as returned by :func:`mode_blocks`."""
+
     def test_identity_at_zero(self, base_modes):
-        assert np.allclose(tp_matrix(base_modes, 0.0), np.eye(4), atol=1e-15)
+        m0, m1 = mode_blocks(base_modes, 0.0)
+        assert np.allclose(m0, np.eye(2), atol=1e-15)
+        assert np.allclose(m1, 0.0, atol=1e-15)
 
     def test_decoupled_cross_block_zero(self):
         modes = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
-        Tp = tp_matrix(modes, 2.3)
-        assert np.allclose(Tp[:2, 2:], 0.0, atol=1e-15)
-        assert np.allclose(Tp[2:], np.eye(4)[2:], atol=1e-15)
-
-    def test_mode_blocks_assemble_tp(self, base_modes):
-        m0, m1 = mode_blocks(base_modes, 1.7)
-        Tp = tp_matrix(base_modes, 1.7)
-        assert np.array_equal(Tp[:2, :2], m0)
-        assert np.array_equal(Tp[:2, 2:], m1)
+        _, m1 = mode_blocks(modes, 2.3)
+        assert np.allclose(m1, 0.0, atol=1e-15)
 
 
 class TestDtilde:
@@ -211,63 +203,3 @@ class TestAuxiliaryBlocks:
     def test_zero_at_t_zero(self, base_modes):
         assert det_m1(base_modes, 0.0) == 0.0
         assert np.allclose(cross_block(base_modes, 0.0), 0.0, atol=1e-15)
-
-
-class TestTpInverse:
-    def test_identity_at_zero(self, base_modes):
-        inv = tp_inverse(tp_matrix(base_modes, 0.0))
-        assert np.allclose(inv, np.eye(4), atol=1e-14)
-
-    def test_decoupled_inverse(self):
-        modes = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
-        tp = tp_matrix(modes, 1.3)
-        inv = tp_inverse(tp)
-        assert np.allclose(inv @ tp, np.eye(4), atol=1e-13)
-
-    def test_base_config_residual(self, base_modes):
-        tp = tp_matrix(base_modes, 1.0)
-        inv = tp_inverse(tp)
-        assert np.abs(inv @ tp - np.eye(4)).max() < 1e-10
-
-    def test_raises_at_divergence(self, base_modes):
-        root = find_divergences(base_modes, 10.0)[0]
-        tp = tp_matrix(base_modes, root)
-        with pytest.raises(SingularAtDivergence):
-            tp_inverse(tp, delta_singular=1e-6)
-
-
-class TestDriftMatrix:
-    def test_structure(self, base_modes):
-        D = drift_matrix(base_modes, 1.2)
-        assert np.allclose(D[2:], 0.0, atol=1e-12)
-        assert D[0, 1] == pytest.approx(1.0 / base_modes.m_s, rel=1e-12)
-        assert D[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_initial_drift_entries(self, base_modes):
-        D = drift_matrix(base_modes, 1e-8)
-        bare = params_from_modes(
-            base_modes.omega,
-            base_modes.lambda_sq,
-            base_modes.theta_c,
-            base_modes.m_s,
-            base_modes.m_e,
-        )
-        assert D[1, 0] == pytest.approx(-base_modes.m_s * bare.omega_bare**2, rel=1e-6)
-        assert D[1, 1] == pytest.approx(0.0, abs=1e-6)
-
-    def test_decoupled_drift_constant(self):
-        modes = NormalModes(omega=1.4, lambda_sq=1.0, theta_c=0.0, m_s=2.0, m_e=1.0)
-        expected = np.zeros((4, 4))
-        expected[0, 1] = 0.5
-        expected[1, 0] = -2.0 * 1.4**2
-        for t in (0.5, 2.0, 7.0):
-            assert np.allclose(drift_matrix(modes, t), expected, atol=1e-10)
-
-
-class TestPropagatorMatrices:
-    def test_bundle_consistency(self, base_modes):
-        pm = propagator_matrices(base_modes, 1.7)
-        assert pm.t == 1.7
-        assert np.array_equal(pm.Tp, tp_matrix(base_modes, 1.7))
-        assert np.array_equal(pm.T, full_transition(base_modes, 1.7))
-        assert pm.Dtilde == dtilde(base_modes, 1.7)
