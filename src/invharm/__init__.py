@@ -45,17 +45,12 @@ from .gaussian import (
     GaussianState,
     NonPhysical,
     SqueezeSpec,
-    area_ratio,
-    diagnostics,
     diagnostics_from_area,
     energy,
     entropy_approx,
     entropy_exact,
     linear_entropy,
-    product_state,
-    propagate,
     purity,
-    reduce_system,
     squeezed_pure,
 )
 from .modes import (
@@ -67,11 +62,9 @@ from .modes import (
 )
 from .propagator import (
     ModeFunctions,
-    SYMPLECTIC_FORM,
     cross_block,
     det_m1,
     dtilde,
-    full_transition,
     mode_blocks,
     mode_functions,
 )
@@ -89,12 +82,10 @@ __all__ = [
     # propagator
     "ModeFunctions",
     "mode_functions",
-    "full_transition",
     "dtilde",
     "det_m1",
     "mode_blocks",
     "cross_block",
-    "SYMPLECTIC_FORM",
     # coefficients
     "UnsupportedRegime",
     "EnvVariance",
@@ -109,16 +100,11 @@ __all__ = [
     "GaussianState",
     "Diagnostics",
     "squeezed_pure",
-    "product_state",
-    "propagate",
-    "reduce_system",
-    "area_ratio",
     "entropy_exact",
     "entropy_approx",
     "linear_entropy",
     "purity",
     "energy",
-    "diagnostics",
     "diagnostics_from_area",
     # evolution
     "StepFailure",

@@ -76,35 +76,39 @@ def _scan_step(modes: NormalModes, t_max: float) -> float:
 
 
 def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
-    """All sign-change roots of Dtilde on [0, t_max], located by a scan
-    at the fastest mode rate followed by bisection to 1e-10 absolute."""
+    """All sign-change roots of Dtilde on [0, t_max], located by one
+    array evaluation on a scan at the fastest mode rate followed by
+    bisection to 1e-10 absolute.  A non-finite Dtilde on the scan (the
+    kernels overflow) raises ``FloatingPointError``."""
     if t_max <= 0:
         raise ValueError("t_max must be > 0")
     step = _scan_step(modes, t_max)
     n = int(math.ceil(t_max / step)) + 1
     ts = np.linspace(0.0, t_max, n)
-    vals = np.array([dtilde(modes, t) for t in ts])
+    vals = dtilde(modes, ts)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise FloatingPointError(f"Dtilde is not finite at t = {float(ts[bad[0]])!r}")
+    va, vb = vals[:-1], vals[1:]
     roots = []
-    for i in range(len(ts) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
+    for i in np.flatnonzero((va == 0.0) | (va * vb < 0.0)):
+        if va[i] == 0.0:
             if ts[i] > 0:
                 roots.append(float(ts[i]))
             continue
-        if va * vb < 0.0:
-            lo, hi = ts[i], ts[i + 1]
-            flo = va
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                fm = dtilde(modes, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+        lo, hi = ts[i], ts[i + 1]
+        flo = va[i]
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            fm = dtilde(modes, mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        roots.append(0.5 * (lo + hi))
     return roots
 
 

@@ -295,20 +295,26 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _fmt(x) -> str:
-    """Deterministic float formatting: 17 significant digits."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (np.floating, float)):
-        return format(float(x), ".17g")
-    return str(x)
+def _write_csv(path: str, columns, table: np.ndarray, valid=None):
+    """Write a float table, one row per time with ``t`` first, at 17
+    significant digits; ``valid``, if given, is a last true/false column.
 
-
-def _write_csv(path: str, columns, rows):
+    A non-finite value is a numerical failure, named by its column and
+    the first time at which it appears.
+    """
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise FloatingPointError(
+            f"non-finite {columns[col]} at t = {float(table[row, 0])!r}"
+        )
+    row_fmt = ",".join(["%.17g"] * table.shape[1])
+    if valid is not None:
+        row_fmt += ",%s"
+        table = np.column_stack((table.astype(object), np.where(valid, "true", "false")))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write((row_fmt + "\n") * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: str, obj):
@@ -359,48 +365,35 @@ def cmd_modes(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
-    envvar = cfg.env_variance()
-    rows = []
-    for t in cfg.grid():
-        c = coeffs_general(
-            cfg.modes, envvar, float(t), guard=cfg.integrator.divergence_guard
+    grid = cfg.grid()
+    c = coeffs_general(
+        cfg.modes, cfg.env_variance(), grid, guard=cfg.integrator.divergence_guard
+    )
+    table = np.column_stack(
+        (
+            c.t,
+            c.dtilde,
+            c.omega_eff_sq,
+            c.gamma_eff,
+            c.Fy,
+            c.Fq,
+            c.f1,
+            c.f2,
+            c.f1_tensor.reshape(4, -1).T,
+            c.f2_tensor.reshape(4, -1).T,
         )
-        rows.append(
-            (
-                c.t,
-                c.dtilde,
-                c.omega_eff_sq,
-                c.gamma_eff,
-                c.Fy,
-                c.Fq,
-                c.f1,
-                c.f2,
-                c.f1_tensor[0, 0],
-                c.f1_tensor[0, 1],
-                c.f1_tensor[1, 0],
-                c.f1_tensor[1, 1],
-                c.f2_tensor[0, 0],
-                c.f2_tensor[0, 1],
-                c.f2_tensor[1, 0],
-                c.f2_tensor[1, 1],
-                bool(c.valid),
-            )
-        )
+    )
     path = os.path.join(out_dir, "coeffs.csv")
-    _write_csv(path, COEFF_COLUMNS, rows)
+    _write_csv(path, COEFF_COLUMNS, table, valid=c.valid)
     _write_json(os.path.join(out_dir, "coeffs.meta.json"), {"config": cfg.echo()})
-    return {"path": path, "rows": len(rows)}
+    return {"path": path, "rows": grid.size}
 
 
-def _evolve_rows(traj):
-    rows = []
-    for i, t in enumerate(traj.times):
-        d = traj.diags[i]
-        mx, mp, dx2, dp2, dxp = traj.moments[i]
-        rows.append(
-            (t, mx, mp, dx2, dp2, dxp, d.A**2, d.S, d.S_approx, d.varsigma, d.E)
-        )
-    return rows
+def _evolve_table(traj) -> np.ndarray:
+    d = traj.diags
+    return np.column_stack(
+        (traj.times, traj.moments, d.A**2, d.S, d.S_approx, d.varsigma, d.E)
+    )
 
 
 def _run_config_trajectory(cfg: RunConfig, method: str):
@@ -427,15 +420,12 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
     if cfg.method == "compare":
         tr_exact = _run_config_trajectory(cfg, "exact")
         tr_me = _run_config_trajectory(cfg, "me")
-        rows = []
-        for base, me_row in zip(_evolve_rows(tr_exact), _evolve_rows(tr_me)):
-            moments_e = base[1:6]
-            moments_m = me_row[1:6]
-            rel = max(
-                abs(a - b) / max(abs(a), 1.0)
-                for a, b in zip(moments_e, moments_m)
-            )
-            rows.append(base + me_row[1:] + (rel,))
+        exact, me = _evolve_table(tr_exact), _evolve_table(tr_me)
+        mom_exact, mom_me = exact[:, 1:6], me[:, 1:6]
+        rel = np.max(
+            np.abs(mom_exact - mom_me) / np.maximum(np.abs(mom_exact), 1.0), axis=1
+        )
+        table = np.column_stack((exact, me[:, 1:], rel))
         columns = (
             EVOLVE_COLUMNS
             + tuple(f"{c}_me" for c in EVOLVE_COLUMNS[1:])
@@ -445,15 +435,15 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
         traj = tr_me
     else:
         traj = _run_config_trajectory(cfg, cfg.method)
-        rows = _evolve_rows(traj)
+        table = _evolve_table(traj)
         columns = EVOLVE_COLUMNS
     path = os.path.join(out_dir, "evolve.csv")
-    _write_csv(path, columns, rows)
+    _write_csv(path, columns, table)
     meta = {"config": cfg.echo(), "method": cfg.method}
     if traj.meta.get("bridges"):
         meta["bridges"] = [list(w) for w in traj.meta["bridges"]]
     _write_json(os.path.join(out_dir, "evolve.meta.json"), meta)
-    return {"path": path, "rows": len(rows)}
+    return {"path": path, "rows": len(table)}
 
 
 def cmd_divergences(cfg: RunConfig, out_dir: str) -> dict:
@@ -494,11 +484,7 @@ def _scan_one(args):
     run_cfg = _apply_vary(cfg, name, value)
     traj = _run_config_trajectory(run_cfg, "exact")
     filename = f"scan_{idx:03d}.csv"
-    _write_csv(
-        os.path.join(out_dir, filename),
-        EVOLVE_COLUMNS,
-        _evolve_rows(traj),
-    )
+    _write_csv(os.path.join(out_dir, filename), EVOLVE_COLUMNS, _evolve_table(traj))
     try:
         slope, s0 = fit_entropy_line(traj, run_cfg.fit_window)
     except WindowTooShort:
@@ -604,6 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An overflowing kernel gives inf or nan in array code, without a warning
+# here; the CSV writer and the root scan turn it into a numerical failure.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

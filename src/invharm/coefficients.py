@@ -55,7 +55,9 @@ class EnvVariance:
 
 @dataclass(frozen=True)
 class MECoefficients:
-    """All coefficients of the reduced master equation at one time.
+    """All coefficients of the reduced master equation at one time, or
+    one column per field over an array of times (the sub-tensors then
+    have shape (2, 2, n)).
 
     ``valid`` is False within the singularity guard around a zero of
     Dtilde; the drift-derived fields are still filled in (they are large
@@ -77,16 +79,17 @@ class MECoefficients:
     valid: bool
 
 
-def contract(tensor: np.ndarray, envvar: EnvVariance) -> float:
+def contract(tensor: np.ndarray, envvar: EnvVariance):
     """Fully contract a 2x2 sub-coefficient tensor with the environment
     covariance: t_yy dy2 + (t_yq + t_qy) dyq + t_qq dq2.
 
     This is the weighting the exact diffusion K Ve M1^T + M1 Ve K^T gives
     each sub-tensor entry.
     """
-    t = np.asarray(tensor)
-    return float(
-        t[0, 0] * envvar.dy2 + (t[0, 1] + t[1, 0]) * envvar.dyq + t[1, 1] * envvar.dq2
+    return (
+        tensor[0, 0] * envvar.dy2
+        + (tensor[0, 1] + tensor[1, 0]) * envvar.dyq
+        + tensor[1, 1] * envvar.dq2
     )
 
 
@@ -108,10 +111,11 @@ def env_variance_from_cov(
 def coeffs_general(
     modes: NormalModes,
     envvar: EnvVariance,
-    t: float,
+    t,
     guard: float = DEFAULT_GUARD,
 ) -> MECoefficients:
-    """Coefficients from the mode-function ratio formulas.
+    """Coefficients from the mode-function ratio formulas, at a float
+    time or over an array of times.
 
     The diffusion sub-tensors are built from the force couplings and the
     phi_1 derivative ladder; the scalar f_n is their full contraction

@@ -1,8 +1,8 @@
 """Trajectories of the reduced system, produced two ways.
 
-``run_exact`` evaluates the reduced state at each time from the system
-rows [M_0 | M_1] of the exact transition matrix, which involves no
-time-stepping error.
+``run_exact`` evaluates the reduced state from the system rows
+[M_0 | M_1] of the exact transition matrix, over the whole time grid at
+once, which involves no time-stepping error.
 ``run_me`` integrates the five moment ODEs of the master equation with
 adaptive stepping; across windows where the determinant guard trips
 (master-equation breakdown instants) it bridges with the exact
@@ -11,7 +11,6 @@ propagator and resumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,22 +65,25 @@ MOMENT_NAMES = ("mean_x", "mean_p", "dx2", "dp2", "dxp")
 
 @dataclass
 class Trajectory:
-    """Time series of system moments plus per-time diagnostics."""
+    """Time series of the system moments and of their diagnostics.
+
+    ``diags`` holds one column per diagnostic, with one entry per time.
+    """
 
     times: np.ndarray
     moments: np.ndarray  # shape (n, 5): mean_x, mean_p, dx2, dp2, dxp
-    diags: list[Diagnostics]
+    diags: Diagnostics
     bridged: np.ndarray | None = None  # bool mask of exact-bridged samples
     meta: dict = field(default_factory=dict)
 
     def entropies(self) -> np.ndarray:
-        return np.array([d.S for d in self.diags])
+        return self.diags.S
 
     def energies(self) -> np.ndarray:
-        return np.array([d.E for d in self.diags])
+        return self.diags.E
 
     def areas(self) -> np.ndarray:
-        return np.array([d.A for d in self.diags])
+        return self.diags.A
 
 
 def env_state_from_variance(envvar: EnvVariance) -> GaussianState:
@@ -92,35 +94,22 @@ def env_state_from_variance(envvar: EnvVariance) -> GaussianState:
     )
 
 
-def _moments_of(state: GaussianState) -> np.ndarray:
-    return np.array(
-        [
-            state.mean[0],
-            state.mean[1],
-            state.cov[0, 0],
-            state.cov[1, 1],
-            state.cov[0, 1],
-        ]
-    )
-
-
-def _state_of(moments: np.ndarray) -> GaussianState:
-    mx, mp, dx2, dp2, dxp = moments
-    return GaussianState(
-        mean=np.array([mx, mp]),
-        cov=np.array([[dx2, dxp], [dxp, dp2]]),
-    )
-
-
-def _exact_reduced(
-    modes: NormalModes, sys0: GaussianState, env0: GaussianState, t: float
-) -> GaussianState:
-    """Reduced state at t of the product state sys0 x env0: only the
-    system rows [M_0 | M_1] of the transition matrix act on it."""
-    m0, m1 = mode_blocks(modes, t)
-    cov = m0 @ sys0.cov @ m0.T + m1 @ env0.cov @ m1.T
-    return GaussianState(
-        mean=m0 @ sys0.mean + m1 @ env0.mean, cov=0.5 * (cov + cov.T)
+def _exact_moments(
+    modes: NormalModes, sys0: GaussianState, env0: GaussianState, t: np.ndarray
+) -> np.ndarray:
+    """Reduced moments, shape (n, 5), at the n times t of the product
+    state sys0 x env0: only the system rows [M_0 | M_1] of the transition
+    matrix act on it."""
+    m0, m1 = (np.moveaxis(b, -1, 0) for b in mode_blocks(modes, t))
+    mean = m0 @ sys0.mean + m1 @ env0.mean
+    cov = m0 @ sys0.cov @ m0.swapaxes(1, 2) + m1 @ env0.cov @ m1.swapaxes(1, 2)
+    return np.column_stack(
+        (
+            mean,
+            cov[:, 0, 0],
+            cov[:, 1, 1],
+            0.5 * (cov[:, 0, 1] + cov[:, 1, 0]),
+        )
     )
 
 
@@ -140,10 +129,11 @@ def _reduced_area(
     ce: np.ndarray,
     det_s: float,
     det_e: float,
-    t: float,
-) -> float:
-    """Scaled area of the reduced state of an initially uncorrelated
-    two-mode state, evaluated without catastrophic cancellation.
+    t: np.ndarray,
+) -> np.ndarray:
+    """Scaled area at the times t of the reduced state of an initially
+    uncorrelated two-mode state, evaluated without catastrophic
+    cancellation.
 
     The reduced covariance is L L^T with L = [M0 Cs | M1 Ce] (Cs, Ce
     factors of the initial covariances Vs, Ve, whose determinants are
@@ -162,9 +152,9 @@ def _reduced_area(
     """
     det_a = dtilde(modes, t) ** 2 * det_s
     det_b = det_m1(modes, t) ** 2 * det_e
-    minors = cs.T @ cross_block(modes, t) @ ce
-    rad = det_a + det_b + float(np.sum(minors * minors))
-    return math.sqrt(max(rad, 0.0)) / (modes.hbar / 2.0)
+    minors = cs.T @ np.moveaxis(cross_block(modes, t), -1, 0) @ ce
+    rad = det_a + det_b + np.sum(minors * minors, axis=(1, 2))
+    return np.sqrt(np.maximum(rad, 0.0)) / (modes.hbar / 2.0)
 
 
 def run_exact(
@@ -175,7 +165,8 @@ def run_exact(
     sys_mean=(0.0, 0.0),
     env_mean=(0.0, 0.0),
 ) -> Trajectory:
-    """Exact trajectory: each grid point evaluated independently."""
+    """Exact trajectory: every grid point evaluated independently, all of
+    them in one pass over the grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
@@ -191,19 +182,12 @@ def run_exact(
     det_s = float(np.linalg.det(sys0.cov))
     det_e = float(np.linalg.det(env0.cov))
 
-    moments = np.empty((grid.size, 5))
-    diags = []
-    for i, t in enumerate(grid):
-        red = _exact_reduced(modes, sys0, env0, t)
-        moments[i] = _moments_of(red)
-        A = _reduced_area(modes, cs, ce, det_s, det_e, t)
-        diags.append(
-            diagnostics_from_area(A, red, modes.m_s, modes.omega, modes.hbar)
-        )
+    moments = _exact_moments(modes, sys0, env0, grid)
+    A = _reduced_area(modes, cs, ce, det_s, det_e, grid)
     return Trajectory(
         times=grid,
         moments=moments,
-        diags=diags,
+        diags=diagnostics_from_area(A, moments, modes.m_s, modes.omega, modes.hbar),
         bridged=np.zeros(grid.size, dtype=bool),
         meta={
             "method": "exact",
@@ -299,7 +283,7 @@ def run_me(
 
     moments = np.full((grid.size, 5), np.nan)
     bridged = np.zeros(grid.size, dtype=bool)
-    y = _moments_of(sys0)
+    y = np.array([*sys0.mean, sys0.cov[0, 0], sys0.cov[1, 1], sys0.cov[0, 1]])
     moments[0] = y
     t_cur = 0.0
 
@@ -315,26 +299,31 @@ def run_me(
             continue
         sel = np.where((grid > a + 1e-15) & (grid <= b + 1e-15))[0]
         if blocked:
-            for i in sel:
-                moments[i] = _moments_of(_exact_reduced(modes, sys0, env0, grid[i]))
-                bridged[i] = True
-            # restart from the exact state at the far edge
-            y = _moments_of(_exact_reduced(modes, sys0, env0, b))
+            # fill from the exact state and restart from it at the far edge
+            exact = _exact_moments(modes, sys0, env0, np.append(grid[sel], b))
+            moments[sel] = exact[:-1]
+            bridged[sel] = True
+            y = exact[-1]
             continue
         # an unblocked segment ends at a window (whose far edge restarts
         # from the exact state) or at t_end, so only its grid points
         # are read
         if sel.size == 0:
             continue
-        sol = solve_ivp(
-            rhs,
-            (a, b),
-            y,
-            method="DOP853",
-            t_eval=grid[sel],
-            rtol=opts.rel_tol,
-            atol=opts.abs_tol,
-        )
+        try:
+            sol = solve_ivp(
+                rhs,
+                (a, b),
+                y,
+                method="DOP853",
+                t_eval=grid[sel],
+                rtol=opts.rel_tol,
+                atol=opts.abs_tol,
+            )
+        except ArithmeticError as exc:
+            raise StepFailure(
+                f"integrator failed on [{a}, {b}]: {type(exc).__name__}: {exc}"
+            ) from exc
         if not sol.success:
             raise StepFailure(f"integrator failed on [{a}, {b}]: {sol.message}")
         moments[sel] = sol.y.T
@@ -344,18 +333,12 @@ def run_me(
     # area, so past the first breakdown the ME-derived area is noise-
     # limited; it is clamped to the purity floor there.  Use run_exact
     # for quantitative entropy at long times.
-    diags = []
-    for m in moments:
-        state = _state_of(m)
-        rad = float(np.linalg.det(state.cov))
-        A = math.sqrt(max(rad, 0.0)) / (hbar / 2.0)
-        diags.append(
-            diagnostics_from_area(max(A, 1.0), state, m_s, modes.omega, hbar)
-        )
+    rad = np.linalg.det(moments[:, [[2, 4], [4, 3]]])
+    A = np.maximum(np.sqrt(np.maximum(rad, 0.0)) / (hbar / 2.0), 1.0)
     return Trajectory(
         times=grid,
         moments=moments,
-        diags=diags,
+        diags=diagnostics_from_area(A, moments, m_s, modes.omega, hbar),
         bridged=bridged,
         meta={
             "method": "master_equation",

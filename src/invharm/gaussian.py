@@ -1,6 +1,6 @@
-"""Gaussian states: squeezed pure states, symplectic propagation,
-reduction to the system mode, and scalar diagnostics (area, entropy,
-purity, energy).
+"""Gaussian states: squeezed pure states and the diagnostics of a
+reduced 1-mode state (area, entropy, purity, energy).  The diagnostic
+functions take one value or an array with one value per time.
 
 Squeezing convention: r = Delta x / Delta p in natural units, so a pure
 state with r = 1 is the round vacuum-like state with both variances
@@ -20,16 +20,11 @@ __all__ = [
     "GaussianState",
     "Diagnostics",
     "squeezed_pure",
-    "product_state",
-    "propagate",
-    "reduce_system",
-    "area_ratio",
     "entropy_exact",
     "entropy_approx",
     "linear_entropy",
     "purity",
     "energy",
-    "diagnostics",
     "diagnostics_from_area",
 ]
 
@@ -74,15 +69,16 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Scalar state diagnostics of a reduced 1-mode state."""
+    """Diagnostics of a reduced 1-mode state: one float per field, or
+    one array per field with one entry per time."""
 
-    a: float
-    A: float
-    S: float
-    S_approx: float
-    varsigma: float
-    purity: float
-    E: float
+    a: np.ndarray
+    A: np.ndarray
+    S: np.ndarray
+    S_approx: np.ndarray
+    varsigma: np.ndarray
+    purity: np.ndarray
+    E: np.ndarray
 
 
 def squeezed_pure(spec: SqueezeSpec, hbar: float = 1.0) -> GaussianState:
@@ -93,95 +89,62 @@ def squeezed_pure(spec: SqueezeSpec, hbar: float = 1.0) -> GaussianState:
     return GaussianState(mean=np.zeros(2), cov=cov)
 
 
-def product_state(sys: GaussianState, env: GaussianState) -> GaussianState:
-    """Unentangled two-mode state from two one-mode factors."""
-    if sys.n_modes != 1 or env.n_modes != 1:
-        raise ValueError("product_state expects two 1-mode states")
-    mean = np.concatenate([sys.mean, env.mean])
-    cov = np.zeros((4, 4))
-    cov[:2, :2] = sys.cov
-    cov[2:, 2:] = env.cov
-    return GaussianState(mean=mean, cov=cov)
+def _check_area(A):
+    if np.any(A < 1.0 - 1e-9):
+        raise ValueError(f"scaled area A = {np.min(A)} < 1")
 
 
-def propagate(state: GaussianState, T: np.ndarray) -> GaussianState:
-    """Push means and covariances through a linear phase-space map."""
-    T = np.asarray(T)
-    if T.shape != (state.mean.shape[0],) * 2:
-        raise ValueError("transition matrix shape does not match state")
-    cov = T @ state.cov @ T.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean=T @ state.mean, cov=cov)
+def entropy_exact(A):
+    """Von Neumann entropy of a 1-mode Gaussian state with scaled area A.
+
+    With the mean occupation n = (A - 1)/2 this is
+    (n + 1) ln(n + 1) - n ln n = ln(1 + n) + n ln(1 + 1/n): two positive
+    terms, so it keeps full relative precision at every area, where the
+    textbook difference of the two products cancels once A is large.
+    """
+    _check_area(A)
+    n = np.maximum(0.5 * (A - 1.0), 0.0)
+    pos = n > 0.0
+    inv = 1.0 / np.where(pos, n, 1.0)
+    return np.where(pos, np.log1p(n) + n * np.log1p(inv), 0.0)[()]
 
 
-def reduce_system(state: GaussianState) -> GaussianState:
-    """Marginal of the system mode (upper-left block)."""
-    return GaussianState(mean=state.mean[:2].copy(), cov=state.cov[:2, :2].copy())
-
-
-def area_ratio(state: GaussianState, hbar: float = 1.0) -> float:
-    """Phase-space area in units of hbar/2: A = sqrt(det cov)/(hbar/2)."""
-    if state.n_modes != 1:
-        raise ValueError("area_ratio expects a 1-mode state")
-    radicand = float(np.linalg.det(state.cov))
-    if radicand < -1e-12:
-        raise NonPhysical(f"negative area radicand {radicand:.3e}")
-    return math.sqrt(max(radicand, 0.0)) / (hbar / 2.0)
-
-
-def entropy_exact(A: float) -> float:
-    """Von Neumann entropy of a 1-mode Gaussian state with scaled area A."""
-    if A < 1.0 - 1e-9:
-        raise ValueError(f"scaled area A = {A} < 1")
-    e = A - 1.0
-    if e <= 0.0:
-        return 0.0
-    return 0.5 * ((A + 1.0) * math.log(A + 1.0) - e * math.log(e)) - math.log(2.0)
-
-
-def entropy_approx(A: float) -> float:
+def entropy_approx(A):
     """ln A: within 1 - ln 2 of the exact entropy, exact at A = 1."""
-    if A < 1.0 - 1e-9:
-        raise ValueError(f"scaled area A = {A} < 1")
-    return math.log(max(A, 1.0))
+    _check_area(A)
+    return np.log(np.maximum(A, 1.0))
 
 
-def linear_entropy(A: float) -> float:
+def linear_entropy(A):
     """1 - Tr rho^2 = 1 - 1/A."""
-    if A < 1.0 - 1e-9:
-        raise ValueError(f"scaled area A = {A} < 1")
-    return 1.0 - 1.0 / max(A, 1.0)
+    _check_area(A)
+    return 1.0 - 1.0 / np.maximum(A, 1.0)
 
 
-def purity(A: float) -> float:
+def purity(A):
     """Tr rho^2 = 1/A."""
-    if A < 1.0 - 1e-9:
-        raise ValueError(f"scaled area A = {A} < 1")
-    return 1.0 / max(A, 1.0)
+    _check_area(A)
+    return 1.0 / np.maximum(A, 1.0)
 
 
-def energy(state: GaussianState, m_s: float, omega: float) -> float:
-    """Mean oscillator energy of a 1-mode state (means included)."""
-    dx2 = state.cov[0, 0] + state.mean[0] ** 2
-    dp2 = state.cov[1, 1] + state.mean[1] ** 2
+def energy(moments, m_s: float, omega: float):
+    """Mean oscillator energy (means included) from the moments
+    (mean_x, mean_p, dx2, dp2, dxp) along the last axis."""
+    dx2 = moments[..., 2] + moments[..., 0] ** 2
+    dp2 = moments[..., 3] + moments[..., 1] ** 2
     return 0.5 * (m_s * omega**2 * dx2 + dp2 / m_s)
 
 
-def diagnostics(
-    state: GaussianState, m_s: float, omega: float, hbar: float = 1.0
-) -> Diagnostics:
-    """All scalar diagnostics of a reduced 1-mode state at once."""
-    return diagnostics_from_area(area_ratio(state, hbar), state, m_s, omega, hbar)
-
-
 def diagnostics_from_area(
-    A: float, state: GaussianState, m_s: float, omega: float, hbar: float = 1.0
+    A, moments, m_s: float, omega: float, hbar: float = 1.0
 ) -> Diagnostics:
-    """Diagnostics with the scaled area supplied by the caller.
+    """Diagnostics of the scaled area A and the moments
+    (mean_x, mean_p, dx2, dp2, dxp), for one state or a column of states.
 
-    For callers that can evaluate the area more accurately than the
-    determinant of the stored covariance allows (the determinant loses
-    all precision once the covariance entries dwarf the area).
+    The caller supplies the area because it can evaluate it more
+    accurately than the determinant of the stored covariance allows (the
+    determinant loses all precision once the covariance entries dwarf the
+    area).
     """
     return Diagnostics(
         a=A * hbar / 2.0,
@@ -190,5 +153,5 @@ def diagnostics_from_area(
         S_approx=entropy_approx(A),
         varsigma=linear_entropy(A),
         purity=purity(A),
-        E=energy(state, m_s, omega),
+        E=energy(moments, m_s, omega),
     )

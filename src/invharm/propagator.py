@@ -1,9 +1,10 @@
-"""Mode functions, the system rows [M_0 | M_1] of the transition matrix
-with the cancellation-free minors of those rows, and the full 4x4
-transition matrix T(t).
+"""Mode functions and the system rows [M_0 | M_1] of the transition
+matrix, with the cancellation-free minors of those rows.
 
 Phase-space ordering is [x, p, y, q] throughout: system position/momentum
-first, environment second.
+first, environment second.  Every function takes a float time or an
+array of times; a 2x2 block has shape (2, 2) for a float and (2, 2, n)
+for n times.
 """
 
 from __future__ import annotations
@@ -18,28 +19,17 @@ from .modes import NormalModes, gkernels
 __all__ = [
     "ModeFunctions",
     "mode_functions",
-    "full_transition",
     "dtilde",
     "det_m1",
     "mode_blocks",
     "cross_block",
-    "SYMPLECTIC_FORM",
 ]
-
-# canonical antisymmetric form for ordering [x, p, y, q]
-SYMPLECTIC_FORM = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
 
 
 @dataclass(frozen=True)
 class ModeFunctions:
-    """phi_0, phi_1 and their first three time derivatives at one time."""
+    """phi_0, phi_1 and their first three time derivatives, each a float
+    or an array over the times asked for."""
 
     phi0: float
     dphi0: float
@@ -51,7 +41,7 @@ class ModeFunctions:
     d3phi1: float
 
 
-def mode_functions(modes: NormalModes, t: float) -> ModeFunctions:
+def mode_functions(modes: NormalModes, t) -> ModeFunctions:
     """Evaluate the two mode functions and derivatives to third order.
 
     phi_0 mixes the kernels of the two normal modes with cos^2/sin^2
@@ -78,7 +68,8 @@ def mode_functions(modes: NormalModes, t: float) -> ModeFunctions:
 
 
 def _mode_blocks(mf: ModeFunctions, m_s: float, m_e: float):
-    """The 2x2 blocks M_0, M_1 forming rows 1-2 of T."""
+    """The 2x2 blocks M_0, M_1 forming the system rows of the transition
+    matrix."""
     m0 = np.array(
         [
             [mf.dphi0, mf.phi0 / m_s],
@@ -94,47 +85,7 @@ def _mode_blocks(mf: ModeFunctions, m_s: float, m_e: float):
     return m0, m1
 
 
-def full_transition(modes: NormalModes, t: float) -> np.ndarray:
-    """Build the full 4x4 transition matrix for [x, p, y, q].
-
-    Conjugation recipe: mass-scale each pair, rotate the two scaled pairs
-    jointly by theta_c into normal coordinates, propagate each normal mode
-    with its kernel, rotate and scale back.  The rotation angle is taken
-    as theta_c itself (not its negative); the two choices differ only by
-    the unobservable global sign of phi_1, and this one makes rows 1-2
-    coincide with the M_0/M_1 block prescription.
-    """
-    c1, s1 = gkernels(-(modes.omega**2), t)
-    c2, s2 = gkernels(modes.lambda_sq, t)
-    block = np.zeros((4, 4))
-    block[0, 0] = c1
-    block[0, 1] = s1
-    block[1, 0] = -(modes.omega**2) * s1
-    block[1, 1] = c1
-    block[2, 2] = c2
-    block[2, 3] = s2
-    block[3, 2] = modes.lambda_sq * s2
-    block[3, 3] = c2
-
-    ct = math.cos(modes.theta_c)
-    st = math.sin(modes.theta_c)
-    # joint rotation of the two scaled (position, momentum) pairs
-    rot = np.array(
-        [
-            [ct, 0.0, -st, 0.0],
-            [0.0, ct, 0.0, -st],
-            [st, 0.0, ct, 0.0],
-            [0.0, st, 0.0, ct],
-        ]
-    )
-    rs = math.sqrt(modes.m_s)
-    re = math.sqrt(modes.m_e)
-    scale = np.diag([rs, 1.0 / rs, re, 1.0 / re])
-    unscale = np.diag([1.0 / rs, rs, 1.0 / re, re])
-    return unscale @ rot @ block @ rot.T @ scale
-
-
-def dtilde(modes: NormalModes, t: float) -> float:
+def dtilde(modes: NormalModes, t):
     """Determinant of the system block M_0 (dimensionless, 1 at t=0).
 
     Algebraically dphi0^2 - phi0 d2phi0, but evaluated via the kernel
@@ -150,7 +101,7 @@ def dtilde(modes: NormalModes, t: float) -> float:
     return cw * cw + sw * sw + cw * sw * (2.0 * c1 * c2 - ksum * s1 * s2)
 
 
-def det_m1(modes: NormalModes, t: float) -> float:
+def det_m1(modes: NormalModes, t):
     """Determinant of the cross block M_1 (dphi1^2 - phi1 d2phi1),
     evaluated in the same cancellation-free form as :func:`dtilde`."""
     c1, s1 = gkernels(-(modes.omega**2), t)
@@ -160,13 +111,13 @@ def det_m1(modes: NormalModes, t: float) -> float:
     return x * x * (2.0 - 2.0 * c1 * c2 + ksum * s1 * s2)
 
 
-def mode_blocks(modes: NormalModes, t: float) -> tuple[np.ndarray, np.ndarray]:
+def mode_blocks(modes: NormalModes, t) -> tuple[np.ndarray, np.ndarray]:
     """The 2x2 blocks (M_0, M_1) of rows 1-2 of the transition matrix."""
     mf = mode_functions(modes, t)
     return _mode_blocks(mf, modes.m_s, modes.m_e)
 
 
-def cross_block(modes: NormalModes, t: float) -> np.ndarray:
+def cross_block(modes: NormalModes, t) -> np.ndarray:
     """The bilinear block X = M_0^T J M_1 (J the 2x2 antisymmetric form).
 
     Its entries are the Wronskian-like combinations of the two mode

@@ -13,7 +13,6 @@ import pytest
 from invharm import (
     NormalModes,
     SqueezeSpec,
-    SYMPLECTIC_FORM,
     coeffs_closed,
     coeffs_general,
     compare_trajectories,
@@ -22,14 +21,14 @@ from invharm import (
     find_divergences,
     fit_entropy_line,
     fit_entropy_log,
-    full_transition,
     params_from_modes,
-    product_state,
     run_exact,
     run_me,
     squeezed_pure,
 )
 from invharm.coefficients import EnvVariance
+
+from reference import SYMPLECTIC_FORM, full_transition, product_state
 
 BASE = NormalModes(
     omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0, hbar=1.0

@@ -29,10 +29,11 @@ from conftest import BASE
 
 
 def synthetic_trajectory(times, S, omega=1.0):
-    diags = [
-        Diagnostics(a=0.5, A=1.0, S=s, S_approx=s, varsigma=0.0, purity=1.0, E=0.5)
-        for s in S
-    ]
+    S = np.asarray(S, float)
+    one = np.ones_like(S)
+    diags = Diagnostics(
+        a=0.5 * one, A=one, S=S, S_approx=S, varsigma=0.0 * one, purity=one, E=0.5 * one
+    )
     return Trajectory(
         times=np.asarray(times, float),
         moments=np.zeros((len(times), 5)),

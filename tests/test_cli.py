@@ -8,6 +8,7 @@ from invharm import NormalModes, find_divergences
 from invharm.cli import (
     ConfigError,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     load_config,
     main,
@@ -142,6 +143,36 @@ class TestExitCodesAndErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
         assert not (tmp_path / "evolve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, t_max, column",
+        [
+            ("evolve", 400.0, "dx2"),
+            ("evolve", 800.0, "dx2"),
+            ("coeffs", 200.0, "omega_eff_sq"),
+            ("coeffs", 800.0, "omega_eff_sq"),
+            ("divergences", 800.0, "Dtilde"),
+        ],
+    )
+    def test_non_finite_output_is_numerical(
+        self, tmp_path, capsys, command, t_max, column
+    ):
+        # the kernels overflow long before t_max: a non-finite value in
+        # an output exits 3 naming what failed, with no RuntimeWarning
+        cfg = write_config(
+            tmp_path / "c.json",
+            extra={"grid": {"t_max": t_max, "samples": 11}},
+            modes={"lambda_sq": 1.0},
+        )
+        code = run_cli([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "numerical"
+        assert payload["error"]["message"].startswith(
+            f"non-finite {column} at t = " if command != "divergences" else column
+        )
+        assert "Warning" not in err
 
     def test_invalid_parameters(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", modes={"omega": -2.0})

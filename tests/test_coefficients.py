@@ -183,3 +183,36 @@ class TestValidityGuard:
         c = coeffs_general(base_modes, ENV, root - 0.05, guard=10.0)
         assert not c.valid
         assert math.isfinite(c.omega_eff_sq)
+
+
+class TestArrayTimes:
+    def test_matches_scalar_calls_before_first_root(self):
+        # past the first root the naive denominator cancels, so the
+        # comparison stops short of it; every column holds to 1e-12 of
+        # the largest magnitude it reaches
+        modes = NormalModes(
+            omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=0.9, m_e=1.6
+        )
+        envvar = EnvVariance(dy2=1.0, dq2=0.25, dyq=0.1, mean_y=0.3, mean_q=-0.2)
+        ts = np.linspace(0.0, 0.95 * find_divergences(modes, 16.0)[0], 151)
+        cols = coeffs_general(modes, envvar, ts)
+        ones = [coeffs_general(modes, envvar, float(t)) for t in ts]
+        assert cols.f1_tensor.shape == cols.f2_tensor.shape == (2, 2, ts.size)
+        for name in (
+            "dtilde",
+            "omega_eff_sq",
+            "gamma_eff",
+            "Fy",
+            "Fq",
+            "F",
+            "f1",
+            "f2",
+            "f1_tensor",
+            "f2_tensor",
+        ):
+            got = getattr(cols, name)
+            want = np.stack([getattr(c, name) for c in ones], axis=-1)
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= 1e-12 * scale, name
+        assert np.array_equal(cols.valid, [c.valid for c in ones])
+

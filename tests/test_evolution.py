@@ -7,6 +7,7 @@ from invharm import (
     GaussianState,
     GridMismatch,
     IntegratorOptions,
+    StepFailure,
     NormalModes,
     SqueezeSpec,
     Trajectory,
@@ -14,15 +15,22 @@ from invharm import (
     env_state_from_variance,
     env_variance_from_cov,
     find_divergences,
-    full_transition,
-    product_state,
-    propagate,
-    reduce_system,
+    energy,
+    entropy_exact,
     run_exact,
     run_me,
     squeezed_pure,
 )
 from invharm.coefficients import EnvVariance
+
+from reference import (
+    area_ratio,
+    full_transition,
+    moments_of,
+    product_state,
+    propagate,
+    reduce_system,
+)
 
 ENV = EnvVariance(dy2=1.0, dq2=0.25)  # squeeze ratio 2 environment
 
@@ -151,6 +159,36 @@ class TestFullStateReference:
             )
         scale = np.abs(ref).max(axis=0)
         assert np.all(np.abs(traj.moments - ref) <= 1e-12 * scale)
+
+    def test_diagnostic_columns_match_reference(self):
+        # areas against the determinant of the 4x4-propagated reduced
+        # covariance, held to that determinant's own rounding scale;
+        # entropies and energies against one scalar call per time
+        modes = NormalModes(
+            omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=0.9, m_e=1.6
+        )
+        sys_spec, env_spec = SqueezeSpec(4.0, 0.2), SqueezeSpec(2.0, 0.3)
+        sys_mean, env_mean = (0.5, -0.2), (0.1, 0.3)
+        grid = grid_to(12.0, 241)
+        assert len(find_divergences(modes, 12.0)) >= 2
+        traj = run_exact(
+            modes, sys_spec, env_spec, grid, sys_mean=sys_mean, env_mean=env_mean
+        )
+        full0 = product_state(
+            GaussianState(mean=np.array(sys_mean), cov=squeezed_pure(sys_spec).cov),
+            GaussianState(mean=np.array(env_mean), cov=squeezed_pure(env_spec).cov),
+        )
+        reds = [reduce_system(propagate(full0, full_transition(modes, t))) for t in grid]
+        A = traj.areas()
+        A_ref = np.array([area_ratio(r) for r in reds])
+        det_scale = np.array(
+            [abs(r.cov[0, 0] * r.cov[1, 1]) + r.cov[0, 1] ** 2 for r in reds]
+        ) / 0.25
+        assert np.all(np.abs(A**2 - A_ref**2) <= 1e-13 * det_scale)
+        assert A.max() > 10.0  # the run has left the pure state far behind
+        assert np.array_equal(traj.entropies(), [entropy_exact(a) for a in A])
+        E_ref = np.array([energy(moments_of(r), modes.m_s, modes.omega) for r in reds])
+        assert np.abs(traj.energies() - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
 
 
 class TestSymmetries:
@@ -282,6 +320,24 @@ class TestFreeParticleEnvironment:
             out = propagate(full0, full_transition(self.MODES, t))
             v.append(out.cov[2, 2])
         assert v[1] / v[0] == pytest.approx(4.0, rel=0.05)
+
+
+class TestSegmentFailure:
+    def test_arithmetic_error_names_the_segment(self, base_modes, monkeypatch):
+        # an arithmetic error inside the right-hand side surfaces as a
+        # StepFailure naming the segment being integrated
+        import invharm.evolution as evolution
+
+        real = evolution.coeffs_general
+
+        def failing(modes, envvar, t, guard):
+            if t > 3.0:
+                raise ZeroDivisionError("float division by zero")
+            return real(modes, envvar, t, guard=guard)
+
+        monkeypatch.setattr(evolution, "coeffs_general", failing)
+        with pytest.raises(StepFailure, match=r"\[0\.0, 6\.0\].*ZeroDivisionError"):
+            run_me(base_modes, ENV, SqueezeSpec(4.0), grid_to(6.0, 61))
 
 
 class TestValidationAndComparison:

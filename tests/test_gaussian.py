@@ -9,19 +9,22 @@ from invharm import (
     GaussianState,
     NonPhysical,
     SqueezeSpec,
-    area_ratio,
-    diagnostics,
     diagnostics_from_area,
     energy,
     entropy_approx,
     entropy_exact,
-    full_transition,
     linear_entropy,
+    purity,
+    squeezed_pure,
+)
+
+from reference import (
+    area_ratio,
+    full_transition,
+    moments_of,
     product_state,
     propagate,
-    purity,
     reduce_system,
-    squeezed_pure,
 )
 
 
@@ -211,6 +214,33 @@ class TestEntropyFunctions:
             with pytest.raises(ValueError):
                 fn(0.9)
 
+    def test_large_area_matches_asymptote(self):
+        # S = ln(A/2) + 1 + O(1/A^2); the textbook difference of two
+        # products cancelled here and read -ln 2 from A = 1e16 on
+        for A in (1e8, 1e12, 1e14, 1e16, 1.1e15, 1e100, 1e300):
+            assert entropy_exact(A) == pytest.approx(
+                math.log(A / 2.0) + 1.0, rel=1e-15
+            )
+        As = 10.0 ** np.arange(8, 301)
+        assert np.allclose(entropy_exact(As), np.log(As / 2.0) + 1.0, rtol=1e-15)
+
+    def test_small_area_matches_textbook_form(self):
+        # the difference of the two products loses nothing at small A
+        for A in np.concatenate(([1.001], np.linspace(1.01, 10.0, 90))):
+            textbook = 0.5 * (
+                (A + 1.0) * math.log(A + 1.0) - (A - 1.0) * math.log(A - 1.0)
+            ) - math.log(2.0)
+            assert entropy_exact(A) == pytest.approx(textbook, rel=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        As = np.array([1.0, 1.0 - 1e-12, 1.0 + 1e-15, 2.0, 3.0, 1e6, 1e20])
+        for fn in (entropy_exact, entropy_approx, linear_entropy, purity):
+            col = fn(As)
+            assert col.shape == As.shape
+            assert [float(v) for v in col] == [float(fn(A)) for A in As]
+        with pytest.raises(ValueError):
+            entropy_exact(np.array([2.0, 0.5]))
+
     def test_tolerates_rounding_below_one(self):
         # areas a hair under 1 from floating-point noise are clamped
         assert entropy_exact(1.0 - 1e-12) == 0.0
@@ -219,23 +249,24 @@ class TestEntropyFunctions:
 
 class TestEnergy:
     def test_round_vacuum(self):
-        assert energy(squeezed_pure(SqueezeSpec(1.0)), 1.0, 1.0) == pytest.approx(0.5)
+        st_ = moments_of(squeezed_pure(SqueezeSpec(1.0)))
+        assert energy(st_, 1.0, 1.0) == pytest.approx(0.5)
 
     def test_squeezed_state(self):
         # r = 4: dx2 = 2, dp2 = 1/8
-        e = energy(squeezed_pure(SqueezeSpec(4.0)), 1.0, 1.0)
+        e = energy(moments_of(squeezed_pure(SqueezeSpec(4.0))), 1.0, 1.0)
         assert e == pytest.approx(0.5 * (2.0 + 0.125), rel=1e-14)
 
     def test_mean_offset_adds_coherent_energy(self):
-        st_ = GaussianState(np.array([3.0, 0.0]), 0.5 * np.eye(2))
+        st_ = moments_of(GaussianState(np.array([3.0, 0.0]), 0.5 * np.eye(2)))
         m_s, omega = 2.0, 1.5
-        base = energy(squeezed_pure(SqueezeSpec(1.0)), m_s, omega)
+        base = energy(moments_of(squeezed_pure(SqueezeSpec(1.0))), m_s, omega)
         assert energy(st_, m_s, omega) == pytest.approx(
             base + 0.5 * m_s * omega**2 * 9.0, rel=1e-14
         )
 
     def test_mass_and_frequency_scaling(self):
-        st_ = GaussianState(np.zeros(2), np.diag([1.0, 4.0]))
+        st_ = moments_of(GaussianState(np.zeros(2), np.diag([1.0, 4.0])))
         assert energy(st_, 2.0, 3.0) == pytest.approx(
             0.5 * (2.0 * 9.0 * 1.0 + 4.0 / 2.0), rel=1e-14
         )
@@ -244,20 +275,37 @@ class TestEnergy:
 class TestDiagnostics:
     def test_consistency_with_scalar_functions(self):
         st_ = GaussianState(np.array([1.0, 0.5]), np.diag([2.0, 1.0]))
-        d = diagnostics(st_, m_s=1.0, omega=1.0)
         A = area_ratio(st_)
-        assert d.A == pytest.approx(A, rel=1e-14)
+        d = diagnostics_from_area(A, moments_of(st_), m_s=1.0, omega=1.0)
+        assert d.A == A
         assert d.a == pytest.approx(A / 2.0, rel=1e-14)
         assert d.S == entropy_exact(A)
         assert d.S_approx == entropy_approx(A)
         assert d.varsigma == linear_entropy(A)
         assert d.purity == purity(A)
-        assert d.E == energy(st_, 1.0, 1.0)
+        assert d.E == energy(moments_of(st_), 1.0, 1.0)
 
     def test_from_area_overrides_determinant(self):
         st_ = GaussianState(np.zeros(2), 0.5 * np.eye(2))
-        d = diagnostics_from_area(3.0, st_, m_s=1.0, omega=1.0)
+        d = diagnostics_from_area(3.0, moments_of(st_), m_s=1.0, omega=1.0)
         assert d.A == 3.0
         assert d.S == entropy_exact(3.0)
         # energy still comes from the stored covariance
         assert d.E == pytest.approx(0.5)
+
+    def test_columns_match_scalar_calls(self):
+        # one call over a column of states gives, entry by entry, the
+        # values of one call per state
+        A = np.array([1.0, 1.0 - 1e-12, 1.5, 3.0, 1e9])
+        moments = np.array(
+            [[0.1 * i, -0.2 * i, 1.0 + i, 0.5 + i, 0.1 * i] for i in range(5)]
+        )
+        cols = diagnostics_from_area(A, moments, m_s=0.9, omega=1.3, hbar=2.0)
+        for i in range(A.size):
+            one = diagnostics_from_area(A[i], moments[i], m_s=0.9, omega=1.3, hbar=2.0)
+            for name in ("a", "A", "S", "S_approx", "varsigma", "purity", "E"):
+                assert getattr(cols, name)[i] == getattr(one, name)
+
+    def test_column_rejects_area_below_one(self):
+        with pytest.raises(ValueError):
+            diagnostics_from_area(np.array([1.0, 0.9]), np.zeros((2, 5)), 1.0, 1.0)

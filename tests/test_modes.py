@@ -235,3 +235,20 @@ class TestGKernels:
         cm, sm = gkernels(k, -t)
         assert cm == pytest.approx(c, rel=1e-14, abs=1e-300)
         assert sm == pytest.approx(-s, rel=1e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("k", [2.3, -1.7, 1.0, -1.0, 0.0, 1e-12])
+    def test_array_matches_scalar(self, k):
+        # numpy's cosh/sinh/cos/sin may differ from math's by an ulp; the
+        # Taylor branch (|k| t^2 < 1e-8, crossed near t = 1e-4 for |k| = 1)
+        # is the same arithmetic in both
+        ts = np.concatenate(
+            (np.geomspace(1e-7, 1e-2, 61), np.linspace(-5.0, 30.0, 701))
+        )
+        c, s = gkernels(k, ts)
+        assert c.shape == s.shape == ts.shape
+        want = np.array([gkernels(k, float(t)) for t in ts])
+        for got, ref in ((c, want[:, 0]), (s, want[:, 1])):
+            assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+        series = np.abs(k * ts * ts) < 1e-8
+        assert np.array_equal(c[series], want[series, 0])
+        assert np.array_equal(s[series], want[series, 1])

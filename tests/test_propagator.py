@@ -5,18 +5,17 @@ import pytest
 
 from invharm import (
     NormalModes,
-    SYMPLECTIC_FORM,
     coeffs_closed,
     cross_block,
     det_m1,
     dtilde,
-    full_transition,
     mode_blocks,
     mode_functions,
 )
 from invharm.coefficients import EnvVariance
 
 from conftest import BASE, rel_err
+from reference import SYMPLECTIC_FORM, full_transition
 
 
 def random_modes(rng, stable_ok=True):
@@ -203,3 +202,37 @@ class TestAuxiliaryBlocks:
     def test_zero_at_t_zero(self, base_modes):
         assert det_m1(base_modes, 0.0) == 0.0
         assert np.allclose(cross_block(base_modes, 0.0), 0.0, atol=1e-15)
+
+
+class TestArrayTimes:
+    """One call over an array of times against one call per time."""
+
+    TOL = 1e-13  # of the largest magnitude a quantity reaches on the grid
+
+    def test_blocks_and_minors_match_scalar_calls(self, rng):
+        ts = np.linspace(0.0, 12.0, 97)
+        for _ in range(10):
+            modes = random_modes(rng)
+            m0, m1 = mode_blocks(modes, ts)
+            assert m0.shape == m1.shape == (2, 2, ts.size)
+            x = cross_block(modes, ts)
+            assert x.shape == (2, 2, ts.size)
+            cols = {
+                "m0": (m0, lambda t: mode_blocks(modes, t)[0]),
+                "m1": (m1, lambda t: mode_blocks(modes, t)[1]),
+                "x": (x, lambda t: cross_block(modes, t)),
+                "dtilde": (dtilde(modes, ts), lambda t: dtilde(modes, t)),
+                "det_m1": (det_m1(modes, ts), lambda t: det_m1(modes, t)),
+            }
+            for name, (got, one) in cols.items():
+                want = np.stack([one(float(t)) for t in ts], axis=-1)
+                assert got.shape == want.shape, name
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(got - want).max() <= self.TOL * scale, name
+
+    def test_scalar_time_keeps_scalar_shapes(self, base_modes):
+        m0, m1 = mode_blocks(base_modes, 1.5)
+        assert m0.shape == m1.shape == cross_block(base_modes, 1.5).shape == (2, 2)
+        assert isinstance(dtilde(base_modes, 1.5), float)
+        assert isinstance(det_m1(base_modes, 1.5), float)
+
