@@ -1,11 +1,10 @@
 """Master-equation coefficients, evaluated two independent ways.
 
-``coeffs_general`` goes through the mode functions and the drift-matrix
-identities and works for any signed environment stiffness;
-``coeffs_closed`` evaluates the closed-form expressions specific to an
-unstable environment (lambda_sq > 0).  Wherever both apply they agree to
-near machine precision, which is the main cross-check of the whole
-construction.
+``coeffs_general`` evaluates closed forms in the four kernels c1, s1,
+c2, s2 for every signed environment stiffness; ``coeffs_closed`` is the
+trigonometric/hyperbolic reference for an unstable environment
+(lambda_sq > 0).  Wherever both apply they agree to near machine
+precision, which is the main cross-check of the whole construction.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modes import NormalModes
-from .propagator import dtilde, mode_functions
+from .propagator import _dtilde, _kernels, _weights
 
 __all__ = [
     "UnsupportedRegime",
@@ -75,7 +74,6 @@ class MECoefficients:
     f2: float
     f1_tensor: np.ndarray
     f2_tensor: np.ndarray
-    beta: float
     valid: bool
 
 
@@ -114,45 +112,44 @@ def coeffs_general(
     t,
     guard: float = DEFAULT_GUARD,
 ) -> MECoefficients:
-    """Coefficients from the mode-function ratio formulas, at a float
-    time or over an array of times.
+    """Coefficients from the kernel closed forms, at a float time or over
+    an array of times.
 
-    The diffusion sub-tensors are built from the force couplings and the
+    Each mode-function ratio is reduced with c^2 - k s^2 = 1, so no term
+    outgrows the result and dividing by Dtilde loses no precision.  The
+    diffusion sub-tensors are built from the force couplings and the
     phi_1 derivative ladder; the scalar f_n is their full contraction
     with the environment covariance.
     """
-    mf = mode_functions(modes, t)
+    k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
+    cw, sw, x = weights = _weights(modes)
     m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
-    dt_ = mf.dphi0**2 - mf.phi0 * mf.d2phi0
+    dt_ = _dtilde(kern, weights)
     valid = abs(dt_) > guard
 
-    om2 = (mf.d2phi0**2 - mf.d3phi0 * mf.dphi0) / dt_
-    gam = (mf.d3phi0 * mf.phi0 - mf.dphi0 * mf.d2phi0) / dt_
-    fy = math.sqrt(m_s * m_e) * (mf.d3phi1 + gam * mf.d2phi1 + om2 * mf.dphi1)
-    fq = math.sqrt(m_s / m_e) * (mf.d2phi1 + gam * mf.dphi1 + om2 * mf.phi1)
+    dk = k1 - k2
+    mixed = cw * sw * (2.0 * k1 * k2 * s1 * s2 - (k1 + k2) * c1 * c2)
+    om2 = (mixed - cw * cw * k1 - sw * sw * k2) / dt_
+    gam = cw * sw * dk * (c1 * s2 - s1 * c2) / dt_
+    fy = math.sqrt(m_s * m_e) * x * dk * (cw * c2 + sw * c1) / dt_
+    fq = math.sqrt(m_s / m_e) * x * dk * (cw * s2 + sw * s1) / dt_
 
+    phi1 = x * (s1 - s2)
+    dphi1 = x * (c1 - c2)
+    d2phi1 = x * (k1 * s1 - k2 * s2)
     # sub-tensors stored in [[yy, yq], [qy, qq]] labelling
     pref = math.sqrt(m_s / m_e) / hbar**2
     f1_tensor = pref * np.array(
         [
-            [m_e * fy * mf.d2phi1, fy * mf.dphi1],
-            [m_e * fq * mf.d2phi1, fq * mf.dphi1],
+            [m_e * fy * d2phi1, fy * dphi1],
+            [m_e * fq * d2phi1, fq * dphi1],
         ]
     )
     f2_tensor = (pref / m_s) * np.array(
         [
-            [m_e * fy * mf.dphi1, fy * mf.phi1],
-            [m_e * fq * mf.dphi1, fq * mf.phi1],
+            [m_e * fy * dphi1, fy * phi1],
+            [m_e * fq * dphi1, fq * phi1],
         ]
-    )
-
-    beta = (
-        m_s
-        / (4.0 * hbar**2 * modes.omega * _lam_or_nan(modes) * dt_)
-        * math.sin(2.0 * modes.theta_c) ** 2
-        * (modes.omega**2 + modes.lambda_sq)
-        if modes.lambda_sq > 0
-        else math.nan
     )
 
     return MECoefficients(
@@ -167,13 +164,8 @@ def coeffs_general(
         f2=contract(f2_tensor, envvar),
         f1_tensor=f1_tensor,
         f2_tensor=f2_tensor,
-        beta=beta,
         valid=valid,
     )
-
-
-def _lam_or_nan(modes: NormalModes) -> float:
-    return math.sqrt(modes.lambda_sq) if modes.lambda_sq > 0 else math.nan
 
 
 def coeffs_closed(
@@ -256,6 +248,5 @@ def coeffs_closed(
         f2=contract(f2_tensor, envvar),
         f1_tensor=f1_tensor,
         f2_tensor=f2_tensor,
-        beta=beta,
         valid=valid,
     )

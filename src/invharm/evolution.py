@@ -202,7 +202,10 @@ def run_exact(
 
 
 def _blocked_window(modes, root, guard, t_end):
-    """Interval around a determinant root where |Dtilde| < guard."""
+    """Interval around a determinant root where |Dtilde| < guard, and at
+    least guard / (fastest mode rate) on each side of it: the slope of
+    Dtilde at a root grows like e^{lambda t}, so the guard set alone
+    narrows to nothing at late roots."""
 
     def edge(direction):
         step = 0.01
@@ -225,7 +228,8 @@ def _blocked_window(modes, root, guard, t_end):
                 hi = mid
         return hi
 
-    return edge(-1.0), edge(+1.0)
+    h = guard / max(modes.omega, abs(modes.lambda_sq) ** 0.5)
+    return min(edge(-1.0), max(root - h, 0.0)), max(edge(+1.0), root + h)
 
 
 def run_me(

@@ -149,8 +149,7 @@ class TestExitCodesAndErrors:
         [
             ("evolve", 400.0, "dx2"),
             ("evolve", 800.0, "dx2"),
-            ("coeffs", 200.0, "omega_eff_sq"),
-            ("coeffs", 800.0, "omega_eff_sq"),
+            ("coeffs", 800.0, "dtilde"),
             ("divergences", 800.0, "Dtilde"),
         ],
     )
@@ -173,6 +172,22 @@ class TestExitCodesAndErrors:
             f"non-finite {column} at t = " if command != "divergences" else column
         )
         assert "Warning" not in err
+
+    def test_coeffs_stay_finite_until_the_kernels_overflow(self, tmp_path, capsys):
+        # every coefficient is a closed form in the kernels, so no
+        # column breaks down before the kernels themselves overflow
+        cfg = write_config(
+            tmp_path / "c.json",
+            extra={"grid": {"t_max": 200.0, "samples": 11}},
+            modes={"lambda_sq": 1.0},
+        )
+        code = run_cli(["coeffs", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "Warning" not in capsys.readouterr().err
+        lines = (tmp_path / "coeffs.csv").read_text().splitlines()[1:]
+        values = [float(v) for line in lines for v in line.split(",")[:-1]]
+        assert len(lines) == 11
+        assert all(math.isfinite(v) for v in values)
 
     def test_invalid_parameters(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", modes={"omega": -2.0})
@@ -289,6 +304,35 @@ class TestEvolveCommand:
         assert header[-1] == "rel_err_max"
         rel = [float(l.split(",")[-1]) for l in lines[1:]]
         assert max(rel) < 1e-6  # pre-breakdown window
+
+    @pytest.mark.parametrize(
+        "modes, extra",
+        [
+            ({"lambda_sq": 2.5, "theta_c": -0.01}, {}),
+            (
+                {"m_s": 0.9, "m_e": 1.6, "theta_c": 0.1},
+                {
+                    "environment": {"angle": 0.3, "mean": [0.2, -0.1]},
+                    "system": {"mean": [0.5, 0.1]},
+                },
+            ),
+            (
+                {"omega": 1.7, "lambda_sq": 1.0, "theta_c": 0.3},
+                {"grid": {"t_max": 30.0, "samples": 1201}},
+            ),
+        ],
+        ids=["fast_environment", "asymmetric_displaced", "fast_system"],
+    )
+    def test_compare_holds_past_late_roots(self, tmp_path, capsys, modes, extra):
+        # several determinant roots, the late ones steep: every restart
+        # after a bridged window must be well-conditioned
+        raw = {"grid": {"t_max": 24.0, "samples": 801}, "method": "compare"}
+        raw.update(extra)
+        cfg = write_config(tmp_path / "c.json", extra=raw, modes=modes)
+        assert run_cli(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        table = np.genfromtxt(tmp_path / "evolve.csv", delimiter=",", names=True)
+        assert table["rel_err_max"].max() <= 1e-6
 
     def test_me_meta_reports_bridges(self, tmp_path, capsys):
         cfg = write_config(

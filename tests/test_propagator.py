@@ -68,8 +68,8 @@ class TestModeFunctions:
             assert (mfp.phi1 - mfm.phi1) / (2 * h) == pytest.approx(
                 mf.dphi1, rel=1e-8, abs=1e-8
             )
-            assert (mfp.d2phi1 - mfm.d2phi1) / (2 * h) == pytest.approx(
-                mf.d3phi1, rel=1e-8, abs=1e-8
+            assert (mfp.dphi1 - mfm.dphi1) / (2 * h) == pytest.approx(
+                mf.d2phi1, rel=1e-8, abs=1e-8
             )
 
 
