@@ -37,6 +37,7 @@ from .analysis import (
     fit_entropy_line,
 )
 from .coefficients import (
+    DEFAULT_GUARD,
     EnvVariance,
     coeffs_closed,
     coeffs_general,
@@ -252,7 +253,9 @@ def parse_config(raw: dict) -> RunConfig:
         integrator = IntegratorOptions(
             rel_tol=_require_number(integ_raw, "rel_tol", 1e-10),
             abs_tol=_require_number(integ_raw, "abs_tol", 1e-12),
-            divergence_guard=_require_number(integ_raw, "divergence_guard", 1e-3),
+            divergence_guard=_require_number(
+                integ_raw, "divergence_guard", DEFAULT_GUARD
+            ),
         )
         method = raw.get("method", "exact")
         if method not in ("exact", "me", "compare"):

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .analysis import find_divergences
-from .coefficients import EnvVariance, coeffs_general
+from .coefficients import DEFAULT_GUARD, EnvVariance, coeffs_general
 from .gaussian import (
     Diagnostics,
     GaussianState,
@@ -53,11 +52,21 @@ class GridMismatch(ValueError):
 class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    divergence_guard: float = 1e-3
+    divergence_guard: float = DEFAULT_GUARD
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.divergence_guard <= 0:
+            raise ValueError("divergence_guard must be positive")
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call: only
+    ``run_me`` integrates, so the exact paths never load scipy."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 MOMENT_NAMES = ("mean_x", "mean_p", "dx2", "dp2", "dxp")

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,29 @@ class TestExitCodesAndErrors:
         values = [float(v) for line in lines for v in line.split(",")[:-1]]
         assert len(lines) == 11
         assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("command", ["evolve", "coeffs"])
+    @pytest.mark.parametrize("guard", [0, -0.5])
+    def test_rejects_nonpositive_divergence_guard(
+        self, tmp_path, capsys, command, guard
+    ):
+        # a guard <= 0 blocks no window: evolve would fail inside the
+        # integrator at the first root, and coeffs would mark it valid
+        cfg = write_config(
+            tmp_path / "c.json",
+            extra={
+                "grid": {"t_max": 20, "samples": 401},
+                "method": "compare",
+                "integrator": {"divergence_guard": guard},
+            },
+            modes={"lambda_sq": 1.0, "theta_c": 0.1},
+        )
+        code = run_cli([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "divergence_guard" in err["error"]["message"]
+        assert not (tmp_path / f"{command}.csv").exists()
 
     def test_invalid_parameters(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", modes={"omega": -2.0})
@@ -501,3 +528,56 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["oracle"]["max_rel_err"] < 1e-6
+
+
+class TestColdStart:
+    # the exact commands are closed forms, so only a master-equation
+    # integration may import scipy.integrate, the bulk of the start-up
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+    SCRIPT = (
+        "import json, sys\n"
+        "from invharm.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'scipy.integrate' in sys.modules]))\n"
+    )
+
+    def run_fresh(self, commands):
+        """Exit codes of ``commands`` run by ``main`` in a new interpreter,
+        and whether scipy.integrate was loaded afterwards."""
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": self.SRC},
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_exact_commands_skip_the_integrator(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 4.0, "samples": 41}}
+        )
+        out = str(tmp_path / "out")
+        commands = [
+            [command, "--config", cfg, "--out", out]
+            for command in ("modes", "coeffs", "divergences", "evolve")
+        ]
+        commands.append(
+            ["scan", "--config", cfg, "--out", out]
+            + ["--vary", "theta_c", "--values", "0.05,0.1"]
+        )
+        codes, loaded = self.run_fresh(commands)
+        assert codes == [EXIT_OK] * len(commands)
+        assert not loaded
+
+    def test_master_equation_loads_the_integrator(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            extra={"grid": {"t_max": 4.0, "samples": 41}, "method": "me"},
+        )
+        codes, loaded = self.run_fresh(
+            [["evolve", "--config", cfg, "--out", str(tmp_path)]]
+        )
+        assert codes == [EXIT_OK]
+        assert loaded

@@ -45,6 +45,9 @@ class TestIntegratorOptions:
             IntegratorOptions(rel_tol=0.0)
         with pytest.raises(ValueError):
             IntegratorOptions(abs_tol=-1.0)
+        for guard in (0.0, -0.5):
+            with pytest.raises(ValueError, match="divergence_guard"):
+                IntegratorOptions(divergence_guard=guard)
 
 
 class TestDecoupledLimit:
@@ -291,6 +294,42 @@ class TestBridging:
         pre = grid <= 7.0
         dev = np.abs(me.moments[pre] - exact.moments[pre])
         assert dev.max() < 1e-6 * max(1.0, np.abs(exact.moments[pre]).max())
+
+
+class TestSolverHook:
+    # run_me reaches the integrator through the module global
+    # invharm.evolution.solve_ivp, the name a profiler patches to count
+    # segments and right-hand-side evaluations
+    def record_spans(self, monkeypatch):
+        import invharm.evolution as evolution
+
+        real = evolution.solve_ivp
+        spans = []
+
+        def counting(fun, t_span, *args, **kwargs):
+            spans.append(tuple(t_span))
+            return real(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(evolution, "solve_ivp", counting)
+        return spans
+
+    def test_one_call_without_a_root(self, base_modes, monkeypatch):
+        spans = self.record_spans(monkeypatch)
+        run_me(base_modes, ENV, SqueezeSpec(4.0), grid_to(6.0, 61))
+        assert spans == [(0.0, 6.0)]
+
+    def test_one_call_per_unblocked_segment(self, base_modes, monkeypatch):
+        spans = self.record_spans(monkeypatch)
+        me = run_me(
+            base_modes,
+            ENV,
+            SqueezeSpec(4.0),
+            grid_to(10.0, 501),
+            opts=TestBridging.OPTS,
+        )
+        assert len(find_divergences(base_modes, 10.0)) == 1
+        ((a, b),) = me.meta["bridges"]
+        assert spans == [(0.0, a), (b, 10.0)]
 
 
 class TestFreeParticleEnvironment:
