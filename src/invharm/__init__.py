@@ -4,6 +4,10 @@ inverted-oscillator environment.
 The package computes the exact reduced Gaussian evolution, extracts the
 time-dependent master-equation coefficients of the reduced system, and
 provides entropy/energy/decoherence analysis plus a deterministic CLI.
+Every run starts from a system and an environment ``GaussianState``
+(``squeezed_pure`` builds one from a ``SqueezeSpec`` and a mean);
+``run_exact``, ``run_me`` and the coefficient functions take the same
+states.
 """
 
 from .analysis import (
@@ -20,13 +24,11 @@ from .analysis import (
     kappa_default,
 )
 from .coefficients import (
-    EnvVariance,
     MECoefficients,
     UnsupportedRegime,
     coeffs_closed,
     coeffs_general,
     contract,
-    env_variance_from_cov,
 )
 from .evolution import (
     GridMismatch,
@@ -36,7 +38,6 @@ from .evolution import (
     Trajectory,
     TrajectoryComparison,
     compare_trajectories,
-    env_state_from_variance,
     run_exact,
     run_me,
 )
@@ -88,12 +89,10 @@ __all__ = [
     "cross_block",
     # coefficients
     "UnsupportedRegime",
-    "EnvVariance",
     "MECoefficients",
     "coeffs_general",
     "coeffs_closed",
     "contract",
-    "env_variance_from_cov",
     # gaussian
     "NonPhysical",
     "SqueezeSpec",
@@ -116,7 +115,6 @@ __all__ = [
     "run_exact",
     "run_me",
     "compare_trajectories",
-    "env_state_from_variance",
     # analysis
     "DomainError",
     "WindowTooShort",

@@ -141,7 +141,7 @@ def _window_samples(traj, window):
     times = np.asarray(traj.times)
     if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
         raise WindowTooShort("window extends beyond the trajectory")
-    return times, traj.entropies()
+    return times, traj.diags.S
 
 
 def fit_entropy_line(traj, window) -> tuple[float, float]:

@@ -36,13 +36,7 @@ from .analysis import (
     find_divergences,
     fit_entropy_line,
 )
-from .coefficients import (
-    DEFAULT_GUARD,
-    EnvVariance,
-    coeffs_closed,
-    coeffs_general,
-    env_variance_from_cov,
-)
+from .coefficients import DEFAULT_GUARD, coeffs_closed, coeffs_general
 from .evolution import (
     IntegratorOptions,
     StepFailure,
@@ -50,7 +44,7 @@ from .evolution import (
     run_exact,
     run_me,
 )
-from .gaussian import NonPhysical, SqueezeSpec, squeezed_pure
+from .gaussian import GaussianState, NonPhysical, SqueezeSpec, squeezed_pure
 from .modes import NormalModes, SupersystemParams, derive_modes, params_from_modes
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config"]
@@ -120,9 +114,13 @@ class RunConfig:
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
 
-    def env_variance(self) -> EnvVariance:
-        env0 = squeezed_pure(self.environment, self.modes.hbar)
-        return env_variance_from_cov(env0.cov, self.env_mean)
+    def states(self) -> tuple[GaussianState, GaussianState]:
+        """The initial system and environment states (sys0, env0)."""
+        hbar = self.modes.hbar
+        return (
+            squeezed_pure(self.system, hbar, self.sys_mean),
+            squeezed_pure(self.environment, hbar, self.env_mean),
+        )
 
     def echo(self) -> dict:
         """JSON-ready form that re-parses to an equivalent config."""
@@ -369,9 +367,8 @@ def cmd_modes(cfg: RunConfig, out_dir: str) -> dict:
 
 def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
     grid = cfg.grid()
-    c = coeffs_general(
-        cfg.modes, cfg.env_variance(), grid, guard=cfg.integrator.divergence_guard
-    )
+    _, env0 = cfg.states()
+    c = coeffs_general(cfg.modes, env0, grid, guard=cfg.integrator.divergence_guard)
     table = np.column_stack(
         (
             c.t,
@@ -399,30 +396,19 @@ def _evolve_table(traj) -> np.ndarray:
     )
 
 
-def _run_config_trajectory(cfg: RunConfig, method: str):
+def _run_config_trajectory(
+    cfg: RunConfig, method: str, sys0: GaussianState, env0: GaussianState
+):
     if method == "exact":
-        return run_exact(
-            cfg.modes,
-            cfg.system,
-            cfg.environment,
-            cfg.grid(),
-            sys_mean=cfg.sys_mean,
-            env_mean=cfg.env_mean,
-        )
-    return run_me(
-        cfg.modes,
-        cfg.env_variance(),
-        cfg.system,
-        cfg.grid(),
-        cfg.integrator,
-        sys_mean=cfg.sys_mean,
-    )
+        return run_exact(cfg.modes, sys0, env0, cfg.grid())
+    return run_me(cfg.modes, sys0, env0, cfg.grid(), cfg.integrator)
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
+    states = cfg.states()
     if cfg.method == "compare":
-        tr_exact = _run_config_trajectory(cfg, "exact")
-        tr_me = _run_config_trajectory(cfg, "me")
+        tr_exact = _run_config_trajectory(cfg, "exact", *states)
+        tr_me = _run_config_trajectory(cfg, "me", *states)
         exact, me = _evolve_table(tr_exact), _evolve_table(tr_me)
         mom_exact, mom_me = exact[:, 1:6], me[:, 1:6]
         rel = np.max(
@@ -437,7 +423,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
         # only the master-equation run has bridges to report
         traj = tr_me
     else:
-        traj = _run_config_trajectory(cfg, cfg.method)
+        traj = _run_config_trajectory(cfg, cfg.method, *states)
         table = _evolve_table(traj)
         columns = EVOLVE_COLUMNS
     path = os.path.join(out_dir, "evolve.csv")
@@ -482,10 +468,9 @@ def _apply_vary(cfg: RunConfig, name: str, value: float) -> RunConfig:
     )
 
 
-def _scan_one(args):
-    cfg, name, value, out_dir, idx = args
+def _scan_one(cfg: RunConfig, name: str, value: float, out_dir: str, idx: int):
     run_cfg = _apply_vary(cfg, name, value)
-    traj = _run_config_trajectory(run_cfg, "exact")
+    traj = _run_config_trajectory(run_cfg, "exact", *run_cfg.states())
     filename = f"scan_{idx:03d}.csv"
     _write_csv(os.path.join(out_dir, filename), EVOLVE_COLUMNS, _evolve_table(traj))
     try:
@@ -505,7 +490,7 @@ def cmd_scan(cfg: RunConfig, out_dir: str, vary: str, values) -> dict:
         raise ConfigError("scan requires --vary and --values")
     if not values:
         raise ConfigError("scan requires at least one value")
-    runs = [_scan_one((cfg, vary, v, out_dir, i)) for i, v in enumerate(values)]
+    runs = [_scan_one(cfg, vary, v, out_dir, i) for i, v in enumerate(values)]
     # index written last, in input order
     index = {"config": cfg.echo(), "vary": vary, "runs": runs}
     _write_json(os.path.join(out_dir, "scan_index.json"), index)
@@ -530,11 +515,13 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> dict:
         modes = NormalModes(
             omega=om, lambda_sq=lam * lam, theta_c=th, m_s=m_s, m_e=m_e, hbar=1.0
         )
-        envvar = EnvVariance(dy2=rng.uniform(0.1, 3.0), dq2=rng.uniform(0.1, 3.0))
-        cg = coeffs_general(modes, envvar, t)
+        env0 = GaussianState(
+            np.zeros(2), np.diag([rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)])
+        )
+        cg = coeffs_general(modes, env0, t)
         if abs(cg.dtilde) <= 1e-3:
             continue
-        cc = coeffs_closed(modes, envvar, t)
+        cc = coeffs_closed(modes, env0, t)
         for a, b in (
             (cg.omega_eff_sq, cc.omega_eff_sq),
             (cg.gamma_eff, cc.gamma_eff),
@@ -551,8 +538,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> dict:
     roots = find_divergences(cfg.modes, max(cfg.t_max, 1.0))
     t_end = 0.9 * roots[0] if roots else cfg.t_max
     oracle_cfg = dataclasses.replace(cfg, t_max=t_end, samples=201)
-    tr_me = _run_config_trajectory(oracle_cfg, "me")
-    tr_exact = _run_config_trajectory(oracle_cfg, "exact")
+    states = oracle_cfg.states()
+    tr_me = _run_config_trajectory(oracle_cfg, "me", *states)
+    tr_exact = _run_config_trajectory(oracle_cfg, "exact", *states)
     comp = compare_trajectories(tr_exact, tr_me)
     checks["oracle"] = {
         "max_rel_err": comp.worst_rel,
@@ -568,10 +556,15 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _parse_values(raw: str):
+    items = [v.strip() for v in raw.split(",") if v.strip() != ""]
     try:
-        return [float(v) for v in raw.split(",") if v.strip() != ""]
+        values = [float(v) for v in items]
     except ValueError as exc:
         raise ConfigError(f"--values must be a comma-separated float list: {exc}")
+    for item, v in zip(items, values):
+        if not _is_number(v):
+            raise ConfigError(f"--values entry {item!r} is not a finite number")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,8 @@ c2, s2 for every signed environment stiffness; ``coeffs_closed`` is the
 trigonometric/hyperbolic reference for an unstable environment
 (lambda_sq > 0).  Wherever both apply they agree to near machine
 precision, which is the main cross-check of the whole construction.
+Both read the environment's initial mean and covariance from the same
+:class:`~invharm.gaussian.GaussianState` the runs start from.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import GaussianState
 from .modes import NormalModes
-from .propagator import _dtilde, _kernels, _weights
+from .propagator import _dtilde, _kernels, _phi1, _weights
 
 __all__ = [
     "UnsupportedRegime",
-    "EnvVariance",
     "MECoefficients",
     "coeffs_general",
     "coeffs_closed",
     "contract",
-    "env_variance_from_cov",
 ]
 
 DEFAULT_GUARD = 1e-3
@@ -32,24 +33,6 @@ DEFAULT_GUARD = 1e-3
 
 class UnsupportedRegime(ValueError):
     """Closed-form coefficients requested outside their validity range."""
-
-
-@dataclass(frozen=True)
-class EnvVariance:
-    """Initial second cumulants (and means) of the environment mode."""
-
-    dy2: float
-    dq2: float
-    dyq: float = 0.0
-    mean_y: float = 0.0
-    mean_q: float = 0.0
-
-    def __post_init__(self):
-        if self.dy2 < 0 or self.dq2 < 0:
-            raise ValueError("variances must be non-negative")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.dy2, self.dyq], [self.dyq, self.dq2]])
 
 
 @dataclass(frozen=True)
@@ -77,38 +60,23 @@ class MECoefficients:
     valid: bool
 
 
-def contract(tensor: np.ndarray, envvar: EnvVariance):
+def contract(tensor: np.ndarray, cov: np.ndarray):
     """Fully contract a 2x2 sub-coefficient tensor with the environment
-    covariance: t_yy dy2 + (t_yq + t_qy) dyq + t_qq dq2.
+    covariance V: t_yy V_yy + (t_yq + t_qy) V_yq + t_qq V_qq.
 
     This is the weighting the exact diffusion K Ve M1^T + M1 Ve K^T gives
     each sub-tensor entry.
     """
     return (
-        tensor[0, 0] * envvar.dy2
-        + (tensor[0, 1] + tensor[1, 0]) * envvar.dyq
-        + tensor[1, 1] * envvar.dq2
-    )
-
-
-def env_variance_from_cov(
-    cov: np.ndarray, mean: np.ndarray | None = None
-) -> EnvVariance:
-    """Build an :class:`EnvVariance` from a 1-mode covariance matrix."""
-    if mean is None:
-        mean = np.zeros(2)
-    return EnvVariance(
-        dy2=float(cov[0, 0]),
-        dq2=float(cov[1, 1]),
-        dyq=float(cov[0, 1]),
-        mean_y=float(mean[0]),
-        mean_q=float(mean[1]),
+        tensor[0, 0] * cov[0, 0]
+        + (tensor[0, 1] + tensor[1, 0]) * cov[0, 1]
+        + tensor[1, 1] * cov[1, 1]
     )
 
 
 def coeffs_general(
     modes: NormalModes,
-    envvar: EnvVariance,
+    env0: GaussianState,
     t,
     guard: float = DEFAULT_GUARD,
 ) -> MECoefficients:
@@ -119,11 +87,14 @@ def coeffs_general(
     outgrows the result and dividing by Dtilde loses no precision.  The
     diffusion sub-tensors are built from the force couplings and the
     phi_1 derivative ladder; the scalar f_n is their full contraction
-    with the environment covariance.
+    with the covariance of ``env0``, and F weights the forces with its
+    mean.
     """
     k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
     cw, sw, x = weights = _weights(modes)
     m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
+    # Python floats: cheaper than numpy scalars once per integrator step
+    mean_y, mean_q = env0.mean.tolist()
     dt_ = _dtilde(kern, weights)
     valid = abs(dt_) > guard
 
@@ -134,9 +105,7 @@ def coeffs_general(
     fy = math.sqrt(m_s * m_e) * x * dk * (cw * c2 + sw * c1) / dt_
     fq = math.sqrt(m_s / m_e) * x * dk * (cw * s2 + sw * s1) / dt_
 
-    phi1 = x * (s1 - s2)
-    dphi1 = x * (c1 - c2)
-    d2phi1 = x * (k1 * s1 - k2 * s2)
+    phi1, dphi1, d2phi1 = _phi1(kern, weights)
     # sub-tensors stored in [[yy, yq], [qy, qq]] labelling
     pref = math.sqrt(m_s / m_e) / hbar**2
     f1_tensor = pref * np.array(
@@ -159,9 +128,9 @@ def coeffs_general(
         gamma_eff=gam,
         Fy=fy,
         Fq=fq,
-        F=fy * envvar.mean_y + fq * envvar.mean_q,
-        f1=contract(f1_tensor, envvar),
-        f2=contract(f2_tensor, envvar),
+        F=fy * mean_y + fq * mean_q,
+        f1=contract(f1_tensor, env0.cov),
+        f2=contract(f2_tensor, env0.cov),
         f1_tensor=f1_tensor,
         f2_tensor=f2_tensor,
         valid=valid,
@@ -170,7 +139,7 @@ def coeffs_general(
 
 def coeffs_closed(
     modes: NormalModes,
-    envvar: EnvVariance,
+    env0: GaussianState,
     t: float,
     guard: float = DEFAULT_GUARD,
 ) -> MECoefficients:
@@ -184,6 +153,7 @@ def coeffs_closed(
     lam = math.sqrt(modes.lambda_sq)
     th = modes.theta_c
     m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
+    mean_y, mean_q = env0.mean.tolist()
     c2 = math.cos(th) ** 2
     s2 = math.sin(th) ** 2
     s2t = math.sin(2.0 * th)
@@ -243,9 +213,9 @@ def coeffs_closed(
         gamma_eff=gam,
         Fy=fy,
         Fq=fq,
-        F=fy * envvar.mean_y + fq * envvar.mean_q,
-        f1=contract(f1_tensor, envvar),
-        f2=contract(f2_tensor, envvar),
+        F=fy * mean_y + fq * mean_q,
+        f1=contract(f1_tensor, env0.cov),
+        f2=contract(f2_tensor, env0.cov),
         f1_tensor=f1_tensor,
         f2_tensor=f2_tensor,
         valid=valid,

@@ -1,4 +1,6 @@
-"""Trajectories of the reduced system, produced two ways.
+"""Trajectories of the reduced system, produced two ways from the same
+initial product state: a system and an environment
+:class:`~invharm.gaussian.GaussianState`.
 
 ``run_exact`` evaluates the reduced state from the system rows
 [M_0 | M_1] of the exact transition matrix, over the whole time grid at
@@ -16,14 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import find_divergences
-from .coefficients import DEFAULT_GUARD, EnvVariance, coeffs_general
-from .gaussian import (
-    Diagnostics,
-    GaussianState,
-    SqueezeSpec,
-    diagnostics_from_area,
-    squeezed_pure,
-)
+from .coefficients import DEFAULT_GUARD, coeffs_general
+from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
 from .modes import NormalModes
 from .propagator import cross_block, det_m1, dtilde, mode_blocks
 
@@ -36,7 +32,6 @@ __all__ = [
     "run_exact",
     "run_me",
     "compare_trajectories",
-    "env_state_from_variance",
 ]
 
 
@@ -84,23 +79,6 @@ class Trajectory:
     diags: Diagnostics
     bridged: np.ndarray | None = None  # bool mask of exact-bridged samples
     meta: dict = field(default_factory=dict)
-
-    def entropies(self) -> np.ndarray:
-        return self.diags.S
-
-    def energies(self) -> np.ndarray:
-        return self.diags.E
-
-    def areas(self) -> np.ndarray:
-        return self.diags.A
-
-
-def env_state_from_variance(envvar: EnvVariance) -> GaussianState:
-    """One-mode Gaussian state with the given cumulants and means."""
-    return GaussianState(
-        mean=np.array([envvar.mean_y, envvar.mean_q]),
-        cov=envvar.matrix(),
-    )
 
 
 def _exact_moments(
@@ -167,25 +145,14 @@ def _reduced_area(
 
 
 def run_exact(
-    modes: NormalModes,
-    sys_spec: SqueezeSpec,
-    env_spec: SqueezeSpec | GaussianState,
-    grid,
-    sys_mean=(0.0, 0.0),
-    env_mean=(0.0, 0.0),
+    modes: NormalModes, sys0: GaussianState, env0: GaussianState, grid
 ) -> Trajectory:
-    """Exact trajectory: every grid point evaluated independently, all of
-    them in one pass over the grid."""
+    """Exact trajectory of the product state sys0 x env0: every grid
+    point evaluated independently, all of them in one pass over the
+    grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    sys0 = squeezed_pure(sys_spec, modes.hbar)
-    sys0 = GaussianState(mean=np.asarray(sys_mean, float), cov=sys0.cov)
-    if isinstance(env_spec, GaussianState):
-        env0 = env_spec
-    else:
-        env0 = squeezed_pure(env_spec, modes.hbar)
-        env0 = GaussianState(mean=np.asarray(env_mean, float), cov=env0.cov)
     # per-run invariants of the area expansion
     cs, ce = _psd_factor(sys0.cov), _psd_factor(env0.cov)
     det_s = float(np.linalg.det(sys0.cov))
@@ -243,13 +210,13 @@ def _blocked_window(modes, root, guard, t_end):
 
 def run_me(
     modes: NormalModes,
-    envvar: EnvVariance,
-    sys_spec: SqueezeSpec,
+    sys0: GaussianState,
+    env0: GaussianState,
     grid,
     opts: IntegratorOptions = IntegratorOptions(),
-    sys_mean=(0.0, 0.0),
 ) -> Trajectory:
-    """Integrate the five moment ODEs of the master equation on a grid.
+    """Integrate the five moment ODEs of the master equation on a grid,
+    from sys0; the coefficients see the environment state env0.
 
     Within blocked windows around determinant roots the trajectory is
     filled from the exact propagator and the integrator restarts from
@@ -264,7 +231,7 @@ def run_me(
     hbar = modes.hbar
 
     def rhs(t, y):
-        c = coeffs_general(modes, envvar, t, guard=opts.divergence_guard)
+        c = coeffs_general(modes, env0, t, guard=opts.divergence_guard)
         om2 = c.omega_eff_sq
         gam = c.gamma_eff
         mx, mp, dx2, dp2, dxp = y
@@ -275,10 +242,6 @@ def run_me(
             -2.0 * m_s * om2 * dxp - 2.0 * gam * dp2 + 2.0 * hbar**2 * c.f1,
             -m_s * om2 * dx2 + dp2 / m_s - gam * dxp + hbar**2 * c.f2,
         ]
-
-    sys0 = squeezed_pure(sys_spec, hbar)
-    sys0 = GaussianState(mean=np.asarray(sys_mean, float), cov=sys0.cov)
-    env0 = env_state_from_variance(envvar)
 
     t_end = float(grid[-1])
     roots = find_divergences(modes, t_end) if t_end > 0 else []

@@ -59,7 +59,10 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         if mean.shape[0] not in (2, 4) or cov.shape != (mean.shape[0],) * 2:
             raise ValueError("state must have 1 or 2 modes")
-        if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
+        # cov - cov.T is antisymmetric, so its largest entry is its largest
+        # magnitude; the scale of cov only matters past 1e-12
+        asym = (cov - cov.T).max()
+        if asym > 1e-12 and asym > 1e-12 * np.abs(cov).max():
             raise NonPhysical("covariance matrix not symmetric")
 
     @property
@@ -81,12 +84,15 @@ class Diagnostics:
     E: np.ndarray
 
 
-def squeezed_pure(spec: SqueezeSpec, hbar: float = 1.0) -> GaussianState:
-    """Zero-mean pure Gaussian state with dx/dp = r, rotated by angle."""
+def squeezed_pure(
+    spec: SqueezeSpec, hbar: float = 1.0, mean=(0.0, 0.0)
+) -> GaussianState:
+    """Pure Gaussian state with dx/dp = r, rotated by angle, centred on
+    ``mean``."""
     c, s = math.cos(spec.angle), math.sin(spec.angle)
     rot = np.array([[c, -s], [s, c]])
     cov = rot @ np.diag([hbar * spec.r / 2.0, hbar / (2.0 * spec.r)]) @ rot.T
-    return GaussianState(mean=np.zeros(2), cov=cov)
+    return GaussianState(mean=mean, cov=cov)
 
 
 def _check_area(A):

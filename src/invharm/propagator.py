@@ -62,6 +62,14 @@ def _dtilde(kern, weights):
     return cw * cw + sw * sw + cw * sw * (2.0 * c1 * c2 - (k1 + k2) * s1 * s2)
 
 
+def _phi1(kern, weights):
+    """(phi1, dphi1, d2phi1) from the results of :func:`_kernels`,
+    :func:`_weights`."""
+    k1, c1, s1, k2, c2, s2 = kern
+    x = weights[2]
+    return x * (s1 - s2), x * (c1 - c2), x * (k1 * s1 - k2 * s2)
+
+
 def mode_functions(modes: NormalModes, t) -> ModeFunctions:
     """Evaluate the two mode functions and their first two derivatives.
 
@@ -69,15 +77,16 @@ def mode_functions(modes: NormalModes, t) -> ModeFunctions:
     weights; phi_1 carries the sin(2 theta)/2 cross weight.  Derivatives
     follow from s' = c, c' = k s for each kernel.
     """
-    k1, c1, s1, k2, c2, s2 = _kernels(modes, t)
-    cw, sw, x = _weights(modes)
+    k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
+    cw, sw, _ = weights = _weights(modes)
+    phi1, dphi1, d2phi1 = _phi1(kern, weights)
     return ModeFunctions(
         phi0=cw * s1 + sw * s2,
         dphi0=cw * c1 + sw * c2,
         d2phi0=cw * k1 * s1 + sw * k2 * s2,
-        phi1=x * (s1 - s2),
-        dphi1=x * (c1 - c2),
-        d2phi1=x * (k1 * s1 - k2 * s2),
+        phi1=phi1,
+        dphi1=dphi1,
+        d2phi1=d2phi1,
     )
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invharm import NormalModes, SqueezeSpec
+from invharm import NormalModes
 
 # default parameter set used throughout: unit masses and frequencies,
 # weak coupling, moderately squeezed initial states
@@ -20,16 +20,6 @@ BASE = dict(
 @pytest.fixture(scope="session")
 def base_modes() -> NormalModes:
     return NormalModes(**BASE)
-
-
-@pytest.fixture(scope="session")
-def sys_spec() -> SqueezeSpec:
-    return SqueezeSpec(4.0)
-
-
-@pytest.fixture(scope="session")
-def env_spec() -> SqueezeSpec:
-    return SqueezeSpec(2.0)
 
 
 def rel_err(a: float, b: float, floor: float = 1.0) -> float:

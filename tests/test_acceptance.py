@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from invharm import (
+    GaussianState,
     NormalModes,
     SqueezeSpec,
     coeffs_closed,
@@ -26,16 +27,14 @@ from invharm import (
     run_me,
     squeezed_pure,
 )
-from invharm.coefficients import EnvVariance
 
 from reference import SYMPLECTIC_FORM, full_transition, product_state
 
 BASE = NormalModes(
     omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0, hbar=1.0
 )
-SYS = SqueezeSpec(4.0)
-ENV = SqueezeSpec(2.0)
-ENVVAR = EnvVariance(dy2=1.0, dq2=0.25)
+SYS = squeezed_pure(SqueezeSpec(4.0))
+ENV = squeezed_pure(SqueezeSpec(2.0))
 
 
 def report(n: int, ok: bool, detail: str) -> bool:
@@ -47,7 +46,7 @@ def test_criterion_1_oracle_equivalence():
     t1 = find_divergences(BASE, 10.0)[0]
     grid = np.linspace(0.0, 0.9 * t1, 201)
     exact = run_exact(BASE, SYS, ENV, grid)
-    me = run_me(BASE, ENVVAR, SYS, grid)
+    me = run_me(BASE, SYS, ENV, grid)
     cmp_ = compare_trajectories(exact, me)
     ok = cmp_.worst_rel < 1e-6
     assert report(
@@ -69,11 +68,13 @@ def test_criterion_2_dual_formula_coefficients():
         modes = NormalModes(
             omega=om, lambda_sq=lam * lam, theta_c=th, m_s=m_s, m_e=m_e
         )
-        envvar = EnvVariance(dy2=rng.uniform(0.1, 3.0), dq2=rng.uniform(0.1, 3.0))
-        cg = coeffs_general(modes, envvar, t)
+        env0 = GaussianState(
+            np.zeros(2), np.diag([rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)])
+        )
+        cg = coeffs_general(modes, env0, t)
         if abs(cg.dtilde) <= 1e-3:
             continue
-        cc = coeffs_closed(modes, envvar, t)
+        cc = coeffs_closed(modes, env0, t)
         for a, b in (
             (cg.dtilde, cc.dtilde),
             (cg.omega_eff_sq, cc.omega_eff_sq),
@@ -132,7 +133,7 @@ def test_criterion_5_stable_environment_bounded():
     )
     traj = run_exact(modes, SYS, ENV, np.linspace(0.0, 50.0, 2001))
     slope, _ = fit_entropy_line(traj, (0.0, 50.0))
-    max_s = traj.entropies().max()
+    max_s = traj.diags.S.max()
     ok = abs(slope) < 0.01 and max_s < 1.0
     assert report(
         5, ok, f"stable env slope {slope:.2e} (tol 0.01), max S {max_s:.3f} (bounded)"
@@ -147,12 +148,15 @@ def test_criterion_6_free_particle_log_entropy():
         omega=1.0, lambda_sq=0.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0
     )
     traj = run_exact(
-        modes, SqueezeSpec(1.0), SqueezeSpec(1.0), np.linspace(0.0, 100.0, 2001)
+        modes,
+        squeezed_pure(SqueezeSpec(1.0)),
+        squeezed_pure(SqueezeSpec(1.0)),
+        np.linspace(0.0, 100.0, 2001),
     )
     c0, c1 = fit_entropy_log(traj, (10.0, 100.0))
     times = traj.times
     mask = (times >= 10.0) & (times <= 100.0)
-    S = traj.entropies()[mask]
+    S = traj.diags.S[mask]
     resid = S - (c0 + c1 * np.log(times[mask]))
     rel = float(np.sqrt(np.mean(resid**2)) / np.sqrt(np.mean(S**2)))
     ok = rel < 0.05 and c1 > 0.0
@@ -194,7 +198,7 @@ def test_criterion_7_divergence_bound():
 def test_criterion_8_physicality_and_structure():
     # area bound across representative runs
     min_area = math.inf
-    for modes, sys_spec, env_spec, t_max in (
+    for modes, sys0, env0, t_max in (
         (BASE, SYS, ENV, 16.0),
         (
             NormalModes(omega=1.0, lambda_sq=-16.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0),
@@ -204,13 +208,13 @@ def test_criterion_8_physicality_and_structure():
         ),
         (
             NormalModes(omega=1.0, lambda_sq=0.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0),
-            SqueezeSpec(1.0),
-            SqueezeSpec(1.0),
+            squeezed_pure(SqueezeSpec(1.0)),
+            squeezed_pure(SqueezeSpec(1.0)),
             100.0,
         ),
     ):
-        traj = run_exact(modes, sys_spec, env_spec, np.linspace(0.0, t_max, 801))
-        min_area = min(min_area, traj.areas().min())
+        traj = run_exact(modes, sys0, env0, np.linspace(0.0, t_max, 801))
+        min_area = min(min_area, traj.diags.A.min())
     area_ok = min_area >= 1.0 - 1e-9
 
     # symplectic structure on [0, 20], residual scaled by the squared
@@ -225,7 +229,7 @@ def test_criterion_8_physicality_and_structure():
 
     # global two-mode purity via singular values of T C0 (the assembled
     # covariance determinant runs out of double precision beyond t ~ 10)
-    full0 = product_state(squeezed_pure(SYS), squeezed_pure(ENV))
+    full0 = product_state(SYS, ENV)
     C0 = np.linalg.cholesky(full0.cov)
     pur = 0.0
     for t in np.linspace(0.0, 8.0, 33):
@@ -276,8 +280,8 @@ def test_criterion_9_coefficient_boundary_values():
         except ValueError:
             continue  # no real bare frequency for these modes
         n += 1
-        gam_worst = max(gam_worst, abs(coeffs_general(modes, ENVVAR, 0.0).gamma_eff))
-        c = coeffs_general(modes, ENVVAR, 1e-6)
+        gam_worst = max(gam_worst, abs(coeffs_general(modes, ENV, 0.0).gamma_eff))
+        c = coeffs_general(modes, ENV, 1e-6)
         om_worst = max(
             om_worst,
             abs(c.omega_eff_sq - bare.omega_bare**2)
@@ -298,12 +302,12 @@ def test_criterion_10_entropy_energy_separation():
     )
     traj = run_exact(
         modes,
-        SqueezeSpec(1e4, math.pi / 64),
-        SqueezeSpec(16.0),
+        squeezed_pure(SqueezeSpec(1e4, math.pi / 64)),
+        squeezed_pure(SqueezeSpec(16.0)),
         np.linspace(0.0, 4.0, 401),
     )
-    S = traj.entropies()
-    E = traj.energies()
+    S = traj.diags.S
+    E = traj.diags.E
     dS = S[-1] - S[0]
     dlogE = 0.5 * math.log(E[-1] / E[0])
     factor = dS / dlogE

@@ -6,6 +6,7 @@ import pytest
 from invharm import (
     Diagnostics,
     DomainError,
+    GaussianState,
     NormalModes,
     SqueezeSpec,
     Trajectory,
@@ -22,8 +23,8 @@ from invharm import (
     fit_entropy_log,
     kappa_default,
     run_exact,
+    squeezed_pure,
 )
-from invharm.coefficients import EnvVariance
 
 from conftest import BASE
 
@@ -158,7 +159,7 @@ class TestApproxF1:
     def test_order_of_magnitude_band(self, base_modes):
         # envelope estimate: bounds the actual diffusion scalar from
         # above within two decades over the pre-breakdown window
-        env = EnvVariance(dy2=0.5, dq2=0.5)
+        env = GaussianState(np.zeros(2), np.diag([0.5, 0.5]))
         for t in np.linspace(3.0, 7.0, 9):
             actual = coeffs_general(base_modes, env, t).f1
             ratio = actual / approx_f1(base_modes, t)
@@ -206,17 +207,27 @@ class TestEntropyFits:
     def test_unstable_entropy_is_not_logarithmic(self, base_modes):
         # a linearly growing entropy fits a log model poorly
         grid = np.linspace(0.0, 16.0, 801)
-        traj = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
+        traj = run_exact(
+            base_modes,
+            squeezed_pure(SqueezeSpec(4.0)),
+            squeezed_pure(SqueezeSpec(2.0)),
+            grid,
+        )
         c0, c1 = fit_entropy_log(traj, (5.0, 15.0))
         times = traj.times
         mask = (times >= 5.0) & (times <= 15.0)
-        S = traj.entropies()[mask]
+        S = traj.diags.S[mask]
         resid = S - (c0 + c1 * np.log(times[mask]))
         assert np.sqrt(np.mean(resid**2)) / np.sqrt(np.mean(S**2)) > 0.05
 
     def test_base_run_slope_is_instability_rate(self, base_modes):
         grid = np.linspace(0.0, 16.0, 801)
-        traj = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
+        traj = run_exact(
+            base_modes,
+            squeezed_pure(SqueezeSpec(4.0)),
+            squeezed_pure(SqueezeSpec(2.0)),
+            grid,
+        )
         slope, s0 = fit_entropy_line(traj, (5.0, 15.0))
         assert slope == pytest.approx(1.0, rel=0.1)
         assert s0 < 0.0  # linear growth postponed, not instantaneous

@@ -246,6 +246,20 @@ class TestExitCodesAndErrors:
         assert code == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_scan_rejects_non_finite_values(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 4.0, "samples": 11}}
+        )
+        for vary in ("r_e", "theta_c"):
+            for value in ("nan", "inf", "1e400"):
+                args = ["--vary", vary, "--values", f"1.0,{value}"]
+                code = run_cli(["scan", "--config", cfg, "--out", str(tmp_path), *args])
+                assert code == EXIT_CONFIG
+                err = json.loads(capsys.readouterr().err)["error"]
+                assert err["type"] == "validation"
+                assert repr(value) in err["message"]
+        assert not list(tmp_path.glob("scan_*"))
+
 
 class TestModesCommand:
     def test_round_trip_report(self, tmp_path, capsys):

@@ -4,51 +4,31 @@ import numpy as np
 import pytest
 
 from invharm import (
+    GaussianState,
     NormalModes,
     UnsupportedRegime,
     coeffs_closed,
     coeffs_general,
     contract,
-    env_variance_from_cov,
     find_divergences,
 )
-from invharm.coefficients import EnvVariance
 
 from conftest import rel_err
 
 
-ENV = EnvVariance(dy2=1.0, dq2=0.25, dyq=0.1)
-
-
-class TestEnvVariance:
-    def test_rejects_negative_variances(self):
-        with pytest.raises(ValueError):
-            EnvVariance(dy2=-1.0, dq2=1.0)
-        with pytest.raises(ValueError):
-            EnvVariance(dy2=1.0, dq2=-1.0)
-
-    def test_matrix(self):
-        v = EnvVariance(dy2=2.0, dq2=3.0, dyq=0.5)
-        assert np.array_equal(v.matrix(), [[2.0, 0.5], [0.5, 3.0]])
-
-    def test_from_cov(self):
-        cov = np.array([[2.0, 0.5], [0.5, 3.0]])
-        v = env_variance_from_cov(cov, np.array([1.0, -1.0]))
-        assert (v.dy2, v.dq2, v.dyq) == (2.0, 3.0, 0.5)
-        assert (v.mean_y, v.mean_q) == (1.0, -1.0)
-        assert env_variance_from_cov(cov).mean_y == 0.0
+ENV = GaussianState(np.zeros(2), np.array([[1.0, 0.1], [0.1, 0.25]]))
 
 
 class TestContract:
     def test_zero_tensor(self):
-        assert contract(np.zeros((2, 2)), ENV) == 0.0
+        assert contract(np.zeros((2, 2)), ENV.cov) == 0.0
 
     def test_identity_sums_diagonal_variances(self):
-        v = EnvVariance(dy2=3.0, dq2=5.0, dyq=0.7)
+        v = np.array([[3.0, 0.7], [0.7, 5.0]])
         assert contract(np.eye(2), v) == pytest.approx(8.0, rel=1e-15)
 
     def test_off_diagonal_half_weight(self):
-        v = EnvVariance(dy2=0.0, dq2=0.0, dyq=1.5)
+        v = np.array([[0.0, 1.5], [1.5, 0.0]])
         tensor = np.array([[0.0, 2.0], [2.0, 0.0]])
         # each off-diagonal entry meets dyq once, as in the exact
         # diffusion K Ve M1^T + M1 Ve K^T: (2 + 2)*1.5
@@ -150,12 +130,12 @@ class TestDiffusionStructure:
         modes = NormalModes(
             omega=1.0, lambda_sq=4.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0
         )
-        env = EnvVariance(dy2=0.5, dq2=0.5)
+        env = GaussianState(np.zeros(2), np.diag([0.5, 0.5]))
         c = coeffs_general(modes, env, 4.0)  # lam * t = 8
         assert c.f1 / c.f2 == pytest.approx(2.0, rel=0.01)
 
     def test_growth_rate_twice_instability(self, base_modes):
-        env = EnvVariance(dy2=0.5, dq2=0.5)
+        env = GaussianState(np.zeros(2), np.diag([0.5, 0.5]))
         ts = np.linspace(2.0, 6.0, 60)
         f1 = np.array([coeffs_general(base_modes, env, t).f1 for t in ts])
         slope = np.polyfit(ts, np.log(np.abs(f1)), 1)[0]
@@ -163,12 +143,12 @@ class TestDiffusionStructure:
 
     def test_momentum_diffusion_positive_mid_window(self, base_modes):
         for r in (1.0, 4.0, 16.0):
-            env = EnvVariance(dy2=r / 2.0, dq2=1.0 / (2.0 * r))
+            env = GaussianState(np.zeros(2), np.diag([r / 2.0, 1.0 / (2.0 * r)]))
             for t in np.linspace(2.0, 7.0, 40):
                 assert coeffs_general(base_modes, env, t).f1 > 0.0
 
     def test_force_couples_to_environment_means(self, base_modes):
-        env = EnvVariance(dy2=0.5, dq2=0.5, mean_y=2.0, mean_q=-3.0)
+        env = GaussianState(np.array([2.0, -3.0]), np.diag([0.5, 0.5]))
         c = coeffs_general(base_modes, env, 1.5)
         assert c.F == pytest.approx(2.0 * c.Fy - 3.0 * c.Fq, rel=1e-14)
         zero_mean = coeffs_general(base_modes, ENV, 1.5)
@@ -199,10 +179,10 @@ class TestArrayTimes:
         modes = NormalModes(
             omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=0.9, m_e=1.6
         )
-        envvar = EnvVariance(dy2=1.0, dq2=0.25, dyq=0.1, mean_y=0.3, mean_q=-0.2)
+        env0 = GaussianState(np.array([0.3, -0.2]), ENV.cov)
         ts = np.linspace(0.0, 0.95 * find_divergences(modes, 16.0)[0], 151)
-        cols = coeffs_general(modes, envvar, ts)
-        ones = [coeffs_general(modes, envvar, float(t)) for t in ts]
+        cols = coeffs_general(modes, env0, ts)
+        ones = [coeffs_general(modes, env0, float(t)) for t in ts]
         assert cols.f1_tensor.shape == cols.f2_tensor.shape == (2, 2, ts.size)
         for name in (
             "dtilde",

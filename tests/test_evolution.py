@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from invharm import (
-    GaussianState,
     GridMismatch,
     IntegratorOptions,
     StepFailure,
@@ -12,8 +11,6 @@ from invharm import (
     SqueezeSpec,
     Trajectory,
     compare_trajectories,
-    env_state_from_variance,
-    env_variance_from_cov,
     find_divergences,
     energy,
     entropy_exact,
@@ -21,7 +18,6 @@ from invharm import (
     run_me,
     squeezed_pure,
 )
-from invharm.coefficients import EnvVariance
 
 from reference import (
     area_ratio,
@@ -32,7 +28,8 @@ from reference import (
     reduce_system,
 )
 
-ENV = EnvVariance(dy2=1.0, dq2=0.25)  # squeeze ratio 2 environment
+SYS0 = squeezed_pure(SqueezeSpec(4.0))
+ENV0 = squeezed_pure(SqueezeSpec(2.0))  # variances 1 and 0.25
 
 
 def grid_to(t_max, n=401):
@@ -54,17 +51,17 @@ class TestDecoupledLimit:
     MODES = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
 
     def test_exact_entropy_identically_zero(self):
-        traj = run_exact(self.MODES, SqueezeSpec(4.0), SqueezeSpec(2.0), grid_to(12.0))
-        assert np.abs(traj.entropies()).max() < 1e-9
+        traj = run_exact(self.MODES, SYS0, ENV0, grid_to(12.0))
+        assert np.abs(traj.diags.S).max() < 1e-9
 
     def test_exact_energy_conserved(self):
-        traj = run_exact(self.MODES, SqueezeSpec(4.0), SqueezeSpec(2.0), grid_to(12.0))
-        E = traj.energies()
+        traj = run_exact(self.MODES, SYS0, ENV0, grid_to(12.0))
+        E = traj.diags.E
         assert np.abs(E - E[0]).max() < 1e-10 * max(1.0, abs(E[0]))
 
     def test_me_reduces_to_bare_rotation(self):
         grid = grid_to(6.0, 121)
-        traj = run_me(self.MODES, ENV, SqueezeSpec(4.0), grid)
+        traj = run_me(self.MODES, SYS0, ENV0, grid)
         w = self.MODES.omega
         for i, t in enumerate(grid):
             c, s = math.cos(w * t), math.sin(w * t) / w
@@ -79,23 +76,18 @@ class TestOracleAgreement:
         # master-equation integration against the zero-stepping-error
         # propagator on [0, 7]: well inside the first breakdown (~7.99)
         grid = grid_to(7.0, 201)
-        exact = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
-        me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid)
+        exact = run_exact(base_modes, SYS0, ENV0, grid)
+        me = run_me(base_modes, SYS0, ENV0, grid)
         cmp_ = compare_trajectories(exact, me)
         assert cmp_.worst_rel < 1e-6
         assert cmp_.bridged_excluded == 0
 
     def test_force_path_with_environment_mean(self, base_modes):
         # a displaced environment drives the system means through F
-        envvar = EnvVariance(dy2=1.0, dq2=0.25, mean_y=1.5, mean_q=-0.5)
+        env0 = squeezed_pure(SqueezeSpec(2.0), mean=(1.5, -0.5))
         grid = grid_to(6.0, 151)
-        exact = run_exact(
-            base_modes,
-            SqueezeSpec(4.0),
-            env_state_from_variance(envvar),
-            grid,
-        )
-        me = run_me(base_modes, envvar, SqueezeSpec(4.0), grid)
+        exact = run_exact(base_modes, SYS0, env0, grid)
+        me = run_me(base_modes, SYS0, env0, grid)
         assert np.abs(exact.moments[-1, :2]).max() > 0.1  # actually driven
         cmp_ = compare_trajectories(exact, me)
         assert cmp_.max_rel["mean_x"] < 1e-6
@@ -110,22 +102,19 @@ class TestOracleAgreement:
         modes = NormalModes(
             omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=m_s, m_e=1.0
         )
-        env_spec = SqueezeSpec(2.0, env_angle)
+        env0 = squeezed_pure(SqueezeSpec(2.0, env_angle))
         grid = grid_to(0.9 * find_divergences(modes, 16.0)[0], 201)
-        envvar = env_variance_from_cov(squeezed_pure(env_spec).cov)
-        assert (envvar.dyq != 0.0) == (env_angle != 0.0)
-        exact = run_exact(modes, SqueezeSpec(4.0), env_spec, grid)
-        me = run_me(modes, envvar, SqueezeSpec(4.0), grid)
+        assert (env0.cov[0, 1] != 0.0) == (env_angle != 0.0)
+        exact = run_exact(modes, SYS0, env0, grid)
+        me = run_me(modes, SYS0, env0, grid)
         assert compare_trajectories(exact, me).worst_rel < 1e-6
 
     def test_system_mean_is_propagated(self, base_modes):
         grid = grid_to(6.0, 151)
-        sys_mean = (1.0, -0.5)
-        exact = run_exact(
-            base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid, sys_mean=sys_mean
-        )
-        me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid, sys_mean=sys_mean)
-        assert tuple(me.moments[0, :2]) == sys_mean
+        sys0 = squeezed_pure(SqueezeSpec(4.0), mean=(1.0, -0.5))
+        exact = run_exact(base_modes, sys0, ENV0, grid)
+        me = run_me(base_modes, sys0, ENV0, grid)
+        assert tuple(me.moments[0, :2]) == (1.0, -0.5)
         assert compare_trajectories(exact, me).worst_rel < 1e-6
 
 
@@ -137,19 +126,12 @@ class TestFullStateReference:
         modes = NormalModes(
             omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=0.9, m_e=1.6
         )
-        sys_spec, env_spec = SqueezeSpec(4.0, 0.2), SqueezeSpec(2.0, 0.3)
-        sys_mean, env_mean = (0.5, -0.2), (0.1, 0.3)
+        sys0 = squeezed_pure(SqueezeSpec(4.0, 0.2), mean=(0.5, -0.2))
+        env0 = squeezed_pure(SqueezeSpec(2.0, 0.3), mean=(0.1, 0.3))
         grid = grid_to(12.0, 241)
         assert find_divergences(modes, 12.0)[0] < 10.0
-        traj = run_exact(
-            modes, sys_spec, env_spec, grid, sys_mean=sys_mean, env_mean=env_mean
-        )
-        sys0 = squeezed_pure(sys_spec)
-        env0 = squeezed_pure(env_spec)
-        full0 = product_state(
-            GaussianState(mean=np.array(sys_mean), cov=sys0.cov),
-            GaussianState(mean=np.array(env_mean), cov=env0.cov),
-        )
+        traj = run_exact(modes, sys0, env0, grid)
+        full0 = product_state(sys0, env0)
         ref = np.empty_like(traj.moments)
         for i, t in enumerate(grid):
             red = reduce_system(propagate(full0, full_transition(modes, t)))
@@ -170,28 +152,23 @@ class TestFullStateReference:
         modes = NormalModes(
             omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=0.9, m_e=1.6
         )
-        sys_spec, env_spec = SqueezeSpec(4.0, 0.2), SqueezeSpec(2.0, 0.3)
-        sys_mean, env_mean = (0.5, -0.2), (0.1, 0.3)
+        sys0 = squeezed_pure(SqueezeSpec(4.0, 0.2), mean=(0.5, -0.2))
+        env0 = squeezed_pure(SqueezeSpec(2.0, 0.3), mean=(0.1, 0.3))
         grid = grid_to(12.0, 241)
         assert len(find_divergences(modes, 12.0)) >= 2
-        traj = run_exact(
-            modes, sys_spec, env_spec, grid, sys_mean=sys_mean, env_mean=env_mean
-        )
-        full0 = product_state(
-            GaussianState(mean=np.array(sys_mean), cov=squeezed_pure(sys_spec).cov),
-            GaussianState(mean=np.array(env_mean), cov=squeezed_pure(env_spec).cov),
-        )
+        traj = run_exact(modes, sys0, env0, grid)
+        full0 = product_state(sys0, env0)
         reds = [reduce_system(propagate(full0, full_transition(modes, t))) for t in grid]
-        A = traj.areas()
+        A = traj.diags.A
         A_ref = np.array([area_ratio(r) for r in reds])
         det_scale = np.array(
             [abs(r.cov[0, 0] * r.cov[1, 1]) + r.cov[0, 1] ** 2 for r in reds]
         ) / 0.25
         assert np.all(np.abs(A**2 - A_ref**2) <= 1e-13 * det_scale)
         assert A.max() > 10.0  # the run has left the pure state far behind
-        assert np.array_equal(traj.entropies(), [entropy_exact(a) for a in A])
+        assert np.array_equal(traj.diags.S, [entropy_exact(a) for a in A])
         E_ref = np.array([energy(moments_of(r), modes.m_s, modes.omega) for r in reds])
-        assert np.abs(traj.energies() - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+        assert np.abs(traj.diags.E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
 
 
 class TestSymmetries:
@@ -204,20 +181,20 @@ class TestSymmetries:
             m_e=base_modes.m_e,
         )
         grid = grid_to(10.0, 101)
-        a = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
-        b = run_exact(flipped, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
+        a = run_exact(base_modes, SYS0, ENV0, grid)
+        b = run_exact(flipped, SYS0, ENV0, grid)
         scale = np.abs(a.moments).max()
         assert np.abs(a.moments - b.moments).max() < 1e-12 * scale
-        assert np.abs(a.entropies() - b.entropies()).max() < 1e-12
+        assert np.abs(a.diags.S - b.diags.S).max() < 1e-12
 
     def test_exact_grid_independence(self, base_modes):
         # each exact sample is evaluated independently, so refining the
         # grid does not move shared points
         coarse = run_exact(
-            base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), np.linspace(0, 8, 5)
+            base_modes, SYS0, ENV0, np.linspace(0, 8, 5)
         )
         fine = run_exact(
-            base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), np.linspace(0, 8, 9)
+            base_modes, SYS0, ENV0, np.linspace(0, 8, 9)
         )
         assert np.array_equal(coarse.moments, fine.moments[::2])
 
@@ -243,7 +220,7 @@ class TestBridging:
 
     def test_bridged_window_bookkeeping(self, base_modes):
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid, opts=self.OPTS)
+        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
         assert me.bridged.any()
         bridges = me.meta["bridges"]
         assert len(bridges) >= 1
@@ -255,8 +232,8 @@ class TestBridging:
 
     def test_bridged_samples_match_exact(self, base_modes):
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid, opts=self.OPTS)
-        exact = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
+        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        exact = run_exact(base_modes, SYS0, ENV0, grid)
         sel = me.bridged
         assert sel.sum() >= 2
         dev = np.abs(me.moments[sel] - exact.moments[sel])
@@ -264,15 +241,15 @@ class TestBridging:
 
     def test_comparison_excludes_bridged(self, base_modes):
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid, opts=self.OPTS)
-        exact = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
+        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        exact = run_exact(base_modes, SYS0, ENV0, grid)
         cmp_ = compare_trajectories(exact, me)
         assert cmp_.bridged_excluded == int(me.bridged.sum())
 
     def test_resumes_from_exact_state_after_bridge(self, base_modes):
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid, opts=self.OPTS)
-        exact = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
+        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        exact = run_exact(base_modes, SYS0, ENV0, grid)
         b = me.meta["bridges"][0][1]
         after = (grid > b) & (grid < b + 0.5)
         dev = np.abs(me.moments[after] - exact.moments[after])
@@ -287,8 +264,8 @@ class TestBridging:
         # the integrator crosses the ill-conditioned region and stays
         # within the conditioning-limited bound
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, ENV, SqueezeSpec(4.0), grid)
-        exact = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
+        me = run_me(base_modes, SYS0, ENV0, grid)
+        exact = run_exact(base_modes, SYS0, ENV0, grid)
         cmp_ = compare_trajectories(exact, me)
         assert cmp_.worst_rel < 1e-3
         pre = grid <= 7.0
@@ -315,21 +292,47 @@ class TestSolverHook:
 
     def test_one_call_without_a_root(self, base_modes, monkeypatch):
         spans = self.record_spans(monkeypatch)
-        run_me(base_modes, ENV, SqueezeSpec(4.0), grid_to(6.0, 61))
+        run_me(base_modes, SYS0, ENV0, grid_to(6.0, 61))
         assert spans == [(0.0, 6.0)]
 
     def test_one_call_per_unblocked_segment(self, base_modes, monkeypatch):
         spans = self.record_spans(monkeypatch)
         me = run_me(
             base_modes,
-            ENV,
-            SqueezeSpec(4.0),
+            SYS0,
+            ENV0,
             grid_to(10.0, 501),
             opts=TestBridging.OPTS,
         )
         assert len(find_divergences(base_modes, 10.0)) == 1
         ((a, b),) = me.meta["bridges"]
         assert spans == [(0.0, a), (b, 10.0)]
+
+    def test_each_rhs_evaluation_reads_env0(self, base_modes, monkeypatch):
+        # every right-hand-side evaluation makes one call of the module
+        # global invharm.evolution.coeffs_general, which a profiler
+        # patches to count them, and hands it the run's env0
+        import invharm.evolution as evolution
+
+        real_coeffs, real_solve = evolution.coeffs_general, evolution.solve_ivp
+        envs, nfev = [], []
+
+        def counting_coeffs(modes, env0, t, guard):
+            envs.append(env0)
+            return real_coeffs(modes, env0, t, guard=guard)
+
+        def counting_solve(*args, **kwargs):
+            sol = real_solve(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(evolution, "coeffs_general", counting_coeffs)
+        monkeypatch.setattr(evolution, "solve_ivp", counting_solve)
+        env0 = squeezed_pure(SqueezeSpec(2.0, 0.3), mean=(0.3, -0.1))
+        run_me(base_modes, SYS0, env0, grid_to(10.0, 501), opts=TestBridging.OPTS)
+        assert len(nfev) == 2
+        assert len(envs) == sum(nfev) > 0
+        assert all(e is env0 for e in envs)
 
 
 class TestFreeParticleEnvironment:
@@ -339,8 +342,9 @@ class TestFreeParticleEnvironment:
 
     def test_entropy_grows_sublinearly(self):
         grid = np.linspace(0.0, 100.0, 1001)
-        traj = run_exact(self.MODES, SqueezeSpec(1.0), SqueezeSpec(1.0), grid)
-        S = traj.entropies()
+        vacuum = squeezed_pure(SqueezeSpec(1.0))
+        traj = run_exact(self.MODES, vacuum, vacuum, grid)
+        S = traj.diags.S
         assert S[-1] > S[200] > 0.0
         # secant slope decreases: growth slower than linear
         mid = 0.5 * (S[200] + S[-1])
@@ -369,45 +373,36 @@ class TestSegmentFailure:
 
         real = evolution.coeffs_general
 
-        def failing(modes, envvar, t, guard):
+        def failing(modes, env0, t, guard):
             if t > 3.0:
                 raise ZeroDivisionError("float division by zero")
-            return real(modes, envvar, t, guard=guard)
+            return real(modes, env0, t, guard=guard)
 
         monkeypatch.setattr(evolution, "coeffs_general", failing)
         with pytest.raises(StepFailure, match=r"\[0\.0, 6\.0\].*ZeroDivisionError"):
-            run_me(base_modes, ENV, SqueezeSpec(4.0), grid_to(6.0, 61))
+            run_me(base_modes, SYS0, ENV0, grid_to(6.0, 61))
 
 
 class TestValidationAndComparison:
     def test_me_requires_grid_from_zero(self, base_modes):
         with pytest.raises(ValueError):
-            run_me(base_modes, ENV, SqueezeSpec(4.0), np.linspace(1.0, 2.0, 10))
+            run_me(base_modes, SYS0, ENV0, np.linspace(1.0, 2.0, 10))
         with pytest.raises(ValueError):
-            run_me(base_modes, ENV, SqueezeSpec(4.0), np.array([]))
+            run_me(base_modes, SYS0, ENV0, np.array([]))
 
     def test_exact_requires_nonempty_grid(self, base_modes):
         with pytest.raises(ValueError):
-            run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), [])
+            run_exact(base_modes, SYS0, ENV0, [])
 
     def test_compare_identical_is_zero(self, base_modes):
         grid = grid_to(3.0, 31)
-        a = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid)
+        a = run_exact(base_modes, SYS0, ENV0, grid)
         cmp_ = compare_trajectories(a, a)
         assert cmp_.worst_rel == 0.0
         assert all(v == 0.0 for v in cmp_.max_abs.values())
 
     def test_compare_rejects_different_grids(self, base_modes):
-        a = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid_to(3.0, 31))
-        b = run_exact(base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid_to(3.0, 61))
+        a = run_exact(base_modes, SYS0, ENV0, grid_to(3.0, 31))
+        b = run_exact(base_modes, SYS0, ENV0, grid_to(3.0, 61))
         with pytest.raises(GridMismatch):
             compare_trajectories(a, b)
-
-    def test_trajectory_accessors(self, base_modes):
-        traj = run_exact(
-            base_modes, SqueezeSpec(4.0), SqueezeSpec(2.0), grid_to(2.0, 21)
-        )
-        assert traj.entropies().shape == (21,)
-        assert traj.energies().shape == (21,)
-        assert traj.areas().shape == (21,)
-        assert traj.areas().min() >= 1.0 - 1e-9

@@ -61,6 +61,12 @@ class TestSqueezedPure:
         st_ = squeezed_pure(SqueezeSpec(1.0), hbar=2.0)
         assert np.allclose(st_.cov, np.eye(2), atol=1e-15)
 
+    def test_mean_is_placed(self):
+        spec = SqueezeSpec(3.0, 0.4)
+        st_ = squeezed_pure(spec, 2.0, mean=(1.5, -0.25))
+        assert np.array_equal(st_.mean, [1.5, -0.25])
+        assert np.array_equal(st_.cov, squeezed_pure(spec, 2.0).cov)
+
     @settings(max_examples=50, deadline=None)
     @given(r=st.floats(0.05, 20.0), angle=st.floats(-3.2, 3.2))
     def test_always_pure(self, r, angle):
@@ -78,6 +84,16 @@ class TestGaussianState:
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(NonPhysical):
             GaussianState(mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_symmetry_tolerance_is_relative_above_unit_scale(self):
+        # asymmetry is held to 1e-12 of the largest entry, floored at 1
+        big = np.array([[1e6, 1e6 + 1e-7], [1e6, 1e6]])
+        GaussianState(mean=np.zeros(2), cov=big)
+        with pytest.raises(NonPhysical):
+            GaussianState(mean=np.zeros(2), cov=big + [[0.0, 1e-3], [0.0, 0.0]])
+        GaussianState(mean=np.zeros(2), cov=np.array([[1e-20, 5e-13], [0.0, 1e-20]]))
+        with pytest.raises(NonPhysical):
+            GaussianState(mean=np.zeros(2), cov=np.array([[1e-20, 5e-12], [0.0, 1e-20]]))
 
     def test_n_modes(self):
         assert GaussianState(np.zeros(2), np.eye(2)).n_modes == 1

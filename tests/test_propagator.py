@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from invharm import (
+    GaussianState,
     NormalModes,
     coeffs_closed,
     cross_block,
@@ -12,7 +13,6 @@ from invharm import (
     mode_blocks,
     mode_functions,
 )
-from invharm.coefficients import EnvVariance
 
 from conftest import BASE, rel_err
 from reference import SYMPLECTIC_FORM, full_transition
@@ -155,8 +155,8 @@ class TestDtilde:
                 assert rel_err(dtilde(modes, t), naive) < 1e-9
 
     def test_matches_closed_form_denominator(self, base_modes):
-        envvar = EnvVariance(dy2=1.0, dq2=0.25)
-        c = coeffs_closed(base_modes, envvar, 2.0)
+        env0 = GaussianState(np.zeros(2), np.diag([1.0, 0.25]))
+        c = coeffs_closed(base_modes, env0, 2.0)
         assert c.dtilde == pytest.approx(dtilde(base_modes, 2.0), rel=1e-12)
 
     def test_near_unity_before_critical_time(self):
