@@ -7,12 +7,17 @@ trigonometric/hyperbolic reference for an unstable environment
 precision, which is the main cross-check of the whole construction.
 Both read the environment's initial mean and covariance from the same
 :class:`~invharm.gaussian.GaussianState` the runs start from.
+
+At a float time every scalar coefficient is a Python float computed
+without numpy temporaries: the master-equation right-hand side makes one
+such call per evaluation.  The diffusion sub-tensors are kept as rows of
+entries and become arrays only when ``f1_tensor``/``f2_tensor`` is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +40,15 @@ class UnsupportedRegime(ValueError):
     """Closed-form coefficients requested outside their validity range."""
 
 
-@dataclass(frozen=True)
-class MECoefficients:
+class MECoefficients(NamedTuple):
     """All coefficients of the reduced master equation at one time, or
-    one column per field over an array of times (the sub-tensors then
-    have shape (2, 2, n)).
+    one column per field over an array of times.
+
+    ``f1_rows``/``f2_rows`` hold the diffusion sub-tensor entries as
+    ((yy, yq), (qy, qq)); ``f1_tensor``/``f2_tensor`` build the array from
+    them when read, of shape (2, 2) at a float time and (2, 2, n) over n
+    times.  At a float time every other field is a Python float (``valid``
+    a bool).
 
     ``valid`` is False within the singularity guard around a zero of
     Dtilde; the drift-derived fields are still filled in (they are large
@@ -55,22 +64,31 @@ class MECoefficients:
     F: float
     f1: float
     f2: float
-    f1_tensor: np.ndarray
-    f2_tensor: np.ndarray
+    f1_rows: tuple
+    f2_rows: tuple
     valid: bool
 
+    @property
+    def f1_tensor(self) -> np.ndarray:
+        return np.array(self.f1_rows)
 
-def contract(tensor: np.ndarray, cov: np.ndarray):
+    @property
+    def f2_tensor(self) -> np.ndarray:
+        return np.array(self.f2_rows)
+
+
+def contract(tensor, cov):
     """Fully contract a 2x2 sub-coefficient tensor with the environment
     covariance V: t_yy V_yy + (t_yq + t_qy) V_yq + t_qq V_qq.
 
     This is the weighting the exact diffusion K Ve M1^T + M1 Ve K^T gives
-    each sub-tensor entry.
+    each sub-tensor entry.  Both arguments are indexed ``[i][j]``, so
+    nested tuples or lists and (2, 2) or (2, 2, n) arrays all work.
     """
     return (
-        tensor[0, 0] * cov[0, 0]
-        + (tensor[0, 1] + tensor[1, 0]) * cov[0, 1]
-        + tensor[1, 1] * cov[1, 1]
+        tensor[0][0] * cov[0][0]
+        + (tensor[0][1] + tensor[1][0]) * cov[0][1]
+        + tensor[1][1] * cov[1][1]
     )
 
 
@@ -108,32 +126,30 @@ def coeffs_general(
     phi1, dphi1, d2phi1 = _phi1(kern, weights)
     # sub-tensors stored in [[yy, yq], [qy, qq]] labelling
     pref = math.sqrt(m_s / m_e) / hbar**2
-    f1_tensor = pref * np.array(
-        [
-            [m_e * fy * d2phi1, fy * dphi1],
-            [m_e * fq * d2phi1, fq * dphi1],
-        ]
+    pref2 = pref / m_s
+    f1_rows = (
+        (pref * (m_e * fy * d2phi1), pref * (fy * dphi1)),
+        (pref * (m_e * fq * d2phi1), pref * (fq * dphi1)),
     )
-    f2_tensor = (pref / m_s) * np.array(
-        [
-            [m_e * fy * dphi1, fy * phi1],
-            [m_e * fq * dphi1, fq * phi1],
-        ]
+    f2_rows = (
+        (pref2 * (m_e * fy * dphi1), pref2 * (fy * phi1)),
+        (pref2 * (m_e * fq * dphi1), pref2 * (fq * phi1)),
     )
-
+    cov = env0.cov.tolist()
+    # positional, in field order: keywords cost a tenth of a scalar call
     return MECoefficients(
-        t=t,
-        dtilde=dt_,
-        omega_eff_sq=om2,
-        gamma_eff=gam,
-        Fy=fy,
-        Fq=fq,
-        F=fy * mean_y + fq * mean_q,
-        f1=contract(f1_tensor, env0.cov),
-        f2=contract(f2_tensor, env0.cov),
-        f1_tensor=f1_tensor,
-        f2_tensor=f2_tensor,
-        valid=valid,
+        t,
+        dt_,
+        om2,
+        gam,
+        fy,
+        fq,
+        fy * mean_y + fq * mean_q,
+        contract(f1_rows, cov),
+        contract(f2_rows, cov),
+        f1_rows,
+        f2_rows,
+        valid,
     )
 
 
@@ -193,30 +209,27 @@ def coeffs_closed(
     diff_c = chl - cwt
     diff_s = w * shl - lam * swt
 
-    f1_tensor = beta * np.array(
-        [
-            [m_e * w * lam * p_fac * sum_fac, w * lam * p_fac * diff_c],
-            [q_fac * sum_fac, q_fac * diff_c / m_e],
-        ]
+    beta2 = beta / m_s
+    f1_rows = (
+        (beta * (m_e * w * lam * p_fac * sum_fac), beta * (w * lam * p_fac * diff_c)),
+        (beta * (q_fac * sum_fac), beta * (q_fac * diff_c / m_e)),
     )
-    f2_tensor = (beta / m_s) * np.array(
-        [
-            [m_e * w * lam * p_fac * diff_c, p_fac * diff_s],
-            [q_fac * diff_c, q_fac * diff_s / (m_e * w * lam)],
-        ]
+    f2_rows = (
+        (beta2 * (m_e * w * lam * p_fac * diff_c), beta2 * (p_fac * diff_s)),
+        (beta2 * (q_fac * diff_c), beta2 * (q_fac * diff_s / (m_e * w * lam))),
     )
-
+    cov = env0.cov.tolist()
     return MECoefficients(
-        t=t,
-        dtilde=dt_,
-        omega_eff_sq=om2,
-        gamma_eff=gam,
-        Fy=fy,
-        Fq=fq,
-        F=fy * mean_y + fq * mean_q,
-        f1=contract(f1_tensor, env0.cov),
-        f2=contract(f2_tensor, env0.cov),
-        f1_tensor=f1_tensor,
-        f2_tensor=f2_tensor,
-        valid=valid,
+        t,
+        dt_,
+        om2,
+        gam,
+        fy,
+        fq,
+        fy * mean_y + fq * mean_q,
+        contract(f1_rows, cov),
+        contract(f2_rows, cov),
+        f1_rows,
+        f2_rows,
+        valid,
     )

@@ -195,13 +195,18 @@ def _blocked_window(modes, root, guard, t_end):
                 return t_end
             if direction < 0 and hi < 0.0:
                 return 0.0
-        # bisect |Dtilde| = guard between lo (inside) and hi (outside)
+        # bisect |Dtilde| = guard between lo (inside) and hi (outside);
+        # once the midpoint rounds to an end, further halvings repeat the
+        # same test on the same point and the interval cannot move
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            settled = mid == lo or mid == hi
             if abs(dtilde(modes, mid)) < guard:
                 lo = mid
             else:
                 hi = mid
+            if settled:
+                break
         return hi
 
     h = guard / max(modes.omega, abs(modes.lambda_sq) ** 0.5)
@@ -229,18 +234,24 @@ def run_me(
 
     m_s = modes.m_s
     hbar = modes.hbar
+    # per-run constants of the right-hand side, each the leading factor
+    # of its product, so every product is evaluated in the same order
+    guard = opts.divergence_guard
+    hbar_sq = hbar**2
+    two_hbar_sq = 2.0 * hbar_sq
 
     def rhs(t, y):
-        c = coeffs_general(modes, env0, t, guard=opts.divergence_guard)
+        c = coeffs_general(modes, env0, t, guard=guard)
         om2 = c.omega_eff_sq
         gam = c.gamma_eff
-        mx, mp, dx2, dp2, dxp = y
+        # Python floats: cheaper than numpy scalars once per evaluation
+        mx, mp, dx2, dp2, dxp = y.tolist()
         return [
             mp / m_s,
             -m_s * om2 * mx - gam * mp + c.F,
             2.0 * dxp / m_s,
-            -2.0 * m_s * om2 * dxp - 2.0 * gam * dp2 + 2.0 * hbar**2 * c.f1,
-            -m_s * om2 * dx2 + dp2 / m_s - gam * dxp + hbar**2 * c.f2,
+            -2.0 * m_s * om2 * dxp - 2.0 * gam * dp2 + two_hbar_sq * c.f1,
+            -m_s * om2 * dx2 + dp2 / m_s - gam * dxp + hbar_sq * c.f2,
         ]
 
     t_end = float(grid[-1])

@@ -6,11 +6,13 @@ import pytest
 from invharm import (
     GaussianState,
     NormalModes,
+    SqueezeSpec,
     UnsupportedRegime,
     coeffs_closed,
     coeffs_general,
     contract,
     find_divergences,
+    squeezed_pure,
 )
 
 from conftest import rel_err
@@ -202,3 +204,41 @@ class TestArrayTimes:
             assert np.abs(got - want).max() <= 1e-12 * scale, name
         assert np.array_equal(cols.valid, [c.valid for c in ones])
 
+
+
+class TestFloatContract:
+    # a rotated, displaced environment: every covariance entry and both
+    # means reach the coefficients
+    ENV0 = squeezed_pure(SqueezeSpec(2.0, 0.3), mean=(0.3, -0.1))
+    FIELDS = ("dtilde", "omega_eff_sq", "gamma_eff", "Fy", "Fq", "F", "f1", "f2")
+    ROUTES = (coeffs_general, coeffs_closed)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_scalar_time_gives_python_floats(self, base_modes, route):
+        c = route(base_modes, self.ENV0, 2.0)
+        for name in self.FIELDS:
+            assert type(getattr(c, name)) is float, name
+        assert type(c.valid) is bool
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_scalars_are_the_contracted_tensors(self, base_modes, route):
+        for t in (0.3, 2.0, 9.5):
+            c = route(base_modes, self.ENV0, t)
+            assert c.f1_tensor.shape == c.f2_tensor.shape == (2, 2)
+            assert c.f1 == contract(c.f1_tensor, self.ENV0.cov)
+            assert c.f2 == contract(c.f2_tensor, self.ENV0.cov)
+
+    def test_array_time_scalars_are_the_contracted_tensors(self, base_modes):
+        ts = np.linspace(0.0, 12.0, 97)
+        c = coeffs_general(base_modes, self.ENV0, ts)
+        assert c.f1_tensor.shape == c.f2_tensor.shape == (2, 2, ts.size)
+        assert np.array_equal(c.f1, contract(c.f1_tensor, self.ENV0.cov))
+        assert np.array_equal(c.f2, contract(c.f2_tensor, self.ENV0.cov))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_result_is_immutable(self, base_modes, route):
+        c = route(base_modes, self.ENV0, 2.0)
+        with pytest.raises(AttributeError):
+            c.f1 = 0.0
+        with pytest.raises(AttributeError):
+            c.f1_tensor = np.zeros((2, 2))
