@@ -13,15 +13,11 @@ states.
 from .analysis import (
     DomainError,
     WindowTooShort,
-    approx_D,
-    approx_f1,
     critical_time_derived,
     critical_time_paper,
-    decoherence_time,
     find_divergences,
     fit_entropy_line,
     fit_entropy_log,
-    kappa_default,
 )
 from .coefficients import (
     MECoefficients,
@@ -121,10 +117,6 @@ __all__ = [
     "critical_time_paper",
     "critical_time_derived",
     "find_divergences",
-    "approx_D",
-    "approx_f1",
     "fit_entropy_line",
     "fit_entropy_log",
-    "decoherence_time",
-    "kappa_default",
 ]

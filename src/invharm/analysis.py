@@ -1,6 +1,5 @@
 """Closed-form estimates and empirical fits: critical time, determinant
-roots, approximate determinant and diffusion, entropy-line fits, and the
-decoherence timescale.
+roots and entropy-line fits.
 """
 
 from __future__ import annotations
@@ -18,12 +17,8 @@ __all__ = [
     "critical_time_paper",
     "critical_time_derived",
     "find_divergences",
-    "approx_D",
-    "approx_f1",
     "fit_entropy_line",
     "fit_entropy_log",
-    "decoherence_time",
-    "kappa_default",
 ]
 
 
@@ -78,8 +73,9 @@ def _scan_step(modes: NormalModes, t_max: float) -> float:
 def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
     """All sign-change roots of Dtilde on [0, t_max], located by one
     array evaluation on a scan at the fastest mode rate followed by
-    bisection to 1e-10 absolute.  A non-finite Dtilde on the scan (the
-    kernels overflow) raises ``FloatingPointError``."""
+    bisection to 1e-10 absolute, or to adjacent floats where those are
+    further apart.  A non-finite Dtilde on the scan (the kernels
+    overflow) raises ``FloatingPointError``."""
     if t_max <= 0:
         raise ValueError("t_max must be > 0")
     step = _scan_step(modes, t_max)
@@ -100,6 +96,10 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
         flo = va[i]
         while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
+            # past t = 2**19 an ulp of t exceeds 1e-10: once the midpoint
+            # rounds to an end, the interval cannot shrink any further
+            if mid == lo or mid == hi:
+                break
             fm = dtilde(modes, mid)
             if fm == 0.0:
                 lo = hi = mid
@@ -110,30 +110,6 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
                 lo, flo = mid, fm
         roots.append(0.5 * (lo + hi))
     return roots
-
-
-def approx_D(omega: float, lam: float, theta_c: float, t: float) -> float:
-    """Weak-coupling expansion of the determinant for lambda^-1 << t."""
-    th2 = theta_c * theta_c
-    return 1.0 + th2 * math.exp(lam * t) * (
-        (omega**2 - lam**2) * math.sin(omega * t)
-        + 2.0 * omega * lam * math.cos(omega * t)
-    ) / (omega * lam)
-
-
-def approx_f1(modes: NormalModes, t: float) -> float:
-    """Order-of-magnitude momentum-diffusion coefficient for small mass
-    ratio and weak coupling: grows as exp(2 lambda t)."""
-    if modes.lambda_sq <= 0:
-        raise DomainError("approx_f1 requires an unstable environment")
-    lam = math.sqrt(modes.lambda_sq)
-    return (
-        modes.m_s
-        * modes.theta_c**2
-        * (modes.omega**2 + modes.lambda_sq)
-        * math.exp(2.0 * lam * t)
-        / (modes.m_e * modes.hbar**2)
-    )
 
 
 def _window_samples(traj, window):
@@ -179,24 +155,3 @@ def fit_entropy_log(traj, window) -> tuple[float, float]:
         raise WindowTooShort("fewer than 2 samples in fit window")
     c1, c0 = np.polyfit(np.log(times[mask]), S[mask], 1)
     return float(c0), float(c1)
-
-
-def decoherence_time(
-    S_d: float, kappa: float, dx2: float, theta_c: float, lam: float
-) -> float:
-    """Time to produce entropy S_d from a pure state: inversely linear in
-    lambda, logarithmic in the coupling and initial spread."""
-    if lam <= 0:
-        raise DomainError("decoherence time requires lambda > 0")
-    return (S_d - math.log(kappa * dx2) - math.log(abs(theta_c))) / lam
-
-
-def kappa_default(modes: NormalModes) -> float:
-    """Default kappa from the approximate-diffusion factorization."""
-    if modes.lambda_sq <= 0:
-        raise DomainError("kappa_default requires an unstable environment")
-    return math.sqrt(
-        modes.m_s
-        * (modes.omega**2 + modes.lambda_sq)
-        / (modes.m_e * modes.hbar**2)
-    )

@@ -10,8 +10,11 @@ Both read the environment's initial mean and covariance from the same
 
 At a float time every scalar coefficient is a Python float computed
 without numpy temporaries: the master-equation right-hand side makes one
-such call per evaluation.  The diffusion sub-tensors are kept as rows of
-entries and become arrays only when ``f1_tensor``/``f2_tensor`` is read.
+such call per evaluation.  Both routes also broadcast over array modes
+(a :class:`~invharm.modes.NormalModes` with array fields) with an array
+of times of their shape, one set of parameters per element.  The
+diffusion sub-tensors are kept as rows of entries and become arrays only
+when ``f1_tensor``/``f2_tensor`` is read.
 """
 
 from __future__ import annotations
@@ -98,8 +101,9 @@ def coeffs_general(
     t,
     guard: float = DEFAULT_GUARD,
 ) -> MECoefficients:
-    """Coefficients from the kernel closed forms, at a float time or over
-    an array of times.
+    """Coefficients from the kernel closed forms, at a float time, over
+    an array of times, or over array modes and an array of times of
+    their shape.
 
     Each mode-function ratio is reduced with c^2 - k s^2 = 1, so no term
     outgrows the result and dividing by Dtilde loses no precision.  The
@@ -110,7 +114,7 @@ def coeffs_general(
     """
     k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
     cw, sw, x = weights = _weights(modes)
-    m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
+    m_s, m_e = modes.m_s, modes.m_e
     # Python floats: cheaper than numpy scalars once per integrator step
     mean_y, mean_q = env0.mean.tolist()
     dt_ = _dtilde(kern, weights)
@@ -120,12 +124,12 @@ def coeffs_general(
     mixed = cw * sw * (2.0 * k1 * k2 * s1 * s2 - (k1 + k2) * c1 * c2)
     om2 = (mixed - cw * cw * k1 - sw * sw * k2) / dt_
     gam = cw * sw * dk * (c1 * s2 - s1 * c2) / dt_
-    fy = math.sqrt(m_s * m_e) * x * dk * (cw * c2 + sw * c1) / dt_
-    fq = math.sqrt(m_s / m_e) * x * dk * (cw * s2 + sw * s1) / dt_
+    fy = modes.root_prod * x * dk * (cw * c2 + sw * c1) / dt_
+    fq = modes.root_se * x * dk * (cw * s2 + sw * s1) / dt_
 
     phi1, dphi1, d2phi1 = _phi1(kern, weights)
     # sub-tensors stored in [[yy, yq], [qy, qq]] labelling
-    pref = math.sqrt(m_s / m_e) / hbar**2
+    pref = modes.root_se / modes.hbar**2
     pref2 = pref / m_s
     f1_rows = (
         (pref * (m_e * fy * d2phi1), pref * (fy * dphi1)),
@@ -156,25 +160,27 @@ def coeffs_general(
 def coeffs_closed(
     modes: NormalModes,
     env0: GaussianState,
-    t: float,
+    t,
     guard: float = DEFAULT_GUARD,
 ) -> MECoefficients:
-    """Coefficients from the closed forms for an unstable environment."""
-    if modes.lambda_sq <= 0 or modes.omega <= 0:
+    """Coefficients from the closed forms for an unstable environment, at
+    a float time, or over array modes and an array of times of their
+    shape."""
+    if np.any(modes.lambda_sq <= 0) or np.any(modes.omega <= 0):
         raise UnsupportedRegime(
             "closed forms require lambda_sq > 0 and omega > 0; "
             "use coeffs_general"
         )
+    # one formula text for both: math on floats, numpy ufuncs on arrays
     w = modes.omega
-    lam = math.sqrt(modes.lambda_sq)
-    th = modes.theta_c
+    xp = np if isinstance(w, np.ndarray) or isinstance(t, np.ndarray) else math
+    lam = xp.sqrt(modes.lambda_sq)
     m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
     mean_y, mean_q = env0.mean.tolist()
-    c2 = math.cos(th) ** 2
-    s2 = math.sin(th) ** 2
-    s2t = math.sin(2.0 * th)
-    swt, cwt = math.sin(w * t), math.cos(w * t)
-    shl, chl = math.sinh(lam * t), math.cosh(lam * t)
+    c2, s2 = modes.cw, modes.sw
+    s2t = 2.0 * modes.x
+    swt, cwt = xp.sin(w * t), xp.cos(w * t)
+    shl, chl = xp.sinh(lam * t), xp.cosh(lam * t)
 
     big_d = (w * w - lam * lam) * c2 * s2 * swt * shl + w * lam * (
         2.0 * cwt * chl * c2 * s2 + c2 * c2 + s2 * s2
@@ -194,7 +200,7 @@ def coeffs_closed(
     p_fac = c2 * chl + s2 * cwt
     q_fac = w * c2 * shl + lam * s2 * swt
     fy = (
-        -math.sqrt(m_s * m_e)
+        -modes.root_prod
         * w
         * lam
         * (w * w + lam * lam)
@@ -202,7 +208,7 @@ def coeffs_closed(
         / (2.0 * big_d)
         * p_fac
     )
-    fq = -math.sqrt(m_s / m_e) * (w * w + lam * lam) * s2t / (2.0 * big_d) * q_fac
+    fq = -modes.root_se * (w * w + lam * lam) * s2t / (2.0 * big_d) * q_fac
 
     beta = m_s / (4.0 * hbar**2 * big_d) * s2t * s2t * (w * w + lam * lam)
     sum_fac = lam * shl + w * swt

@@ -9,7 +9,6 @@ for n times.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,7 @@ class ModeFunctions:
 def _kernels(modes: NormalModes, t):
     """(k1, c1, s1, k2, c2, s2): stiffness k1 = -omega^2 and k2 = lambda_sq
     of the two normal modes, each followed by its kernels."""
-    k1 = -(modes.omega**2)
-    k2 = modes.lambda_sq
+    k1, k2 = modes.k1, modes.k2
     c1, s1 = gkernels(k1, t)
     c2, s2 = gkernels(k2, t)
     return k1, c1, s1, k2, c2, s2
@@ -51,8 +49,7 @@ def _kernels(modes: NormalModes, t):
 
 def _weights(modes: NormalModes):
     """(cw, sw, x): cos^2, sin^2 and sin(2 theta)/2 of the mixing angle."""
-    th = modes.theta_c
-    return math.cos(th) ** 2, math.sin(th) ** 2, 0.5 * math.sin(2.0 * th)
+    return modes.cw, modes.sw, modes.x
 
 
 def _dtilde(kern, weights):
@@ -112,7 +109,7 @@ def det_m1(modes: NormalModes, t):
 def mode_blocks(modes: NormalModes, t) -> tuple[np.ndarray, np.ndarray]:
     """The 2x2 blocks (M_0, M_1) of rows 1-2 of the transition matrix."""
     mf = mode_functions(modes, t)
-    m_s, m_e = modes.m_s, modes.m_e
+    m_s = modes.m_s
     m0 = np.array(
         [
             [mf.dphi0, mf.phi0 / m_s],
@@ -121,8 +118,8 @@ def mode_blocks(modes: NormalModes, t) -> tuple[np.ndarray, np.ndarray]:
     )
     m1 = np.array(
         [
-            [math.sqrt(m_e / m_s) * mf.dphi1, mf.phi1 / math.sqrt(m_s * m_e)],
-            [math.sqrt(m_s * m_e) * mf.d2phi1, math.sqrt(m_s / m_e) * mf.dphi1],
+            [modes.root_es * mf.dphi1, mf.phi1 / modes.root_prod],
+            [modes.root_prod * mf.d2phi1, modes.root_se * mf.dphi1],
         ]
     )
     return m0, m1
@@ -139,7 +136,6 @@ def cross_block(modes: NormalModes, t) -> np.ndarray:
     """
     w2, c1, s1, l2, c2, s2 = _kernels(modes, t)
     cw, sw, x = _weights(modes)
-    m_s, m_e = modes.m_s, modes.m_e
     # dphi0 d2phi1 - d2phi0 dphi1
     w_dd = x * (w2 * s1 * c2 - l2 * c1 * s2)
     # dphi0 dphi1 - d2phi0 phi1
@@ -154,7 +150,7 @@ def cross_block(modes: NormalModes, t) -> np.ndarray:
     w_cc = x * (c1 * s2 - s1 * c2)
     return np.array(
         [
-            [math.sqrt(m_s * m_e) * w_dd, math.sqrt(m_s / m_e) * w_dc],
-            [math.sqrt(m_e / m_s) * w_cd, w_cc / math.sqrt(m_s * m_e)],
+            [modes.root_prod * w_dd, modes.root_se * w_dc],
+            [modes.root_es * w_cd, w_cc / modes.root_prod],
         ]
     )

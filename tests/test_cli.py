@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invharm import NormalModes, find_divergences
+import invharm.cli
+from invharm import NormalModes, coeffs_closed, dtilde, find_divergences
 from invharm.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    EXIT_VERIFY,
     load_config,
     main,
     parse_config,
@@ -441,6 +443,20 @@ class TestDivergencesCommand:
         assert report["divergence_times"] == []
         assert report["t_c_paper"] is None
 
+    def test_late_roots_return(self, tmp_path, capsys):
+        modes = {"omega": 0.001, "lambda_sq": -9e-6, "theta_c": 0.785398}
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 1e6}}, modes=modes
+        )
+        assert run_cli(
+            ["divergences", "--config", cfg, "--out", str(tmp_path)]
+        ) == EXIT_OK
+        capsys.readouterr()
+        report = json.loads((tmp_path / "divergences.json").read_text())
+        expected = find_divergences(NormalModes(m_s=1.0, m_e=1.0, **modes), 1e6)
+        assert report["divergence_times"] == expected
+        assert report["divergence_times"][-1] > 2.0**19
+
 
 class TestScanCommand:
     def test_intercept_ladder_over_coupling(self, tmp_path, capsys):
@@ -542,6 +558,40 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["oracle"]["max_rel_err"] < 1e-6
+
+    def test_dual_formula_mismatch_fails(self, tmp_path, capsys, monkeypatch):
+        # a closed route off by 1e-6 in one field: verify exits 2
+        calls = []
+
+        def skewed(modes, env0, t, *args, **kwargs):
+            calls.append((modes, t))
+            c = coeffs_closed(modes, env0, t, *args, **kwargs)
+            return c._replace(gamma_eff=c.gamma_eff * (1.0 + 1e-6))
+
+        monkeypatch.setattr(invharm.cli, "coeffs_closed", skewed)
+        cfg = write_config(tmp_path / "c.json")
+        assert run_cli(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VERIFY
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert report["checks"]["dual_formula"]["pass"] is False
+        assert report["checks"]["oracle"]["pass"] is True
+        [(modes, t)] = calls
+        assert t.shape == (1000,)
+        assert np.all(np.abs(dtilde(modes, t)) > 1e-3)
+
+    def test_draws_keep_the_first_accepted_trials(self, monkeypatch):
+        # every draw in order: three batches, none rejected
+        monkeypatch.setattr(invharm.cli, "DUAL_MIN_DTILDE", -1.0)
+        monkeypatch.setattr(invharm.cli, "DUAL_TRIALS", 3 * invharm.cli.DUAL_BATCH)
+        raw = invharm.cli._dual_formula_draws(np.random.default_rng(20240817))
+        # a threshold that rejects enough of the first batch that a
+        # second one is drawn
+        monkeypatch.setattr(invharm.cli, "DUAL_MIN_DTILDE", 0.3)
+        monkeypatch.setattr(invharm.cli, "DUAL_TRIALS", 1000)
+        kept = invharm.cli._dual_formula_draws(np.random.default_rng(20240817))
+        accepted = np.abs(dtilde(NormalModes(*raw[:5]), raw[5])) > 0.3
+        assert np.count_nonzero(accepted[: invharm.cli.DUAL_BATCH]) < 1000
+        assert np.array_equal(kept, raw[:, accepted][:, :1000])
 
 
 class TestColdStart:

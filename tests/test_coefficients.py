@@ -11,6 +11,7 @@ from invharm import (
     coeffs_closed,
     coeffs_general,
     contract,
+    dtilde,
     find_divergences,
     squeezed_pure,
 )
@@ -204,6 +205,69 @@ class TestArrayTimes:
             assert np.abs(got - want).max() <= 1e-12 * scale, name
         assert np.array_equal(cols.valid, [c.valid for c in ones])
 
+
+class TestArrayModes:
+    # a rotated, displaced environment: every covariance entry and both
+    # means reach the coefficients
+    ENV0 = squeezed_pure(SqueezeSpec(2.0, 0.3), mean=(0.3, -0.1))
+    FIELDS = (
+        "dtilde",
+        "omega_eff_sq",
+        "gamma_eff",
+        "Fy",
+        "Fq",
+        "F",
+        "f1",
+        "f2",
+        "f1_tensor",
+        "f2_tensor",
+    )
+
+    def draws(self, n, lambda_sq):
+        rng = np.random.default_rng(7)
+        fields = dict(
+            omega=rng.uniform(0.3, 2.0, n),
+            lambda_sq=lambda_sq,
+            theta_c=rng.uniform(-0.5, 0.5, n),
+            m_s=rng.uniform(0.5, 2.0, n),
+            m_e=rng.uniform(0.5, 2.0, n),
+            hbar=rng.uniform(0.5, 1.5, n),
+        )
+        t = rng.uniform(0.0, 6.0, n)
+        modes = NormalModes(**fields)
+        keep = np.abs(dtilde(modes, t)) > 1e-3
+        fields = {k: v[keep] for k, v in fields.items()}
+        return NormalModes(**fields), t[keep], fields
+
+    def check(self, route, modes, t, fields):
+        cols = route(modes, self.ENV0, t)
+        assert cols.f1_tensor.shape == (2, 2, t.size)
+        for i in range(t.size):
+            one = NormalModes(**{k: float(v[i]) for k, v in fields.items()})
+            want = route(one, self.ENV0, float(t[i]))
+            for name in self.FIELDS:
+                got = getattr(cols, name)[..., i]
+                ref = np.asarray(getattr(want, name))
+                scale = np.maximum(np.abs(ref), 1.0)
+                assert np.all(np.abs(got - ref) <= 1e-12 * scale), (name, i)
+            assert cols.valid[i] == want.valid
+
+    def test_general_matches_float_calls(self):
+        # stable, free and unstable environments in one array
+        rng = np.random.default_rng(8)
+        lambda_sq = rng.choice([-1.0, 0.0, 1.0], 120) * rng.uniform(0.1, 4.0, 120)
+        self.check(coeffs_general, *self.draws(120, lambda_sq))
+
+    def test_closed_matches_float_calls(self):
+        lambda_sq = np.random.default_rng(9).uniform(0.1, 4.0, 120)
+        self.check(coeffs_closed, *self.draws(120, lambda_sq))
+
+    def test_closed_rejects_one_stable_element(self):
+        modes = NormalModes(
+            omega=1.0, lambda_sq=np.array([1.0, -0.5]), theta_c=0.1, m_s=1.0, m_e=1.0
+        )
+        with pytest.raises(UnsupportedRegime):
+            coeffs_closed(modes, ENV, np.array([1.0, 2.0]))
 
 
 class TestFloatContract:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,17 +36,6 @@ class TestSupersystemParams:
 
 
 class TestNormalModesType:
-    def test_eps_property(self):
-        m = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=2.0, m_e=0.5)
-        assert m.eps == 0.25
-
-    def test_lam_property(self):
-        m = NormalModes(omega=1.0, lambda_sq=4.0, theta_c=0.0, m_s=1.0, m_e=1.0)
-        assert m.lam == 2.0
-        stable = NormalModes(omega=1.0, lambda_sq=-4.0, theta_c=0.0, m_s=1.0, m_e=1.0)
-        with pytest.raises(ValueError):
-            stable.lam
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NormalModes(omega=-1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
@@ -53,6 +43,33 @@ class TestNormalModesType:
             NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=0.0, m_e=1.0)
         with pytest.raises(ValueError):
             NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0, hbar=-1.0)
+
+    def test_array_validation(self):
+        ones = np.ones(3)
+        for bad in (
+            dict(m_s=np.array([1.0, 0.0, 1.0])),
+            dict(m_e=np.array([1.0, 1.0, -0.5])),
+            dict(omega=np.array([1.0, -1e-3, 1.0])),
+        ):
+            fields = dict(omega=ones, lambda_sq=ones, theta_c=0.1, m_s=ones, m_e=ones)
+            with pytest.raises(ValueError, match="masses|omega"):
+                NormalModes(**{**fields, **bad})
+
+    def test_array_fields_broadcast_to_one_shape(self):
+        om = np.array([0.5, 1.0, 2.0])
+        th = np.array([-0.3, 0.01, 0.4])
+        m = NormalModes(omega=om, lambda_sq=1.5, theta_c=th, m_s=0.8, m_e=1.7)
+        for name in ("omega", "lambda_sq", "theta_c", "m_s", "m_e", "hbar"):
+            assert getattr(m, name).shape == (3,), name
+        names = ("k1", "k2", "cw", "sw", "x", "root_prod", "root_se", "root_es")
+        for i in range(3):
+            one = NormalModes(
+                omega=float(om[i]), lambda_sq=1.5, theta_c=float(th[i]), m_s=0.8, m_e=1.7
+            )
+            for name in names:
+                want = getattr(one, name)
+                assert type(want) is float, name
+                assert getattr(m, name)[i] == pytest.approx(want, rel=1e-15), name
 
 
 class TestDeriveModes:
@@ -252,3 +269,18 @@ class TestGKernels:
         series = np.abs(k * ts * ts) < 1e-8
         assert np.array_equal(c[series], want[series, 0])
         assert np.array_equal(s[series], want[series, 1])
+
+    def test_mixed_sign_stiffness_array(self):
+        # one element per branch: stable, Taylor (|k| t^2 < 1e-8 on both
+        # signs), free, unstable; the stable element at r t = 800 would
+        # overflow cosh, which a per-element branch never evaluates there
+        k = np.array([-1.0, -2.3, -1e-12, 0.0, 1e-12, 2.3, 1.0, 0.5])
+        t = np.array([800.0, 3.1, 50.0, 7.0, 50.0, 3.1, 20.0, -4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, s = gkernels(k, t)
+        assert c.shape == s.shape == k.shape
+        for i in range(k.size):
+            want_c, want_s = gkernels(float(k[i]), float(t[i]))
+            assert c[i] == pytest.approx(want_c, rel=1e-14), i
+            assert s[i] == pytest.approx(want_s, rel=1e-14), i
