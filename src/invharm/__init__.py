@@ -18,6 +18,7 @@ from .analysis import (
     find_divergences,
     fit_entropy_line,
     fit_entropy_log,
+    kappa_default,
 )
 from .coefficients import (
     MECoefficients,
@@ -119,4 +120,5 @@ __all__ = [
     "find_divergences",
     "fit_entropy_line",
     "fit_entropy_log",
+    "kappa_default",
 ]

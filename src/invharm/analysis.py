@@ -1,5 +1,5 @@
 """Closed-form estimates and empirical fits: critical time, determinant
-roots and entropy-line fits.
+roots, entropy-line fits and the default kappa.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "find_divergences",
     "fit_entropy_line",
     "fit_entropy_log",
+    "kappa_default",
 ]
 
 
@@ -155,3 +156,14 @@ def fit_entropy_log(traj, window) -> tuple[float, float]:
         raise WindowTooShort("fewer than 2 samples in fit window")
     c1, c0 = np.polyfit(np.log(times[mask]), S[mask], 1)
     return float(c0), float(c1)
+
+
+def kappa_default(modes: NormalModes) -> float:
+    """Default kappa from the approximate-diffusion factorization."""
+    if modes.lambda_sq <= 0:
+        raise DomainError("kappa_default requires an unstable environment")
+    return math.sqrt(
+        modes.m_s
+        * (modes.omega**2 + modes.lambda_sq)
+        / (modes.m_e * modes.hbar**2)
+    )

@@ -127,6 +127,11 @@ class NormalModes:
         ):
             object.__setattr__(self, name, value)
 
+    @property
+    def eps(self) -> float:
+        """Mass ratio m_e / m_s."""
+        return self.m_e / self.m_s
+
 
 def derive_modes(params: SupersystemParams) -> NormalModes:
     """Diagonalize the mass-scaled stiffness matrix [[W2, -g], [-g, -L2]].

@@ -18,6 +18,7 @@ from invharm import (
     find_divergences,
     fit_entropy_line,
     fit_entropy_log,
+    kappa_default,
     run_exact,
     squeezed_pure,
 )
@@ -243,6 +244,16 @@ class TestEntropyFits:
         slope, s0 = fit_entropy_line(traj, (5.0, 15.0))
         assert slope == pytest.approx(1.0, rel=0.1)
         assert s0 < 0.0  # linear growth postponed, not instantaneous
+
+
+class TestKappaDefault:
+    def test_base_value(self, base_modes):
+        assert kappa_default(base_modes) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    def test_requires_unstable_environment(self):
+        stable = NormalModes(omega=1.0, lambda_sq=-1.0, theta_c=0.1, m_s=1.0, m_e=1.0)
+        with pytest.raises(DomainError):
+            kappa_default(stable)
 
 
 class TestFreeParticleOnset:
