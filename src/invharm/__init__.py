@@ -7,7 +7,8 @@ provides entropy/energy/decoherence analysis plus a deterministic CLI.
 Every run starts from a system and an environment ``GaussianState``
 (``squeezed_pure`` builds one from a ``SqueezeSpec`` and a mean);
 ``run_exact``, ``run_me`` and the coefficient functions take the same
-states.
+states.  Every name exported here is used by the program itself; the
+independent references the tests check it against live in the tests.
 """
 
 from .analysis import (
@@ -17,8 +18,6 @@ from .analysis import (
     critical_time_paper,
     find_divergences,
     fit_entropy_line,
-    fit_entropy_log,
-    kappa_default,
 )
 from .coefficients import (
     MECoefficients,
@@ -59,12 +58,10 @@ from .modes import (
     params_from_modes,
 )
 from .propagator import (
-    ModeFunctions,
     cross_block,
     det_m1,
     dtilde,
     mode_blocks,
-    mode_functions,
 )
 
 __version__ = "0.1.0"
@@ -78,8 +75,6 @@ __all__ = [
     "params_from_modes",
     "gkernels",
     # propagator
-    "ModeFunctions",
-    "mode_functions",
     "dtilde",
     "det_m1",
     "mode_blocks",
@@ -119,6 +114,4 @@ __all__ = [
     "critical_time_derived",
     "find_divergences",
     "fit_entropy_line",
-    "fit_entropy_log",
-    "kappa_default",
 ]

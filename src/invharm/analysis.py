@@ -1,5 +1,5 @@
-"""Closed-form estimates and empirical fits: critical time, determinant
-roots, entropy-line fits and the default kappa.
+"""Closed-form estimates and an empirical fit: critical time, determinant
+roots and the entropy line fit.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ __all__ = [
     "critical_time_derived",
     "find_divergences",
     "fit_entropy_line",
-    "fit_entropy_log",
-    "kappa_default",
 ]
 
 
@@ -113,22 +111,17 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
     return roots
 
 
-def _window_samples(traj, window):
-    t0, t1 = window
-    times = np.asarray(traj.times)
-    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
-        raise WindowTooShort("window extends beyond the trajectory")
-    return times, traj.diags.S
-
-
 def fit_entropy_line(traj, window) -> tuple[float, float]:
     """Least-squares line through S(t), restricted to whole modulation
     periods so the periodic modulation does not bias the slope.  The
     entropy modulation rides on the variances, which oscillate at twice
     the mode frequency, so the period is pi / omega.  Returns
     (slope, intercept)."""
-    times, S = _window_samples(traj, window)
     t0, t1 = window
+    times = np.asarray(traj.times)
+    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
+        raise WindowTooShort("window extends beyond the trajectory")
+    S = traj.diags.S
     omega = traj.meta.get("omega")
     if omega and omega > 0:
         period = math.pi / omega
@@ -143,27 +136,3 @@ def fit_entropy_line(traj, window) -> tuple[float, float]:
         raise WindowTooShort("fewer than 2 samples in fit window")
     coeffs = np.polyfit(times[mask], S[mask], 1)
     return float(coeffs[0]), float(coeffs[1])
-
-
-def fit_entropy_log(traj, window) -> tuple[float, float]:
-    """Least squares of S against ln t; returns (c0, c1) of c0 + c1 ln t."""
-    times, S = _window_samples(traj, window)
-    t0, t1 = window
-    if t0 <= 0:
-        raise WindowTooShort("log fit window must start at t > 0")
-    mask = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
-    if mask.sum() < 2:
-        raise WindowTooShort("fewer than 2 samples in fit window")
-    c1, c0 = np.polyfit(np.log(times[mask]), S[mask], 1)
-    return float(c0), float(c1)
-
-
-def kappa_default(modes: NormalModes) -> float:
-    """Default kappa from the approximate-diffusion factorization."""
-    if modes.lambda_sq <= 0:
-        raise DomainError("kappa_default requires an unstable environment")
-    return math.sqrt(
-        modes.m_s
-        * (modes.omega**2 + modes.lambda_sq)
-        / (modes.m_e * modes.hbar**2)
-    )

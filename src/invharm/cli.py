@@ -110,7 +110,6 @@ class RunConfig:
     integrator: IntegratorOptions
     method: str  # "exact" | "me" | "compare"
     fit_window: tuple
-    parameterization: str  # "modes" | "bare"
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
@@ -282,7 +281,6 @@ def parse_config(raw: dict) -> RunConfig:
         integrator=integrator,
         method=method,
         fit_window=(float(fw[0]), float(fw[1])),
-        parameterization="modes" if has_modes else "bare",
     )
 
 

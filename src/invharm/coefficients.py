@@ -26,7 +26,7 @@ import numpy as np
 
 from .gaussian import GaussianState
 from .modes import NormalModes
-from .propagator import _dtilde, _kernels, _phi1, _weights
+from .propagator import _dtilde, _kernels, _phi1
 
 __all__ = [
     "UnsupportedRegime",
@@ -113,11 +113,11 @@ def coeffs_general(
     mean.
     """
     k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
-    cw, sw, x = weights = _weights(modes)
+    cw, sw, x = modes.cw, modes.sw, modes.x
     m_s, m_e = modes.m_s, modes.m_e
     # Python floats: cheaper than numpy scalars once per integrator step
     mean_y, mean_q = env0.mean.tolist()
-    dt_ = _dtilde(kern, weights)
+    dt_ = _dtilde(kern, modes)
     valid = abs(dt_) > guard
 
     dk = k1 - k2
@@ -127,7 +127,7 @@ def coeffs_general(
     fy = modes.root_prod * x * dk * (cw * c2 + sw * c1) / dt_
     fq = modes.root_se * x * dk * (cw * s2 + sw * s1) / dt_
 
-    phi1, dphi1, d2phi1 = _phi1(kern, weights)
+    phi1, dphi1, d2phi1 = _phi1(kern, modes)
     # sub-tensors stored in [[yy, yq], [qy, qq]] labelling
     pref = modes.root_se / modes.hbar**2
     pref2 = pref / m_s

@@ -4,14 +4,15 @@ The program evaluates the reduced state from the system rows [M_0 | M_1]
 of the transition matrix alone.  These helpers build the whole two-mode
 state, push it through the full 4x4 transition matrix and reduce it
 afterwards, so the tests can hold the block path to a construction that
-shares none of its algebra.
+shares none of its algebra.  ``fit_entropy_log`` fits the logarithmic
+entropy growth of a free-particle environment.
 """
 
 import math
 
 import numpy as np
 
-from invharm import GaussianState, NonPhysical, NormalModes, gkernels
+from invharm import GaussianState, NonPhysical, NormalModes, WindowTooShort, gkernels
 
 # canonical antisymmetric form for ordering [x, p, y, q]
 SYMPLECTIC_FORM = np.array(
@@ -105,3 +106,18 @@ def moments_of(state: GaussianState) -> np.ndarray:
     return np.array(
         [state.mean[0], state.mean[1], state.cov[0, 0], state.cov[1, 1], state.cov[0, 1]]
     )
+
+
+def fit_entropy_log(traj, window) -> tuple[float, float]:
+    """Least squares of S against ln t; returns (c0, c1) of c0 + c1 ln t."""
+    t0, t1 = window
+    times = np.asarray(traj.times)
+    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
+        raise WindowTooShort("window extends beyond the trajectory")
+    if t0 <= 0:
+        raise WindowTooShort("log fit window must start at t > 0")
+    mask = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
+    if mask.sum() < 2:
+        raise WindowTooShort("fewer than 2 samples in fit window")
+    c1, c0 = np.polyfit(np.log(times[mask]), traj.diags.S[mask], 1)
+    return float(c0), float(c1)

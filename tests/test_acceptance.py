@@ -21,14 +21,13 @@ from invharm import (
     dtilde,
     find_divergences,
     fit_entropy_line,
-    fit_entropy_log,
     params_from_modes,
     run_exact,
     run_me,
     squeezed_pure,
 )
 
-from reference import SYMPLECTIC_FORM, full_transition, product_state
+from reference import SYMPLECTIC_FORM, fit_entropy_log, full_transition, product_state
 
 BASE = NormalModes(
     omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0, hbar=1.0

@@ -46,7 +46,6 @@ class TestConfigParsing:
         assert cfg.samples == 801
         assert cfg.method == "exact"
         assert cfg.fit_window == (5.0, 15.0)
-        assert cfg.parameterization == "modes"
 
     def test_bare_parameterization(self, tmp_path):
         p = tmp_path / "c.json"
@@ -56,7 +55,6 @@ class TestConfigParsing:
             )
         )
         cfg = load_config(str(p))
-        assert cfg.parameterization == "bare"
         # trace identity of the diagonalization
         assert cfg.modes.omega**2 - cfg.modes.lambda_sq == pytest.approx(
             0.0, abs=1e-12

@@ -36,10 +36,6 @@ class TestSupersystemParams:
 
 
 class TestNormalModesType:
-    def test_eps_property(self):
-        m = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=2.0, m_e=0.5)
-        assert m.eps == 0.25
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NormalModes(omega=-1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)

@@ -11,7 +11,6 @@ from invharm import (
     det_m1,
     dtilde,
     mode_blocks,
-    mode_functions,
 )
 
 from conftest import BASE, rel_err
@@ -30,47 +29,55 @@ def random_modes(rng, stable_ok=True):
     )
 
 
+def mode_functions(modes, t):
+    """(phi0, dphi0, d2phi0, phi1, dphi1, d2phi1) read back from the
+    entries of :func:`mode_blocks`."""
+    m0, m1 = mode_blocks(modes, t)
+    return (
+        modes.m_s * m0[0, 1],
+        m0[0, 0],
+        m0[1, 0] / modes.m_s,
+        modes.root_prod * m1[0, 1],
+        m1[0, 0] / modes.root_es,
+        m1[1, 0] / modes.root_prod,
+    )
+
+
 class TestModeFunctions:
     def test_initial_values(self, base_modes):
-        mf = mode_functions(base_modes, 0.0)
-        assert mf.phi0 == 0.0
-        assert mf.dphi0 == 1.0
-        assert mf.phi1 == 0.0
-        assert mf.dphi1 == 0.0
+        phi0, dphi0, _, phi1, dphi1, _ = mode_functions(base_modes, 0.0)
+        assert phi0 == 0.0
+        assert dphi0 == 1.0
+        assert phi1 == 0.0
+        assert dphi1 == 0.0
 
     def test_decoupled_is_bare_oscillator(self):
         modes = NormalModes(omega=1.3, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
         for t in (0.3, 1.0, 2.7):
-            mf = mode_functions(modes, t)
-            assert mf.phi0 == pytest.approx(math.sin(1.3 * t) / 1.3, rel=1e-14)
-            assert mf.phi1 == 0.0
-            assert mf.dphi1 == 0.0
+            phi0, _, _, phi1, dphi1, _ = mode_functions(modes, t)
+            assert phi0 == pytest.approx(math.sin(1.3 * t) / 1.3, rel=1e-14)
+            assert phi1 == 0.0
+            assert dphi1 == 0.0
 
     def test_strong_coupling_hand_value(self):
         # equal-weight mixing: phi0 is the average of the two kernels
         modes = NormalModes(
             omega=1.0, lambda_sq=1.0, theta_c=math.pi / 4, m_s=1.0, m_e=1.0
         )
-        mf = mode_functions(modes, 1.0)
-        assert mf.phi0 == pytest.approx((math.sin(1.0) + math.sinh(1.0)) / 2.0, rel=1e-14)
+        phi0 = mode_functions(modes, 1.0)[0]
+        assert phi0 == pytest.approx((math.sin(1.0) + math.sinh(1.0)) / 2.0, rel=1e-14)
 
     def test_derivative_ladder(self, base_modes):
-        # the stored derivatives match finite differences of phi0, phi1
+        # the derivatives in the blocks match finite differences of phi0, phi1
         h = 1e-6
         for t in (0.5, 1.5, 3.0):
-            mf = mode_functions(base_modes, t)
-            mfp = mode_functions(base_modes, t + h)
-            mfm = mode_functions(base_modes, t - h)
-            assert (mfp.phi0 - mfm.phi0) / (2 * h) == pytest.approx(mf.dphi0, rel=1e-8)
-            assert (mfp.dphi0 - mfm.dphi0) / (2 * h) == pytest.approx(
-                mf.d2phi0, rel=1e-8, abs=1e-8
-            )
-            assert (mfp.phi1 - mfm.phi1) / (2 * h) == pytest.approx(
-                mf.dphi1, rel=1e-8, abs=1e-8
-            )
-            assert (mfp.dphi1 - mfm.dphi1) / (2 * h) == pytest.approx(
-                mf.d2phi1, rel=1e-8, abs=1e-8
-            )
+            phi0, dphi0, d2phi0, phi1, dphi1, d2phi1 = mode_functions(base_modes, t)
+            p0, dp0, _, p1, dp1, _ = mode_functions(base_modes, t + h)
+            m0, dm0, _, m1, dm1, _ = mode_functions(base_modes, t - h)
+            assert (p0 - m0) / (2 * h) == pytest.approx(dphi0, rel=1e-8)
+            assert (dp0 - dm0) / (2 * h) == pytest.approx(d2phi0, rel=1e-8, abs=1e-8)
+            assert (p1 - m1) / (2 * h) == pytest.approx(dphi1, rel=1e-8, abs=1e-8)
+            assert (dp1 - dm1) / (2 * h) == pytest.approx(d2phi1, rel=1e-8, abs=1e-8)
 
 
 class TestFullTransition:
