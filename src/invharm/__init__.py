@@ -32,7 +32,6 @@ from .evolution import (
     MOMENT_NAMES,
     StepFailure,
     Trajectory,
-    TrajectoryComparison,
     compare_trajectories,
     run_exact,
     run_me,
@@ -47,7 +46,6 @@ from .gaussian import (
     entropy_approx,
     entropy_exact,
     linear_entropy,
-    purity,
     squeezed_pure,
 )
 from .modes import (
@@ -94,7 +92,6 @@ __all__ = [
     "entropy_exact",
     "entropy_approx",
     "linear_entropy",
-    "purity",
     "energy",
     "diagnostics_from_area",
     # evolution
@@ -103,7 +100,6 @@ __all__ = [
     "IntegratorOptions",
     "MOMENT_NAMES",
     "Trajectory",
-    "TrajectoryComparison",
     "run_exact",
     "run_me",
     "compare_trajectories",

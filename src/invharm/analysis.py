@@ -29,7 +29,9 @@ class WindowTooShort(ValueError):
     """A fit window does not span enough of the trajectory."""
 
 
-def _check_tc_args(lam: float, theta_c: float):
+def _check_tc_args(omega: float, lam: float, theta_c: float):
+    if omega <= 0:
+        raise DomainError("critical time requires omega > 0")
     if lam <= 0:
         raise DomainError("critical time requires lambda > 0")
     if not 0.0 < abs(theta_c) < 1.0:
@@ -40,7 +42,7 @@ def critical_time_paper(omega: float, lam: float, theta_c: float) -> float:
     """Divergence timescale, legacy variant: the logarithmic correction
     term is not scaled by the rate.  Kept for comparison alongside
     :func:`critical_time_derived`."""
-    _check_tc_args(lam, theta_c)
+    _check_tc_args(omega, lam, theta_c)
     return -2.0 * math.log(abs(theta_c)) / lam + math.log(
         omega * lam / (omega**2 + lam**2)
     )
@@ -50,7 +52,7 @@ def critical_time_derived(omega: float, lam: float, theta_c: float) -> float:
     """Time when the growing term of the determinant expansion reaches
     unit amplitude; its envelope is (omega^2 + lambda^2)/(2 omega lambda).
     """
-    _check_tc_args(lam, theta_c)
+    _check_tc_args(omega, lam, theta_c)
     return (
         -2.0 * math.log(abs(theta_c))
         + math.log(2.0 * omega * lam / (omega**2 + lam**2))
@@ -111,19 +113,18 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
     return roots
 
 
-def fit_entropy_line(traj, window) -> tuple[float, float]:
+def fit_entropy_line(traj, window, omega: float) -> tuple[float, float]:
     """Least-squares line through S(t), restricted to whole modulation
     periods so the periodic modulation does not bias the slope.  The
     entropy modulation rides on the variances, which oscillate at twice
-    the mode frequency, so the period is pi / omega.  Returns
-    (slope, intercept)."""
+    the system mode frequency omega, so the period is pi / omega; at
+    omega = 0 the whole window is fitted.  Returns (slope, intercept)."""
     t0, t1 = window
     times = np.asarray(traj.times)
     if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
         raise WindowTooShort("window extends beyond the trajectory")
     S = traj.diags.S
-    omega = traj.meta.get("omega")
-    if omega and omega > 0:
+    if omega > 0:
         period = math.pi / omega
         n_periods = int(math.floor((t1 - t0) / period))
         if n_periods < 3:

@@ -51,14 +51,13 @@ class MECoefficients(NamedTuple):
     ((yy, yq), (qy, qq)); ``f1_tensor``/``f2_tensor`` build the array from
     them when read, of shape (2, 2) at a float time and (2, 2, n) over n
     times.  At a float time every other field is a Python float (``valid``
-    a bool).
+    a bool).  The times themselves are the caller's and are not stored.
 
     ``valid`` is False within the singularity guard around a zero of
     Dtilde; the drift-derived fields are still filled in (they are large
     but finite floats) but must not be consumed for stepping there.
     """
 
-    t: float
     dtilde: float
     omega_eff_sq: float
     gamma_eff: float
@@ -142,7 +141,6 @@ def coeffs_general(
     cov = env0.cov.tolist()
     # positional, in field order: keywords cost a tenth of a scalar call
     return MECoefficients(
-        t,
         dt_,
         om2,
         gam,
@@ -226,7 +224,6 @@ def coeffs_closed(
     )
     cov = env0.cov.tolist()
     return MECoefficients(
-        t,
         dt_,
         om2,
         gam,

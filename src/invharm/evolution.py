@@ -8,12 +8,14 @@ once, which involves no time-stepping error.
 ``run_me`` integrates the five moment ODEs of the master equation with
 adaptive stepping; across windows where the determinant guard trips
 (master-equation breakdown instants) it bridges with the exact
-propagator and resumes.
+propagator and resumes.  A :class:`Trajectory` records those windows in
+``bridges`` and the grid points they cover in ``bridged``;
+``compare_trajectories`` leaves those points out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,6 @@ __all__ = [
     "GridMismatch",
     "IntegratorOptions",
     "Trajectory",
-    "TrajectoryComparison",
     "run_exact",
     "run_me",
     "compare_trajectories",
@@ -72,13 +73,16 @@ class Trajectory:
     """Time series of the system moments and of their diagnostics.
 
     ``diags`` holds one column per diagnostic, with one entry per time.
+    ``bridges`` lists the merged (start, end) windows that ``run_me``
+    filled from the exact propagator, and ``bridged`` marks the grid
+    points inside them; an exact run has none.
     """
 
     times: np.ndarray
     moments: np.ndarray  # shape (n, 5): mean_x, mean_p, dx2, dp2, dxp
     diags: Diagnostics
-    bridged: np.ndarray | None = None  # bool mask of exact-bridged samples
-    meta: dict = field(default_factory=dict)
+    bridged: np.ndarray  # bool mask of exact-bridged samples
+    bridges: list
 
 
 def _exact_moments(
@@ -163,17 +167,9 @@ def run_exact(
     return Trajectory(
         times=grid,
         moments=moments,
-        diags=diagnostics_from_area(A, moments, modes.m_s, modes.omega, modes.hbar),
+        diags=diagnostics_from_area(A, moments, modes.m_s, modes.omega),
         bridged=np.zeros(grid.size, dtype=bool),
-        meta={
-            "method": "exact",
-            "omega": modes.omega,
-            "lambda_sq": modes.lambda_sq,
-            "theta_c": modes.theta_c,
-            "m_s": modes.m_s,
-            "m_e": modes.m_e,
-            "hbar": modes.hbar,
-        },
+        bridges=[],
     )
 
 
@@ -325,37 +321,15 @@ def run_me(
     return Trajectory(
         times=grid,
         moments=moments,
-        diags=diagnostics_from_area(A, moments, m_s, modes.omega, hbar),
+        diags=diagnostics_from_area(A, moments, m_s, modes.omega),
         bridged=bridged,
-        meta={
-            "method": "master_equation",
-            "omega": modes.omega,
-            "lambda_sq": modes.lambda_sq,
-            "theta_c": modes.theta_c,
-            "m_s": m_s,
-            "m_e": modes.m_e,
-            "hbar": hbar,
-            "bridges": windows,
-            "first_bridge_time": windows[0][0] if windows else None,
-        },
+        bridges=windows,
     )
 
 
-@dataclass(frozen=True)
-class TrajectoryComparison:
-    """Per-moment deviations between two trajectories on a shared grid."""
-
-    max_abs: dict
-    max_rel: dict
-    bridged_excluded: int
-
-    @property
-    def worst_rel(self) -> float:
-        return max(self.max_rel.values())
-
-
-def compare_trajectories(a: Trajectory, b: Trajectory) -> TrajectoryComparison:
-    """Max absolute and scale-normalized deviations, excluding bridged samples.
+def compare_trajectories(a: Trajectory, b: Trajectory) -> dict:
+    """Scale-normalized deviation of each moment, by name, excluding
+    bridged samples.
 
     The relative deviation of a moment is its max absolute deviation over
     the (unbridged) grid divided by the moment's peak magnitude there, so
@@ -363,21 +337,12 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> TrajectoryComparison:
     """
     if a.times.shape != b.times.shape or np.abs(a.times - b.times).max() > 1e-12:
         raise GridMismatch("trajectories use different grids")
-    mask = np.ones(a.times.size, dtype=bool)
-    for traj in (a, b):
-        if traj.bridged is not None:
-            mask &= ~traj.bridged
-    max_abs = {}
+    mask = ~(a.bridged | b.bridged)
     max_rel = {}
     for j, name in enumerate(MOMENT_NAMES):
         xa = a.moments[mask, j]
         xb = b.moments[mask, j]
         dev = np.abs(xa - xb).max() if mask.any() else 0.0
         scale = max(np.abs(xa).max(), np.abs(xb).max(), 1e-300) if mask.any() else 1.0
-        max_abs[name] = float(dev)
         max_rel[name] = float(dev / scale)
-    return TrajectoryComparison(
-        max_abs=max_abs,
-        max_rel=max_rel,
-        bridged_excluded=int((~mask).sum()),
-    )
+    return max_rel

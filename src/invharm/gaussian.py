@@ -1,5 +1,5 @@
 """Gaussian states: squeezed pure states and the diagnostics of a
-reduced 1-mode state (area, entropy, purity, energy).  The diagnostic
+reduced 1-mode state (area, entropies, energy).  The diagnostic
 functions take one value or an array with one value per time.
 
 Squeezing convention: r = Delta x / Delta p in natural units, so a pure
@@ -23,7 +23,6 @@ __all__ = [
     "entropy_exact",
     "entropy_approx",
     "linear_entropy",
-    "purity",
     "energy",
     "diagnostics_from_area",
 ]
@@ -65,22 +64,16 @@ class GaussianState:
         if asym > 1e-12 and asym > 1e-12 * np.abs(cov).max():
             raise NonPhysical("covariance matrix not symmetric")
 
-    @property
-    def n_modes(self) -> int:
-        return self.mean.shape[0] // 2
-
 
 @dataclass(frozen=True)
 class Diagnostics:
     """Diagnostics of a reduced 1-mode state: one float per field, or
     one array per field with one entry per time."""
 
-    a: np.ndarray
     A: np.ndarray
     S: np.ndarray
     S_approx: np.ndarray
     varsigma: np.ndarray
-    purity: np.ndarray
     E: np.ndarray
 
 
@@ -127,12 +120,6 @@ def linear_entropy(A):
     return 1.0 - 1.0 / np.maximum(A, 1.0)
 
 
-def purity(A):
-    """Tr rho^2 = 1/A."""
-    _check_area(A)
-    return 1.0 / np.maximum(A, 1.0)
-
-
 def energy(moments, m_s: float, omega: float):
     """Mean oscillator energy (means included) from the moments
     (mean_x, mean_p, dx2, dp2, dxp) along the last axis."""
@@ -141,9 +128,7 @@ def energy(moments, m_s: float, omega: float):
     return 0.5 * (m_s * omega**2 * dx2 + dp2 / m_s)
 
 
-def diagnostics_from_area(
-    A, moments, m_s: float, omega: float, hbar: float = 1.0
-) -> Diagnostics:
+def diagnostics_from_area(A, moments, m_s: float, omega: float) -> Diagnostics:
     """Diagnostics of the scaled area A and the moments
     (mean_x, mean_p, dx2, dp2, dxp), for one state or a column of states.
 
@@ -153,11 +138,9 @@ def diagnostics_from_area(
     area).
     """
     return Diagnostics(
-        a=A * hbar / 2.0,
         A=A,
         S=entropy_exact(A),
         S_approx=entropy_approx(A),
         varsigma=linear_entropy(A),
-        purity=purity(A),
         E=energy(moments, m_s, omega),
     )

@@ -67,7 +67,7 @@ def full_transition(modes: NormalModes, t: float) -> np.ndarray:
 
 def product_state(sys: GaussianState, env: GaussianState) -> GaussianState:
     """Unentangled two-mode state from two one-mode factors."""
-    if sys.n_modes != 1 or env.n_modes != 1:
+    if sys.mean.shape != (2,) or env.mean.shape != (2,):
         raise ValueError("product_state expects two 1-mode states")
     mean = np.concatenate([sys.mean, env.mean])
     cov = np.zeros((4, 4))
@@ -93,7 +93,7 @@ def reduce_system(state: GaussianState) -> GaussianState:
 
 def area_ratio(state: GaussianState, hbar: float = 1.0) -> float:
     """Phase-space area in units of hbar/2: A = sqrt(det cov)/(hbar/2)."""
-    if state.n_modes != 1:
+    if state.mean.shape != (2,):
         raise ValueError("area_ratio expects a 1-mode state")
     radicand = float(np.linalg.det(state.cov))
     if radicand < -1e-12:

@@ -30,17 +30,16 @@ LATE_ROOTS = NormalModes(
 )
 
 
-def synthetic_trajectory(times, S, omega=1.0):
+def synthetic_trajectory(times, S):
     S = np.asarray(S, float)
     one = np.ones_like(S)
-    diags = Diagnostics(
-        a=0.5 * one, A=one, S=S, S_approx=S, varsigma=0.0 * one, purity=one, E=0.5 * one
-    )
+    diags = Diagnostics(A=one, S=S, S_approx=S, varsigma=0.0 * one, E=0.5 * one)
     return Trajectory(
         times=np.asarray(times, float),
         moments=np.zeros((len(times), 5)),
         diags=diags,
-        meta={"omega": omega},
+        bridged=np.zeros(len(times), dtype=bool),
+        bridges=[],
     )
 
 
@@ -75,6 +74,11 @@ class TestCriticalTime:
             critical_time_derived(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             critical_time_derived(1.0, 1.0, 1.5)
+        # omega = 0 would take log(0)
+        with pytest.raises(DomainError):
+            critical_time_paper(0.0, 1.0, 0.1)
+        with pytest.raises(DomainError):
+            critical_time_derived(0.0, 1.0, 0.1)
 
 
 class TestFindDivergences:
@@ -182,7 +186,7 @@ class TestEntropyFits:
     def test_line_fit_exact_recovery(self):
         times = np.linspace(0.0, 20.0, 2001)
         S = 0.7 * times - 1.3
-        slope, s0 = fit_entropy_line(synthetic_trajectory(times, S), (5.0, 15.0))
+        slope, s0 = fit_entropy_line(synthetic_trajectory(times, S), (5.0, 15.0), 1.0)
         assert slope == pytest.approx(0.7, rel=1e-12)
         assert s0 == pytest.approx(-1.3, rel=1e-10)
 
@@ -190,7 +194,7 @@ class TestEntropyFits:
         times = np.linspace(0.0, 20.0, 4001)
         # modulation at twice the mode frequency, period pi/omega
         S = 0.7 * times - 1.3 + 0.2 * np.sin(2.0 * times)
-        slope, s0 = fit_entropy_line(synthetic_trajectory(times, S), (5.0, 15.0))
+        slope, s0 = fit_entropy_line(synthetic_trajectory(times, S), (5.0, 15.0), 1.0)
         # whole-period trimming keeps the residual modulation bias an
         # order of magnitude below the modulation amplitude
         assert slope == pytest.approx(0.7, abs=0.02)
@@ -200,9 +204,9 @@ class TestEntropyFits:
         times = np.linspace(0.0, 20.0, 201)
         traj = synthetic_trajectory(times, times)
         with pytest.raises(WindowTooShort):
-            fit_entropy_line(traj, (5.0, 25.0))  # beyond trajectory
+            fit_entropy_line(traj, (5.0, 25.0), 1.0)  # beyond trajectory
         with pytest.raises(WindowTooShort):
-            fit_entropy_line(traj, (5.0, 7.0))  # < 3 modulation periods
+            fit_entropy_line(traj, (5.0, 7.0), 1.0)  # < 3 modulation periods
 
     def test_log_fit_exact_recovery(self):
         times = np.linspace(1.0, 100.0, 2001)
@@ -240,7 +244,7 @@ class TestEntropyFits:
             squeezed_pure(SqueezeSpec(2.0)),
             grid,
         )
-        slope, s0 = fit_entropy_line(traj, (5.0, 15.0))
+        slope, s0 = fit_entropy_line(traj, (5.0, 15.0), base_modes.omega)
         assert slope == pytest.approx(1.0, rel=0.1)
         assert s0 < 0.0  # linear growth postponed, not instantaneous
 

@@ -116,6 +116,15 @@ class TestExitCodesAndErrors:
         assert code == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
 
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text("{\"modes\": {}}")
+        code = run_cli(["evolve", "--config", str(p), "--out", str(p)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith("cannot create output directory: ")
+
     @pytest.mark.parametrize(
         "raw",
         [

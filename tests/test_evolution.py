@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from invharm import (
     GridMismatch,
     IntegratorOptions,
+    MOMENT_NAMES,
     StepFailure,
     NormalModes,
     SqueezeSpec,
@@ -78,9 +80,8 @@ class TestOracleAgreement:
         grid = grid_to(7.0, 201)
         exact = run_exact(base_modes, SYS0, ENV0, grid)
         me = run_me(base_modes, SYS0, ENV0, grid)
-        cmp_ = compare_trajectories(exact, me)
-        assert cmp_.worst_rel < 1e-6
-        assert cmp_.bridged_excluded == 0
+        assert max(compare_trajectories(exact, me).values()) < 1e-6
+        assert not me.bridged.any()
 
     def test_force_path_with_environment_mean(self, base_modes):
         # a displaced environment drives the system means through F
@@ -89,9 +90,9 @@ class TestOracleAgreement:
         exact = run_exact(base_modes, SYS0, env0, grid)
         me = run_me(base_modes, SYS0, env0, grid)
         assert np.abs(exact.moments[-1, :2]).max() > 0.1  # actually driven
-        cmp_ = compare_trajectories(exact, me)
-        assert cmp_.max_rel["mean_x"] < 1e-6
-        assert cmp_.max_rel["mean_p"] < 1e-6
+        max_rel = compare_trajectories(exact, me)
+        assert max_rel["mean_x"] < 1e-6
+        assert max_rel["mean_p"] < 1e-6
 
     @pytest.mark.parametrize(
         "m_s, env_angle", [(0.9, 0.0), (1.0, 0.3)], ids=["m_s", "env_angle"]
@@ -107,7 +108,7 @@ class TestOracleAgreement:
         assert (env0.cov[0, 1] != 0.0) == (env_angle != 0.0)
         exact = run_exact(modes, SYS0, env0, grid)
         me = run_me(modes, SYS0, env0, grid)
-        assert compare_trajectories(exact, me).worst_rel < 1e-6
+        assert max(compare_trajectories(exact, me).values()) < 1e-6
 
     def test_system_mean_is_propagated(self, base_modes):
         grid = grid_to(6.0, 151)
@@ -115,7 +116,7 @@ class TestOracleAgreement:
         exact = run_exact(base_modes, sys0, ENV0, grid)
         me = run_me(base_modes, sys0, ENV0, grid)
         assert tuple(me.moments[0, :2]) == (1.0, -0.5)
-        assert compare_trajectories(exact, me).worst_rel < 1e-6
+        assert max(compare_trajectories(exact, me).values()) < 1e-6
 
 
 class TestFullStateReference:
@@ -222,10 +223,9 @@ class TestBridging:
         grid = grid_to(10.0, 501)
         me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
         assert me.bridged.any()
-        bridges = me.meta["bridges"]
+        bridges = me.bridges
         assert len(bridges) >= 1
         a, b = bridges[0]
-        assert me.meta["first_bridge_time"] == a
         assert 7.5 < a < b < 8.5  # first breakdown near t = 7.99
         inside = (grid > a) & (grid <= b)
         assert np.array_equal(me.bridged, inside)
@@ -243,14 +243,17 @@ class TestBridging:
         grid = grid_to(10.0, 501)
         me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
         exact = run_exact(base_modes, SYS0, ENV0, grid)
-        cmp_ = compare_trajectories(exact, me)
-        assert cmp_.bridged_excluded == int(me.bridged.sum())
+        assert me.bridged.any()
+        # garbage on the bridged rows changes nothing
+        poisoned = dataclasses.replace(me, moments=me.moments.copy())
+        poisoned.moments[me.bridged] = 1e300
+        assert compare_trajectories(exact, poisoned) == compare_trajectories(exact, me)
 
     def test_resumes_from_exact_state_after_bridge(self, base_modes):
         grid = grid_to(10.0, 501)
         me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
         exact = run_exact(base_modes, SYS0, ENV0, grid)
-        b = me.meta["bridges"][0][1]
+        b = me.bridges[0][1]
         after = (grid > b) & (grid < b + 0.5)
         dev = np.abs(me.moments[after] - exact.moments[after])
         scale = np.abs(exact.moments[after]).max()
@@ -266,8 +269,7 @@ class TestBridging:
         grid = grid_to(10.0, 501)
         me = run_me(base_modes, SYS0, ENV0, grid)
         exact = run_exact(base_modes, SYS0, ENV0, grid)
-        cmp_ = compare_trajectories(exact, me)
-        assert cmp_.worst_rel < 1e-3
+        assert max(compare_trajectories(exact, me).values()) < 1e-3
         pre = grid <= 7.0
         dev = np.abs(me.moments[pre] - exact.moments[pre])
         assert dev.max() < 1e-6 * max(1.0, np.abs(exact.moments[pre]).max())
@@ -305,7 +307,7 @@ class TestSolverHook:
             opts=TestBridging.OPTS,
         )
         assert len(find_divergences(base_modes, 10.0)) == 1
-        ((a, b),) = me.meta["bridges"]
+        ((a, b),) = me.bridges
         assert spans == [(0.0, a), (b, 10.0)]
 
     def test_each_rhs_evaluation_reads_env0(self, base_modes, monkeypatch):
@@ -397,9 +399,9 @@ class TestValidationAndComparison:
     def test_compare_identical_is_zero(self, base_modes):
         grid = grid_to(3.0, 31)
         a = run_exact(base_modes, SYS0, ENV0, grid)
-        cmp_ = compare_trajectories(a, a)
-        assert cmp_.worst_rel == 0.0
-        assert all(v == 0.0 for v in cmp_.max_abs.values())
+        max_rel = compare_trajectories(a, a)
+        assert list(max_rel) == list(MOMENT_NAMES)
+        assert all(v == 0.0 for v in max_rel.values())
 
     def test_compare_rejects_different_grids(self, base_modes):
         a = run_exact(base_modes, SYS0, ENV0, grid_to(3.0, 31))

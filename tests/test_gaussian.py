@@ -14,7 +14,6 @@ from invharm import (
     entropy_approx,
     entropy_exact,
     linear_entropy,
-    purity,
     squeezed_pure,
 )
 
@@ -95,17 +94,13 @@ class TestGaussianState:
         with pytest.raises(NonPhysical):
             GaussianState(mean=np.zeros(2), cov=np.array([[1e-20, 5e-12], [0.0, 1e-20]]))
 
-    def test_n_modes(self):
-        assert GaussianState(np.zeros(2), np.eye(2)).n_modes == 1
-        assert GaussianState(np.zeros(4), np.eye(4)).n_modes == 2
-
 
 class TestProductAndReduce:
     def test_product_blocks(self):
         sys = squeezed_pure(SqueezeSpec(4.0))
         env = squeezed_pure(SqueezeSpec(2.0))
         full = product_state(sys, env)
-        assert full.n_modes == 2
+        assert full.mean.shape == (4,)
         assert np.array_equal(full.cov[:2, :2], sys.cov)
         assert np.array_equal(full.cov[2:, 2:], env.cov)
         assert not full.cov[:2, 2:].any()
@@ -196,7 +191,6 @@ class TestEntropyFunctions:
         assert entropy_exact(1.0) == 0.0
         assert entropy_approx(1.0) == 0.0
         assert linear_entropy(1.0) == 0.0
-        assert purity(1.0) == 1.0
 
     def test_area_three_hand_value(self):
         # (A+1)/2 = 2, (A-1)/2 = 1: S = 2 ln 2 - 0 = ln 4
@@ -222,11 +216,11 @@ class TestEntropyFunctions:
 
     def test_linear_entropy_and_purity(self):
         assert linear_entropy(2.0) == pytest.approx(0.5, rel=1e-14)
-        assert purity(2.0) == pytest.approx(0.5, rel=1e-14)
-        assert linear_entropy(5.0) + purity(5.0) == pytest.approx(1.0, rel=1e-14)
+        # the purity Tr rho^2 = 1/A is 1 - varsigma
+        assert linear_entropy(5.0) == pytest.approx(0.8, rel=1e-14)
 
     def test_rejects_area_below_one(self):
-        for fn in (entropy_exact, entropy_approx, linear_entropy, purity):
+        for fn in (entropy_exact, entropy_approx, linear_entropy):
             with pytest.raises(ValueError):
                 fn(0.9)
 
@@ -250,7 +244,7 @@ class TestEntropyFunctions:
 
     def test_array_matches_scalar_calls(self):
         As = np.array([1.0, 1.0 - 1e-12, 1.0 + 1e-15, 2.0, 3.0, 1e6, 1e20])
-        for fn in (entropy_exact, entropy_approx, linear_entropy, purity):
+        for fn in (entropy_exact, entropy_approx, linear_entropy):
             col = fn(As)
             assert col.shape == As.shape
             assert [float(v) for v in col] == [float(fn(A)) for A in As]
@@ -260,7 +254,7 @@ class TestEntropyFunctions:
     def test_tolerates_rounding_below_one(self):
         # areas a hair under 1 from floating-point noise are clamped
         assert entropy_exact(1.0 - 1e-12) == 0.0
-        assert purity(1.0 - 1e-12) == 1.0
+        assert linear_entropy(1.0 - 1e-12) == 0.0
 
 
 class TestEnergy:
@@ -294,11 +288,9 @@ class TestDiagnostics:
         A = area_ratio(st_)
         d = diagnostics_from_area(A, moments_of(st_), m_s=1.0, omega=1.0)
         assert d.A == A
-        assert d.a == pytest.approx(A / 2.0, rel=1e-14)
         assert d.S == entropy_exact(A)
         assert d.S_approx == entropy_approx(A)
         assert d.varsigma == linear_entropy(A)
-        assert d.purity == purity(A)
         assert d.E == energy(moments_of(st_), 1.0, 1.0)
 
     def test_from_area_overrides_determinant(self):
@@ -316,10 +308,10 @@ class TestDiagnostics:
         moments = np.array(
             [[0.1 * i, -0.2 * i, 1.0 + i, 0.5 + i, 0.1 * i] for i in range(5)]
         )
-        cols = diagnostics_from_area(A, moments, m_s=0.9, omega=1.3, hbar=2.0)
+        cols = diagnostics_from_area(A, moments, m_s=0.9, omega=1.3)
         for i in range(A.size):
-            one = diagnostics_from_area(A[i], moments[i], m_s=0.9, omega=1.3, hbar=2.0)
-            for name in ("a", "A", "S", "S_approx", "varsigma", "purity", "E"):
+            one = diagnostics_from_area(A[i], moments[i], m_s=0.9, omega=1.3)
+            for name in ("A", "S", "S_approx", "varsigma", "E"):
                 assert getattr(cols, name)[i] == getattr(one, name)
 
     def test_column_rejects_area_below_one(self):
