@@ -6,9 +6,10 @@ time-dependent master-equation coefficients of the reduced system, and
 provides entropy/energy/decoherence analysis plus a deterministic CLI.
 Every run starts from a system and an environment ``GaussianState``
 (``squeezed_pure`` builds one from a ``SqueezeSpec`` and a mean);
-``run_exact``, ``run_me`` and the coefficient functions take the same
-states.  Every name exported here is used by the program itself; the
-independent references the tests check it against live in the tests.
+``run_exact`` and ``run_me`` take the same states; the coefficient
+functions depend on the modes and the time alone.  Every name exported
+here is used by the program itself; the independent references the
+tests check it against live in the tests.
 """
 
 from .analysis import (

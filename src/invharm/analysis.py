@@ -71,6 +71,28 @@ def _scan_step(modes: NormalModes, t_max: float) -> float:
     return min(step, t_max / 16.0)
 
 
+def _bisect_crossing(f, a, b, tol):
+    """Narrow a bracket [a, b] of a crossing of zero by f, where f < 0 at
+    a and f >= 0 at b (either end may be the larger), by halving it until
+    |b - a| <= tol or f is exactly 0 at a midpoint, which is returned as
+    both ends.  Once the midpoint rounds to an end, further halvings
+    would repeat the same test on the same point and the bracket cannot
+    move, so that test is the last.  Returns the final (a, b)."""
+    while abs(b - a) > tol:
+        mid = 0.5 * (a + b)
+        settled = mid == a or mid == b
+        fm = f(mid)
+        if fm == 0.0:
+            return mid, mid
+        if fm < 0.0:
+            a = mid
+        else:
+            b = mid
+        if settled:
+            break
+    return a, b
+
+
 def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
     """All sign-change roots of Dtilde on [0, t_max], located by one
     array evaluation on a scan at the fastest mode rate followed by
@@ -93,23 +115,11 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
             if ts[i] > 0:
                 roots.append(float(ts[i]))
             continue
-        lo, hi = ts[i], ts[i + 1]
-        flo = va[i]
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            # past t = 2**19 an ulp of t exceeds 1e-10: once the midpoint
-            # rounds to an end, the interval cannot shrink any further
-            if mid == lo or mid == hi:
-                break
-            fm = dtilde(modes, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        roots.append(0.5 * (lo + hi))
+        # from the end where Dtilde is negative; past t = 2**19 an ulp of
+        # t exceeds 1e-10 and the midpoint stop ends the bisection
+        neg, pos = (ts[i], ts[i + 1]) if va[i] < 0.0 else (ts[i + 1], ts[i])
+        neg, pos = _bisect_crossing(lambda t: dtilde(modes, t), neg, pos, 1e-10)
+        roots.append(0.5 * (neg + pos))
     return roots
 
 

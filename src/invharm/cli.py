@@ -36,7 +36,7 @@ from .analysis import (
     find_divergences,
     fit_entropy_line,
 )
-from .coefficients import DEFAULT_GUARD, coeffs_closed, coeffs_general, contract
+from .coefficients import coeffs_closed, coeffs_general, contract
 from .evolution import (
     IntegratorOptions,
     StepFailure,
@@ -248,11 +248,12 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("grid must contain at least 2 samples")
 
         integ_raw = raw.get("integrator", {})
+        default = IntegratorOptions()
         integrator = IntegratorOptions(
-            rel_tol=_require_number(integ_raw, "rel_tol", 1e-10),
-            abs_tol=_require_number(integ_raw, "abs_tol", 1e-12),
+            rel_tol=_require_number(integ_raw, "rel_tol", default.rel_tol),
+            abs_tol=_require_number(integ_raw, "abs_tol", default.abs_tol),
             divergence_guard=_require_number(
-                integ_raw, "divergence_guard", DEFAULT_GUARD
+                integ_raw, "divergence_guard", default.divergence_guard
             ),
         )
         method = raw.get("method", "exact")
@@ -367,7 +368,7 @@ def cmd_modes(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
     grid = cfg.grid()
     _, env0 = cfg.states()
-    c = coeffs_general(cfg.modes, env0, grid, guard=cfg.integrator.divergence_guard)
+    c = coeffs_general(cfg.modes, grid)
     table = np.column_stack(
         (
             grid,
@@ -376,14 +377,15 @@ def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
             c.gamma_eff,
             c.Fy,
             c.Fq,
-            c.f1,
-            c.f2,
-            c.f1_tensor.reshape(4, -1).T,
-            c.f2_tensor.reshape(4, -1).T,
+            contract(c.f1_rows, env0.cov),
+            contract(c.f2_rows, env0.cov),
+            np.reshape(c.f1_rows, (4, -1)).T,
+            np.reshape(c.f2_rows, (4, -1)).T,
         )
     )
+    valid = np.abs(c.dtilde) > cfg.integrator.divergence_guard
     path = os.path.join(out_dir, "coeffs.csv")
-    _write_csv(path, COEFF_COLUMNS, table, valid=c.valid)
+    _write_csv(path, COEFF_COLUMNS, table, valid=valid)
     _write_json(os.path.join(out_dir, "coeffs.meta.json"), {"config": cfg.echo()})
     return {"path": path, "rows": grid.size}
 
@@ -539,11 +541,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> dict:
         np.random.default_rng(20240817)
     )
     modes = NormalModes(om, lsq, th, m_s, m_e)
-    env0 = GaussianState(np.zeros(2), np.eye(2))
-    cg = coeffs_general(modes, env0, t)
-    cc = coeffs_closed(modes, env0, t)
-    # each trial's own diagonal environment covariance, contracted with
-    # the rows as each route contracts them with env0's
+    cg = coeffs_general(modes, t)
+    cc = coeffs_closed(modes, t)
+    # each trial's own diagonal environment covariance
     cov = ((dy2, 0.0), (0.0, dq2))
     worst = 0.0
     for a, b in (
@@ -642,6 +642,11 @@ def main(argv=None) -> int:
         return EXIT_OK
     except ConfigError as exc:
         _emit_error("validation", exc)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # the config was read and the output directory made: a file in
+        # it could not be written
+        _emit_error("validation", ConfigError(f"cannot write output: {exc}"))
         return EXIT_CONFIG
     except (StepFailure, NonPhysical, ArithmeticError, np.linalg.LinAlgError) as exc:
         _emit_error("numerical", exc)

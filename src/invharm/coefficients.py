@@ -5,16 +5,17 @@ c2, s2 for every signed environment stiffness; ``coeffs_closed`` is the
 trigonometric/hyperbolic reference for an unstable environment
 (lambda_sq > 0).  Wherever both apply they agree to near machine
 precision, which is the main cross-check of the whole construction.
-Both read the environment's initial mean and covariance from the same
-:class:`~invharm.gaussian.GaussianState` the runs start from.
+Both depend on the modes and the time alone: the environment's initial
+state enters only where a caller weights the forces Fy, Fq with its mean
+and contracts the diffusion sub-tensors with its covariance
+(:func:`contract`).
 
 At a float time every scalar coefficient is a Python float computed
 without numpy temporaries: the master-equation right-hand side makes one
 such call per evaluation.  Both routes also broadcast over array modes
 (a :class:`~invharm.modes.NormalModes` with array fields) with an array
 of times of their shape, one set of parameters per element.  The
-diffusion sub-tensors are kept as rows of entries and become arrays only
-when ``f1_tensor``/``f2_tensor`` is read.
+diffusion sub-tensors are kept as rows of entries.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import GaussianState
 from .modes import NormalModes
 from .propagator import _dtilde, _kernels, _phi1
 
@@ -36,8 +36,6 @@ __all__ = [
     "contract",
 ]
 
-DEFAULT_GUARD = 1e-3
-
 
 class UnsupportedRegime(ValueError):
     """Closed-form coefficients requested outside their validity range."""
@@ -48,14 +46,10 @@ class MECoefficients(NamedTuple):
     one column per field over an array of times.
 
     ``f1_rows``/``f2_rows`` hold the diffusion sub-tensor entries as
-    ((yy, yq), (qy, qq)); ``f1_tensor``/``f2_tensor`` build the array from
-    them when read, of shape (2, 2) at a float time and (2, 2, n) over n
-    times.  At a float time every other field is a Python float (``valid``
-    a bool).  The times themselves are the caller's and are not stored.
-
-    ``valid`` is False within the singularity guard around a zero of
-    Dtilde; the drift-derived fields are still filled in (they are large
-    but finite floats) but must not be consumed for stepping there.
+    ((yy, yq), (qy, qq)); at a float time they and every other field are
+    Python floats.  The times themselves are the caller's and are not
+    stored.  Near a zero of Dtilde the drift-derived fields are large but
+    finite; the caller decides, with its own guard, where not to use them.
     """
 
     dtilde: float
@@ -63,20 +57,8 @@ class MECoefficients(NamedTuple):
     gamma_eff: float
     Fy: float
     Fq: float
-    F: float
-    f1: float
-    f2: float
     f1_rows: tuple
     f2_rows: tuple
-    valid: bool
-
-    @property
-    def f1_tensor(self) -> np.ndarray:
-        return np.array(self.f1_rows)
-
-    @property
-    def f2_tensor(self) -> np.ndarray:
-        return np.array(self.f2_rows)
 
 
 def contract(tensor, cov):
@@ -94,12 +76,7 @@ def contract(tensor, cov):
     )
 
 
-def coeffs_general(
-    modes: NormalModes,
-    env0: GaussianState,
-    t,
-    guard: float = DEFAULT_GUARD,
-) -> MECoefficients:
+def coeffs_general(modes: NormalModes, t) -> MECoefficients:
     """Coefficients from the kernel closed forms, at a float time, over
     an array of times, or over array modes and an array of times of
     their shape.
@@ -107,17 +84,12 @@ def coeffs_general(
     Each mode-function ratio is reduced with c^2 - k s^2 = 1, so no term
     outgrows the result and dividing by Dtilde loses no precision.  The
     diffusion sub-tensors are built from the force couplings and the
-    phi_1 derivative ladder; the scalar f_n is their full contraction
-    with the covariance of ``env0``, and F weights the forces with its
-    mean.
+    phi_1 derivative ladder.
     """
     k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
     cw, sw, x = modes.cw, modes.sw, modes.x
     m_s, m_e = modes.m_s, modes.m_e
-    # Python floats: cheaper than numpy scalars once per integrator step
-    mean_y, mean_q = env0.mean.tolist()
     dt_ = _dtilde(kern, modes)
-    valid = abs(dt_) > guard
 
     dk = k1 - k2
     mixed = cw * sw * (2.0 * k1 * k2 * s1 * s2 - (k1 + k2) * c1 * c2)
@@ -138,29 +110,11 @@ def coeffs_general(
         (pref2 * (m_e * fy * dphi1), pref2 * (fy * phi1)),
         (pref2 * (m_e * fq * dphi1), pref2 * (fq * phi1)),
     )
-    cov = env0.cov.tolist()
     # positional, in field order: keywords cost a tenth of a scalar call
-    return MECoefficients(
-        dt_,
-        om2,
-        gam,
-        fy,
-        fq,
-        fy * mean_y + fq * mean_q,
-        contract(f1_rows, cov),
-        contract(f2_rows, cov),
-        f1_rows,
-        f2_rows,
-        valid,
-    )
+    return MECoefficients(dt_, om2, gam, fy, fq, f1_rows, f2_rows)
 
 
-def coeffs_closed(
-    modes: NormalModes,
-    env0: GaussianState,
-    t,
-    guard: float = DEFAULT_GUARD,
-) -> MECoefficients:
+def coeffs_closed(modes: NormalModes, t) -> MECoefficients:
     """Coefficients from the closed forms for an unstable environment, at
     a float time, or over array modes and an array of times of their
     shape."""
@@ -174,7 +128,6 @@ def coeffs_closed(
     xp = np if isinstance(w, np.ndarray) or isinstance(t, np.ndarray) else math
     lam = xp.sqrt(modes.lambda_sq)
     m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
-    mean_y, mean_q = env0.mean.tolist()
     c2, s2 = modes.cw, modes.sw
     s2t = 2.0 * modes.x
     swt, cwt = xp.sin(w * t), xp.cos(w * t)
@@ -184,7 +137,6 @@ def coeffs_closed(
         2.0 * cwt * chl * c2 * s2 + c2 * c2 + s2 * s2
     )
     dt_ = big_d / (w * lam)
-    valid = abs(dt_) > guard
 
     om2 = (w * lam / big_d) * (
         w * w * c2 * c2
@@ -222,17 +174,4 @@ def coeffs_closed(
         (beta2 * (m_e * w * lam * p_fac * diff_c), beta2 * (p_fac * diff_s)),
         (beta2 * (q_fac * diff_c), beta2 * (q_fac * diff_s / (m_e * w * lam))),
     )
-    cov = env0.cov.tolist()
-    return MECoefficients(
-        dt_,
-        om2,
-        gam,
-        fy,
-        fq,
-        fy * mean_y + fq * mean_q,
-        contract(f1_rows, cov),
-        contract(f2_rows, cov),
-        f1_rows,
-        f2_rows,
-        valid,
-    )
+    return MECoefficients(dt_, om2, gam, fy, fq, f1_rows, f2_rows)

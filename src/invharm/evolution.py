@@ -6,8 +6,10 @@ initial product state: a system and an environment
 [M_0 | M_1] of the exact transition matrix, over the whole time grid at
 once, which involves no time-stepping error.
 ``run_me`` integrates the five moment ODEs of the master equation with
-adaptive stepping; across windows where the determinant guard trips
-(master-equation breakdown instants) it bridges with the exact
+adaptive stepping: it takes the coefficients from
+``coeffs_general(modes, t)`` and weights them with the environment's
+initial mean and covariance.  Across windows where the determinant guard
+trips (master-equation breakdown instants) it bridges with the exact
 propagator and resumes.  A :class:`Trajectory` records those windows in
 ``bridges`` and the grid points they cover in ``bridged``;
 ``compare_trajectories`` leaves those points out.
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import find_divergences
-from .coefficients import DEFAULT_GUARD, coeffs_general
+from .analysis import _bisect_crossing, find_divergences
+from .coefficients import coeffs_general, contract
 from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
 from .modes import NormalModes
 from .propagator import cross_block, det_m1, dtilde, mode_blocks
@@ -48,7 +50,7 @@ class GridMismatch(ValueError):
 class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    divergence_guard: float = DEFAULT_GUARD
+    divergence_guard: float = 1e-3
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -191,18 +193,8 @@ def _blocked_window(modes, root, guard, t_end):
                 return t_end
             if direction < 0 and hi < 0.0:
                 return 0.0
-        # bisect |Dtilde| = guard between lo (inside) and hi (outside);
-        # once the midpoint rounds to an end, further halvings repeat the
-        # same test on the same point and the interval cannot move
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            settled = mid == lo or mid == hi
-            if abs(dtilde(modes, mid)) < guard:
-                lo = mid
-            else:
-                hi = mid
-            if settled:
-                break
+        # |Dtilde| = guard between lo (inside) and hi (outside)
+        _, hi = _bisect_crossing(lambda t: abs(dtilde(modes, t)) - guard, lo, hi, 0.0)
         return hi
 
     h = guard / max(modes.omega, abs(modes.lambda_sq) ** 0.5)
@@ -217,7 +209,9 @@ def run_me(
     opts: IntegratorOptions = IntegratorOptions(),
 ) -> Trajectory:
     """Integrate the five moment ODEs of the master equation on a grid,
-    from sys0; the coefficients see the environment state env0.
+    from sys0.  The environment state env0 enters the equation through
+    its mean, which weights the force couplings, and its covariance, with
+    which the diffusion sub-tensors are contracted.
 
     Within blocked windows around determinant roots the trajectory is
     filled from the exact propagator and the integrator restarts from
@@ -232,22 +226,27 @@ def run_me(
     hbar = modes.hbar
     # per-run constants of the right-hand side, each the leading factor
     # of its product, so every product is evaluated in the same order
-    guard = opts.divergence_guard
     hbar_sq = hbar**2
     two_hbar_sq = 2.0 * hbar_sq
+    # the environment's initial mean and covariance, bound once
+    mean_y, mean_q = env0.mean.tolist()
+    cov = env0.cov.tolist()
 
     def rhs(t, y):
-        c = coeffs_general(modes, env0, t, guard=guard)
+        c = coeffs_general(modes, t)
         om2 = c.omega_eff_sq
         gam = c.gamma_eff
+        force = c.Fy * mean_y + c.Fq * mean_q
+        f1 = contract(c.f1_rows, cov)
+        f2 = contract(c.f2_rows, cov)
         # Python floats: cheaper than numpy scalars once per evaluation
         mx, mp, dx2, dp2, dxp = y.tolist()
         return [
             mp / m_s,
-            -m_s * om2 * mx - gam * mp + c.F,
+            -m_s * om2 * mx - gam * mp + force,
             2.0 * dxp / m_s,
-            -2.0 * m_s * om2 * dxp - 2.0 * gam * dp2 + two_hbar_sq * c.f1,
-            -m_s * om2 * dx2 + dp2 / m_s - gam * dxp + hbar_sq * c.f2,
+            -2.0 * m_s * om2 * dxp - 2.0 * gam * dp2 + two_hbar_sq * f1,
+            -m_s * om2 * dx2 + dp2 / m_s - gam * dxp + hbar_sq * f2,
         ]
 
     t_end = float(grid[-1])

@@ -17,6 +17,7 @@ from invharm import (
     coeffs_closed,
     coeffs_general,
     compare_trajectories,
+    contract,
     critical_time_derived,
     dtilde,
     find_divergences,
@@ -70,18 +71,18 @@ def test_criterion_2_dual_formula_coefficients():
         env0 = GaussianState(
             np.zeros(2), np.diag([rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)])
         )
-        cg = coeffs_general(modes, env0, t)
+        cg = coeffs_general(modes, t)
         if abs(cg.dtilde) <= 1e-3:
             continue
-        cc = coeffs_closed(modes, env0, t)
+        cc = coeffs_closed(modes, t)
         for a, b in (
             (cg.dtilde, cc.dtilde),
             (cg.omega_eff_sq, cc.omega_eff_sq),
             (cg.gamma_eff, cc.gamma_eff),
             (cg.Fy, cc.Fy),
             (cg.Fq, cc.Fq),
-            (cg.f1, cc.f1),
-            (cg.f2, cc.f2),
+            (contract(cg.f1_rows, env0.cov), contract(cc.f1_rows, env0.cov)),
+            (contract(cg.f2_rows, env0.cov), contract(cc.f2_rows, env0.cov)),
         ):
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
         trials += 1
@@ -279,8 +280,8 @@ def test_criterion_9_coefficient_boundary_values():
         except ValueError:
             continue  # no real bare frequency for these modes
         n += 1
-        gam_worst = max(gam_worst, abs(coeffs_general(modes, ENV, 0.0).gamma_eff))
-        c = coeffs_general(modes, ENV, 1e-6)
+        gam_worst = max(gam_worst, abs(coeffs_general(modes, 0.0).gamma_eff))
+        c = coeffs_general(modes, 1e-6)
         om_worst = max(
             om_worst,
             abs(c.omega_eff_sq - bare.omega_bare**2)

@@ -12,6 +12,7 @@ from invharm import (
     Trajectory,
     WindowTooShort,
     coeffs_general,
+    contract,
     critical_time_derived,
     critical_time_paper,
     dtilde,
@@ -177,7 +178,7 @@ class TestApproxF1:
         # above within two decades over the pre-breakdown window
         env = GaussianState(np.zeros(2), np.diag([0.5, 0.5]))
         for t in np.linspace(3.0, 7.0, 9):
-            actual = coeffs_general(base_modes, env, t).f1
+            actual = contract(coeffs_general(base_modes, t).f1_rows, env.cov)
             ratio = actual / f1_envelope(base_modes, t)
             assert 0.01 < ratio < 10.0
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import invharm.cli
-from invharm import NormalModes, coeffs_closed, dtilde, find_divergences
+from invharm import NormalModes, coeffs_closed, contract, dtilde, find_divergences
 from invharm.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -124,6 +124,26 @@ class TestExitCodesAndErrors:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "validation"
         assert err["message"].startswith("cannot create output directory: ")
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("evolve", "evolve.csv"), ("coeffs", "coeffs.meta.json")],
+        ids=["first_write", "second_write"],
+    )
+    def test_unwritable_output_file(self, tmp_path, capsys, command, blocked):
+        # a directory where an output file goes: the write fails after the
+        # output directory was made
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 2.0, "samples": 5}}
+        )
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        code = run_cli([command, "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith("cannot write output: ")
+        assert blocked in err["message"]
 
     @pytest.mark.parametrize(
         "raw",
@@ -310,6 +330,45 @@ class TestCoeffsCommand:
             cells = line.split(",")
             assert float(cells[f1_col]) == 0.0
             assert cells[valid_col] == "true"
+
+    @pytest.mark.parametrize("guard", [None, 0.2], ids=["default_guard", "guard_0.2"])
+    def test_valid_is_dtilde_above_the_guard(self, tmp_path, capsys, guard):
+        # a grid with the first determinant root on its middle row
+        modes = NormalModes(1.0, 1.0, math.pi / 64, 1.0, 1.0)
+        root = find_divergences(modes, 10.0)[0]
+        extra = {"grid": {"t_max": 2.0 * root, "samples": 801}}
+        if guard is not None:
+            extra["integrator"] = {"divergence_guard": guard}
+        cfg = write_config(tmp_path / "c.json", extra=extra)
+        assert run_cli(["coeffs", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        lines = (tmp_path / "coeffs.csv").read_text().splitlines()
+        col = lines[0].split(",").index("dtilde")
+        cells = [line.split(",") for line in lines[1:]]
+        dt = np.array([float(c[col]) for c in cells])
+        valid = np.array([c[-1] == "true" for c in cells])
+        assert np.array_equal(valid, np.abs(dt) > (1e-3 if guard is None else guard))
+        # the root row alone, or the three rows within the wider guard
+        want = [400] if guard is None else [399, 400, 401]
+        assert np.flatnonzero(~valid).tolist() == want
+        assert abs(dt[400]) < 1e-6
+
+    def test_f_columns_contract_the_sub_tensors(self, tmp_path, capsys):
+        # a rotated environment: every covariance entry reaches f1 and f2
+        cfg = write_config(
+            tmp_path / "c.json",
+            extra={
+                "grid": {"t_max": 12.0, "samples": 97},
+                "environment": {"angle": 0.3},
+            },
+        )
+        assert run_cli(["coeffs", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        table = np.genfromtxt(tmp_path / "coeffs.csv", delimiter=",", names=True)
+        cov = load_config(cfg).states()[1].cov
+        for f in ("f1", "f2"):
+            rows = [[table[f"{f}_{a}{b}"] for b in "yq"] for a in "yq"]
+            assert np.array_equal(table[f], contract(rows, cov)), f
 
     def test_meta_written(self, tmp_path, capsys):
         cfg = write_config(
@@ -570,9 +629,9 @@ class TestVerifyCommand:
         # a closed route off by 1e-6 in one field: verify exits 2
         calls = []
 
-        def skewed(modes, env0, t, *args, **kwargs):
+        def skewed(modes, t):
             calls.append((modes, t))
-            c = coeffs_closed(modes, env0, t, *args, **kwargs)
+            c = coeffs_closed(modes, t)
             return c._replace(gamma_eff=c.gamma_eff * (1.0 + 1e-6))
 
         monkeypatch.setattr(invharm.cli, "coeffs_closed", skewed)

@@ -310,18 +310,18 @@ class TestSolverHook:
         ((a, b),) = me.bridges
         assert spans == [(0.0, a), (b, 10.0)]
 
-    def test_each_rhs_evaluation_reads_env0(self, base_modes, monkeypatch):
+    def test_one_coeffs_call_per_rhs_evaluation(self, base_modes, monkeypatch):
         # every right-hand-side evaluation makes one call of the module
         # global invharm.evolution.coeffs_general, which a profiler
-        # patches to count them, and hands it the run's env0
+        # patches to count them
         import invharm.evolution as evolution
 
         real_coeffs, real_solve = evolution.coeffs_general, evolution.solve_ivp
-        envs, nfev = [], []
+        times, nfev = [], []
 
-        def counting_coeffs(modes, env0, t, guard):
-            envs.append(env0)
-            return real_coeffs(modes, env0, t, guard=guard)
+        def counting_coeffs(modes, t):
+            times.append(t)
+            return real_coeffs(modes, t)
 
         def counting_solve(*args, **kwargs):
             sol = real_solve(*args, **kwargs)
@@ -333,8 +333,7 @@ class TestSolverHook:
         env0 = squeezed_pure(SqueezeSpec(2.0, 0.3), mean=(0.3, -0.1))
         run_me(base_modes, SYS0, env0, grid_to(10.0, 501), opts=TestBridging.OPTS)
         assert len(nfev) == 2
-        assert len(envs) == sum(nfev) > 0
-        assert all(e is env0 for e in envs)
+        assert len(times) == sum(nfev) > 0
 
 
 class TestFreeParticleEnvironment:
@@ -375,10 +374,10 @@ class TestSegmentFailure:
 
         real = evolution.coeffs_general
 
-        def failing(modes, env0, t, guard):
+        def failing(modes, t):
             if t > 3.0:
                 raise ZeroDivisionError("float division by zero")
-            return real(modes, env0, t, guard=guard)
+            return real(modes, t)
 
         monkeypatch.setattr(evolution, "coeffs_general", failing)
         with pytest.raises(StepFailure, match=r"\[0\.0, 6\.0\].*ZeroDivisionError"):
