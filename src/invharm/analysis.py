@@ -75,12 +75,12 @@ def _bisect_crossing(f, a, b, tol):
     """Narrow a bracket [a, b] of a crossing of zero by f, where f < 0 at
     a and f >= 0 at b (either end may be the larger), by halving it until
     |b - a| <= tol or f is exactly 0 at a midpoint, which is returned as
-    both ends.  Once the midpoint rounds to an end, further halvings
-    would repeat the same test on the same point and the bracket cannot
-    move, so that test is the last.  Returns the final (a, b)."""
+    both ends.  Once the midpoint rounds to an end the bracket cannot
+    move, and f is not called there.  Returns the final (a, b)."""
     while abs(b - a) > tol:
         mid = 0.5 * (a + b)
-        settled = mid == a or mid == b
+        if mid == a or mid == b:
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid, mid
@@ -88,8 +88,6 @@ def _bisect_crossing(f, a, b, tol):
             a = mid
         else:
             b = mid
-        if settled:
-            break
     return a, b
 
 

@@ -55,7 +55,29 @@ EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
-SCAN_PARAMETERS = ("omega", "lambda_sq", "theta_c", "m_s", "m_e", "r_s", "r_e")
+# every numeric field of each config section with its default (None:
+# required), in the order it is read; parse_config, RunConfig.echo,
+# SCAN_PARAMETERS and cmd_modes all take the fields from here
+FIELDS = {
+    "modes": {
+        "omega": 1.0, "lambda_sq": 1.0, "theta_c": math.pi / 64,
+        "m_s": 1.0, "m_e": 1.0, "hbar": 1.0,
+    },
+    "bare": {
+        "m_s": 1.0, "m_e": 1.0, "omega_bare": None, "lambda_sq_bare": None,
+        "g": None, "hbar": 1.0,
+    },
+    "system": {"r": 4.0, "angle": 0.0},
+    "environment": {"r": 2.0, "angle": 0.0},
+    "integrator": dataclasses.asdict(IntegratorOptions()),
+}
+
+# scan name -> the (section, field) its values replace
+SCAN_PARAMETERS = {
+    **{name: ("modes", name) for name in FIELDS["modes"] if name != "hbar"},
+    "r_s": ("system", "r"),
+    "r_e": ("environment", "r"),
+}
 
 COEFF_COLUMNS = (
     "t",
@@ -124,34 +146,21 @@ class RunConfig:
 
     def echo(self) -> dict:
         """JSON-ready form that re-parses to an equivalent config."""
-        return {
-            "modes": {
-                "omega": self.modes.omega,
-                "lambda_sq": self.modes.lambda_sq,
-                "theta_c": self.modes.theta_c,
-                "m_s": self.modes.m_s,
-                "m_e": self.modes.m_e,
-                "hbar": self.modes.hbar,
-            },
-            "system": {
-                "r": self.system.r,
-                "angle": self.system.angle,
-                "mean": list(self.sys_mean),
-            },
-            "environment": {
-                "r": self.environment.r,
-                "angle": self.environment.angle,
-                "mean": list(self.env_mean),
-            },
-            "grid": {"t_max": self.t_max, "samples": self.samples},
-            "integrator": {
-                "rel_tol": self.integrator.rel_tol,
-                "abs_tol": self.integrator.abs_tol,
-                "divergence_guard": self.integrator.divergence_guard,
-            },
-            "method": self.method,
-            "fit_window": list(self.fit_window),
+        out = {
+            name: {key: getattr(obj, key) for key in FIELDS[name]}
+            for name, obj in (
+                ("modes", self.modes),
+                ("system", self.system),
+                ("environment", self.environment),
+                ("integrator", self.integrator),
+            )
         }
+        out["system"]["mean"] = list(self.sys_mean)
+        out["environment"]["mean"] = list(self.env_mean)
+        out["grid"] = {"t_max": self.t_max, "samples": self.samples}
+        out["method"] = self.method
+        out["fit_window"] = list(self.fit_window)
+        return out
 
 
 def _is_number(val) -> bool:
@@ -172,15 +181,27 @@ def _require_number(obj, key, default=None):
     return float(val)
 
 
-def _mean_pair(obj, key):
-    val = obj.get(key, [0.0, 0.0])
+def _number_pair(val, message, increasing=False):
+    """A list of two numbers, as floats, the first below the second if
+    ``increasing``; anything else raises ``ConfigError(message)``."""
     if (
         not isinstance(val, (list, tuple))
         or len(val) != 2
         or not all(_is_number(v) for v in val)
+        or (increasing and not val[0] < val[1])
     ):
-        raise ConfigError(f"field '{key}' must be a pair of numbers")
+        raise ConfigError(message)
     return (float(val[0]), float(val[1]))
+
+
+def _section(raw: dict, name: str):
+    """The section ``name`` of a raw config (``{}`` if absent), and its
+    numeric fields from ``FIELDS`` read with their defaults."""
+    obj = raw.get(name, {})
+    if not isinstance(obj, dict):
+        raise ConfigError(f"'{name}' must be a JSON object")
+    fields = FIELDS.get(name, {})
+    return obj, {key: _require_number(obj, key, d) for key, d in fields.items()}
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -195,41 +216,18 @@ def parse_config(raw: dict) -> RunConfig:
         )
     try:
         if has_modes:
-            m = raw["modes"]
-            modes = NormalModes(
-                omega=_require_number(m, "omega", 1.0),
-                lambda_sq=_require_number(m, "lambda_sq", 1.0),
-                theta_c=_require_number(m, "theta_c", math.pi / 64),
-                m_s=_require_number(m, "m_s", 1.0),
-                m_e=_require_number(m, "m_e", 1.0),
-                hbar=_require_number(m, "hbar", 1.0),
-            )
+            modes = NormalModes(**_section(raw, "modes")[1])
         else:
-            b = raw["bare"]
-            modes = derive_modes(
-                SupersystemParams(
-                    m_s=_require_number(b, "m_s", 1.0),
-                    m_e=_require_number(b, "m_e", 1.0),
-                    omega_bare=_require_number(b, "omega_bare"),
-                    lambda_sq_bare=_require_number(b, "lambda_sq_bare"),
-                    g=_require_number(b, "g"),
-                    hbar=_require_number(b, "hbar", 1.0),
-                )
-            )
-        sys_raw = raw.get("system", {})
-        env_raw = raw.get("environment", {})
-        system = SqueezeSpec(
-            r=_require_number(sys_raw, "r", 4.0),
-            angle=_require_number(sys_raw, "angle", 0.0),
-        )
-        environment = SqueezeSpec(
-            r=_require_number(env_raw, "r", 2.0),
-            angle=_require_number(env_raw, "angle", 0.0),
-        )
-        sys_mean = _mean_pair(sys_raw, "mean")
-        env_mean = _mean_pair(env_raw, "mean")
+            modes = derive_modes(SupersystemParams(**_section(raw, "bare")[1]))
+        sys_raw, sys_fields = _section(raw, "system")
+        system = SqueezeSpec(**sys_fields)
+        env_raw, env_fields = _section(raw, "environment")
+        environment = SqueezeSpec(**env_fields)
+        mean_message = "field 'mean' must be a pair of numbers"
+        sys_mean = _number_pair(sys_raw.get("mean", [0.0, 0.0]), mean_message)
+        env_mean = _number_pair(env_raw.get("mean", [0.0, 0.0]), mean_message)
 
-        grid_raw = raw.get("grid", {})
+        grid_raw = _section(raw, "grid")[0]
         t_max = _require_number(grid_raw, "t_max", 16.0)
         if t_max <= 0:
             raise ConfigError("grid.t_max must be > 0")
@@ -247,26 +245,15 @@ def parse_config(raw: dict) -> RunConfig:
         if samples < 2:
             raise ConfigError("grid must contain at least 2 samples")
 
-        integ_raw = raw.get("integrator", {})
-        default = IntegratorOptions()
-        integrator = IntegratorOptions(
-            rel_tol=_require_number(integ_raw, "rel_tol", default.rel_tol),
-            abs_tol=_require_number(integ_raw, "abs_tol", default.abs_tol),
-            divergence_guard=_require_number(
-                integ_raw, "divergence_guard", default.divergence_guard
-            ),
-        )
+        integrator = IntegratorOptions(**_section(raw, "integrator")[1])
         method = raw.get("method", "exact")
         if method not in ("exact", "me", "compare"):
             raise ConfigError("method must be 'exact', 'me', or 'compare'")
-        fw = raw.get("fit_window", [5.0, 15.0])
-        if (
-            not isinstance(fw, (list, tuple))
-            or len(fw) != 2
-            or not all(_is_number(v) for v in fw)
-            or not fw[0] < fw[1]
-        ):
-            raise ConfigError("fit_window must be [t0, t1] with t0 < t1")
+        fit_window = _number_pair(
+            raw.get("fit_window", [5.0, 15.0]),
+            "fit_window must be [t0, t1] with t0 < t1",
+            increasing=True,
+        )
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
@@ -281,7 +268,7 @@ def parse_config(raw: dict) -> RunConfig:
         samples=samples,
         integrator=integrator,
         method=method,
-        fit_window=(float(fw[0]), float(fw[1])),
+        fit_window=fit_window,
     )
 
 
@@ -331,35 +318,15 @@ def _json_safe(x):
 
 
 def cmd_modes(cfg: RunConfig, out_dir: str) -> dict:
-    bare = params_from_modes(
-        cfg.modes.omega,
-        cfg.modes.lambda_sq,
-        cfg.modes.theta_c,
-        cfg.modes.m_s,
-        cfg.modes.m_e,
-        cfg.modes.hbar,
-    )
+    bare = params_from_modes(**{k: getattr(cfg.modes, k) for k in FIELDS["modes"]})
     round_trip = derive_modes(bare)
+    # the normal-mode parameters proper: those the bare ones do not share
+    proper = [k for k in FIELDS["modes"] if k not in FIELDS["bare"]]
     report = {
         "config": cfg.echo(),
-        "modes": {
-            "omega": cfg.modes.omega,
-            "lambda_sq": cfg.modes.lambda_sq,
-            "theta_c": cfg.modes.theta_c,
-        },
-        "bare": {
-            "omega_bare": bare.omega_bare,
-            "lambda_sq_bare": bare.lambda_sq_bare,
-            "g": bare.g,
-            "m_s": bare.m_s,
-            "m_e": bare.m_e,
-            "hbar": bare.hbar,
-        },
-        "round_trip": {
-            "omega": round_trip.omega,
-            "lambda_sq": round_trip.lambda_sq,
-            "theta_c": round_trip.theta_c,
-        },
+        "modes": {k: getattr(cfg.modes, k) for k in proper},
+        "bare": {k: getattr(bare, k) for k in FIELDS["bare"]},
+        "round_trip": {k: getattr(round_trip, k) for k in proper},
     }
     _write_json(os.path.join(out_dir, "modes.json"), report)
     return report
@@ -397,36 +364,28 @@ def _evolve_table(traj) -> np.ndarray:
     )
 
 
-def _run_config_trajectory(
-    cfg: RunConfig, method: str, sys0: GaussianState, env0: GaussianState
-):
-    if method == "exact":
-        return run_exact(cfg.modes, sys0, env0, cfg.grid())
-    return run_me(cfg.modes, sys0, env0, cfg.grid(), cfg.integrator)
-
-
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
-    states = cfg.states()
+    states, grid = cfg.states(), cfg.grid()
+    if cfg.method == "me":
+        traj = run_me(cfg.modes, *states, grid, cfg.integrator)
+    else:
+        traj = run_exact(cfg.modes, *states, grid)
+    table = _evolve_table(traj)
+    columns = EVOLVE_COLUMNS
     if cfg.method == "compare":
-        tr_exact = _run_config_trajectory(cfg, "exact", *states)
-        tr_me = _run_config_trajectory(cfg, "me", *states)
-        exact, me = _evolve_table(tr_exact), _evolve_table(tr_me)
-        mom_exact, mom_me = exact[:, 1:6], me[:, 1:6]
+        # only the master-equation run has bridges to report
+        traj = run_me(cfg.modes, *states, grid, cfg.integrator)
+        me = _evolve_table(traj)
+        mom_exact, mom_me = table[:, 1:6], me[:, 1:6]
         rel = np.max(
             np.abs(mom_exact - mom_me) / np.maximum(np.abs(mom_exact), 1.0), axis=1
         )
-        table = np.column_stack((exact, me[:, 1:], rel))
+        table = np.column_stack((table, me[:, 1:], rel))
         columns = (
             EVOLVE_COLUMNS
             + tuple(f"{c}_me" for c in EVOLVE_COLUMNS[1:])
             + ("rel_err_max",)
         )
-        # only the master-equation run has bridges to report
-        traj = tr_me
-    else:
-        traj = _run_config_trajectory(cfg, cfg.method, *states)
-        table = _evolve_table(traj)
-        columns = EVOLVE_COLUMNS
     path = os.path.join(out_dir, "evolve.csv")
     _write_csv(path, columns, table)
     meta = {"config": cfg.echo(), "method": cfg.method}
@@ -455,23 +414,19 @@ def cmd_divergences(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _apply_vary(cfg: RunConfig, name: str, value: float) -> RunConfig:
-    if name in ("omega", "lambda_sq", "theta_c", "m_s", "m_e"):
-        modes = dataclasses.replace(cfg.modes, **{name: value})
-        return dataclasses.replace(cfg, modes=modes)
-    if name == "r_s":
-        return dataclasses.replace(cfg, system=SqueezeSpec(value, cfg.system.angle))
-    if name == "r_e":
-        return dataclasses.replace(
-            cfg, environment=SqueezeSpec(value, cfg.environment.angle)
+    if name not in SCAN_PARAMETERS:
+        raise ConfigError(
+            f"cannot vary '{name}'; choose one of {', '.join(SCAN_PARAMETERS)}"
         )
-    raise ConfigError(
-        f"cannot vary '{name}'; choose one of {', '.join(SCAN_PARAMETERS)}"
-    )
+    section, key = SCAN_PARAMETERS[name]
+    raw = cfg.echo()
+    raw[section][key] = value
+    return parse_config(raw)
 
 
 def _scan_one(cfg: RunConfig, name: str, value: float, out_dir: str, idx: int):
     run_cfg = _apply_vary(cfg, name, value)
-    traj = _run_config_trajectory(run_cfg, "exact", *run_cfg.states())
+    traj = run_exact(run_cfg.modes, *run_cfg.states(), run_cfg.grid())
     filename = f"scan_{idx:03d}.csv"
     _write_csv(os.path.join(out_dir, filename), EVOLVE_COLUMNS, _evolve_table(traj))
     try:
@@ -561,10 +516,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> dict:
     # exact vs master-equation moments up to 90% of the first divergence
     roots = find_divergences(cfg.modes, max(cfg.t_max, 1.0))
     t_end = 0.9 * roots[0] if roots else cfg.t_max
-    oracle_cfg = dataclasses.replace(cfg, t_max=t_end, samples=201)
-    states = oracle_cfg.states()
-    tr_me = _run_config_trajectory(oracle_cfg, "me", *states)
-    tr_exact = _run_config_trajectory(oracle_cfg, "exact", *states)
+    states, grid = cfg.states(), np.linspace(0.0, t_end, 201)
+    tr_me = run_me(cfg.modes, *states, grid, cfg.integrator)
+    tr_exact = run_exact(cfg.modes, *states, grid)
     per_moment = compare_trajectories(tr_exact, tr_me)
     worst_oracle = max(per_moment.values())
     checks["oracle"] = {

@@ -21,6 +21,7 @@ from invharm import (
     run_exact,
     squeezed_pure,
 )
+from invharm.analysis import _bisect_crossing
 
 from conftest import BASE
 from reference import fit_entropy_log
@@ -138,6 +139,24 @@ class TestFindDivergences:
         for r in roots:
             d = max(1e-10, 4.0 * math.ulp(r))
             assert dtilde(LATE_ROOTS, r - d) * dtilde(LATE_ROOTS, r + d) <= 0.0, r
+
+
+class TestBisectCrossing:
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0)], ids=["up", "down"])
+    def test_calls_f_once_per_point_inside_the_bracket(self, a, b):
+        # a sign step that is never 0: with tol 0 the bracket narrows to
+        # adjacent floats, where the midpoint rounds to an end
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return -1.0 if (t - 0.3) * (b - a) < 0.0 else 1.0
+
+        lo, hi = _bisect_crossing(f, a, b, 0.0)
+        assert math.nextafter(lo, hi) == hi
+        assert (lo - 0.3) * (b - a) < 0.0 <= (hi - 0.3) * (b - a)
+        assert all(min(a, b) < t < max(a, b) for t in calls)
+        assert len(set(calls)) == len(calls)
 
 
 def weak_coupling_dtilde(omega, lam, theta_c, t):

@@ -87,16 +87,57 @@ class TestConfigParsing:
         assert cfg.samples == 5
         assert np.allclose(cfg.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
-    def test_echo_round_trip(self, tmp_path):
-        cfg = load_config(
-            write_config(
-                tmp_path / "c.json",
-                extra={"grid": {"t_max": 4.0, "samples": 11}, "method": "me"},
-                modes={"theta_c": 0.1},
-            )
-        )
-        again = parse_config(cfg.echo())
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {
+                "modes": {"theta_c": 0.1},
+                "grid": {"t_max": 4.0, "samples": 11},
+                "method": "me",
+            },
+            {"bare": {"omega_bare": 1.0, "lambda_sq_bare": 1.0, "g": 0.1}},
+            {"modes": {}, "grid": {"t_max": 2.0, "dt": 0.25}},
+            {
+                "modes": {"m_s": 0.9, "m_e": 1.6},
+                "system": {"r": 3.0, "angle": 0.4, "mean": [0.5, -0.2]},
+                "environment": {"r": 1.5, "angle": -0.3, "mean": [1.0, 0.5]},
+                "integrator": {
+                    "rel_tol": 1e-8,
+                    "abs_tol": 1e-9,
+                    "divergence_guard": 0.05,
+                },
+                "method": "compare",
+                "fit_window": [2, 7.5],
+            },
+        ],
+        ids=["modes", "bare", "dt_grid", "displaced_rotated"],
+    )
+    def test_echo_round_trip(self, raw):
+        cfg = parse_config(raw)
+        again = parse_config(json.loads(json.dumps(cfg.echo())))
         assert again == cfg
+        assert again.echo() == cfg.echo()
+
+    @pytest.mark.parametrize("value", [[], 5, "x"], ids=["list", "number", "string"])
+    @pytest.mark.parametrize(
+        "section", ["modes", "bare", "system", "environment", "grid", "integrator"]
+    )
+    def test_rejects_a_section_that_is_not_an_object(
+        self, tmp_path, capsys, section, value
+    ):
+        raw = {"modes": {}}
+        if section == "bare":
+            del raw["modes"]
+        raw[section] = value
+        with pytest.raises(ConfigError, match=f"'{section}' must be a JSON object"):
+            parse_config(raw)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(raw))
+        code = run_cli(["evolve", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"] == f"'{section}' must be a JSON object"
 
 
 class TestExitCodesAndErrors:
