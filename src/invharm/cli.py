@@ -258,7 +258,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
+    cfg = RunConfig(
         modes=modes,
         system=system,
         environment=environment,
@@ -270,6 +270,16 @@ def parse_config(raw: dict) -> RunConfig:
         method=method,
         fit_window=fit_window,
     )
+    # extreme squeezing overflows the covariance or its determinant,
+    # which every diagnostic reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, state in zip(("system", "environment"), cfg.states()):
+            if not (
+                np.isfinite(state.cov).all()
+                and np.isfinite(np.linalg.det(state.cov))
+            ):
+                raise ConfigError(f"'{name}': initial covariance is not finite")
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -424,8 +434,7 @@ def _apply_vary(cfg: RunConfig, name: str, value: float) -> RunConfig:
     return parse_config(raw)
 
 
-def _scan_one(cfg: RunConfig, name: str, value: float, out_dir: str, idx: int):
-    run_cfg = _apply_vary(cfg, name, value)
+def _scan_one(run_cfg: RunConfig, value: float, out_dir: str, idx: int):
     traj = run_exact(run_cfg.modes, *run_cfg.states(), run_cfg.grid())
     filename = f"scan_{idx:03d}.csv"
     _write_csv(os.path.join(out_dir, filename), EVOLVE_COLUMNS, _evolve_table(traj))
@@ -446,7 +455,12 @@ def cmd_scan(cfg: RunConfig, out_dir: str, vary: str, values) -> dict:
         raise ConfigError("scan requires --vary and --values")
     if not values:
         raise ConfigError("scan requires at least one value")
-    runs = [_scan_one(cfg, vary, v, out_dir, i) for i, v in enumerate(values)]
+    # every value is validated before the first run writes its file
+    run_cfgs = [_apply_vary(cfg, vary, v) for v in values]
+    runs = [
+        _scan_one(run_cfg, v, out_dir, i)
+        for i, (run_cfg, v) in enumerate(zip(run_cfgs, values))
+    ]
     # index written last, in input order
     index = {"config": cfg.echo(), "vary": vary, "runs": runs}
     _write_json(os.path.join(out_dir, "scan_index.json"), index)
@@ -546,8 +560,15 @@ def _parse_values(raw: str):
     return values
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a validation error: exit 1 with the error JSON."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="invharm",
         description="Reduced dynamics of an oscillator coupled to an "
         "inverted-oscillator environment",
@@ -569,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
 # here; the CSV writer and the root scan turn it into a numerical failure.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         out_dir = args.out
         try:

@@ -6,13 +6,15 @@ initial product state: a system and an environment
 [M_0 | M_1] of the exact transition matrix, over the whole time grid at
 once, which involves no time-stepping error.
 ``run_me`` integrates the five moment ODEs of the master equation with
-adaptive stepping: it takes the coefficients from
-``coeffs_general(modes, t)`` and weights them with the environment's
-initial mean and covariance.  Across windows where the determinant guard
-trips (master-equation breakdown instants) it bridges with the exact
-propagator and resumes.  A :class:`Trajectory` records those windows in
-``bridges`` and the grid points they cover in ``bridged``;
-``compare_trajectories`` leaves those points out.
+the package's adaptive DOP853 stepper (:mod:`invharm.dop853`, on Python
+floats), reached through the module global ``solve_ivp`` once per
+segment: it takes the coefficients from ``coeffs_general(modes, t)``,
+one call per right-hand-side evaluation, and weights them with the
+environment's initial mean and covariance.  Across windows where the
+determinant guard trips (master-equation breakdown instants) it bridges
+with the exact propagator and resumes.  A :class:`Trajectory` records
+those windows in ``bridges`` and the grid points they cover in
+``bridged``; ``compare_trajectories`` leaves those points out.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .analysis import _bisect_crossing, find_divergences
 from .coefficients import coeffs_general, contract
+from .dop853 import solve_ivp
 from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
 from .modes import NormalModes
 from .propagator import cross_block, det_m1, dtilde, mode_blocks
@@ -57,14 +60,6 @@ class IntegratorOptions:
             raise ValueError("tolerances must be positive")
         if self.divergence_guard <= 0:
             raise ValueError("divergence_guard must be positive")
-
-
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call: only
-    ``run_me`` integrates, so the exact paths never load scipy."""
-    from scipy.integrate import solve_ivp as _solve_ivp
-
-    return _solve_ivp(*args, **kwargs)
 
 
 MOMENT_NAMES = ("mean_x", "mean_p", "dx2", "dp2", "dxp")
@@ -239,8 +234,7 @@ def run_me(
         force = c.Fy * mean_y + c.Fq * mean_q
         f1 = contract(c.f1_rows, cov)
         f2 = contract(c.f2_rows, cov)
-        # Python floats: cheaper than numpy scalars once per evaluation
-        mx, mp, dx2, dp2, dxp = y.tolist()
+        mx, mp, dx2, dp2, dxp = y
         return [
             mp / m_s,
             -m_s * om2 * mx - gam * mp + force,
@@ -293,22 +287,13 @@ def run_me(
         if sel.size == 0:
             continue
         try:
-            sol = solve_ivp(
-                rhs,
-                (a, b),
-                y,
-                method="DOP853",
-                t_eval=grid[sel],
-                rtol=opts.rel_tol,
-                atol=opts.abs_tol,
-            )
+            sol = solve_ivp(rhs, (a, b), y, grid[sel], opts.rel_tol, opts.abs_tol)
         except ArithmeticError as exc:
+            # from the right-hand side, or a step that fell below 10 ulp
             raise StepFailure(
                 f"integrator failed on [{a}, {b}]: {type(exc).__name__}: {exc}"
             ) from exc
-        if not sol.success:
-            raise StepFailure(f"integrator failed on [{a}, {b}]: {sol.message}")
-        moments[sel] = sol.y.T
+        moments[sel] = sol.y
 
     # The covariance determinant is a difference of near-equal large
     # numbers once the entries have grown several orders beyond the

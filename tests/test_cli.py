@@ -330,6 +330,52 @@ class TestExitCodesAndErrors:
                 assert repr(value) in err["message"]
         assert not list(tmp_path.glob("scan_*"))
 
+    def test_scan_validates_every_value_before_the_first_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        args = ["--vary", "m_s", "--values=0.8,1.2,-1.0"]
+        code = run_cli(["scan", "--config", cfg, "--out", str(tmp_path), *args])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"] == "masses must be strictly positive"
+        assert not list(tmp_path.glob("scan_*"))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a leading minus reads as an option; --values=-1.0,2 is the form
+            (
+                ["scan", "--config", "{cfg}", "--vary", "m_s", "--values", "-1.0,2"],
+                "argument --values: expected one argument",
+            ),
+            (["tune", "--config", "{cfg}"], "argument command: invalid choice: 'tune'"),
+            (["evolve", "--out", "o"], "the following arguments are required: --config"),
+        ],
+        ids=["negative_value", "unknown_command", "missing_config"],
+    )
+    def test_usage_errors_are_validation_errors(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path / "c.json")
+        argv = [cfg if a == "{cfg}" else a for a in argv]
+        assert run_cli(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize("angle", [0.3, 1.0])
+    def test_rejects_a_non_finite_initial_covariance(self, tmp_path, capsys, angle):
+        # r = 1e-300 gives variances near 1e299 whose determinant
+        # overflows to -inf (angle 0.3) or +inf (angle 1.0)
+        env = {"r": 1e-300, "angle": angle}
+        message = "'environment': initial covariance is not finite"
+        with pytest.raises(ConfigError, match=message):
+            parse_config({"modes": {}, "environment": env})
+        cfg = write_config(tmp_path / "c.json", extra={"environment": env})
+        code = run_cli(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+
 
 class TestModesCommand:
     def test_round_trip_report(self, tmp_path, capsys):
@@ -702,8 +748,9 @@ class TestVerifyCommand:
 
 
 class TestColdStart:
-    # the exact commands are closed forms, so only a master-equation
-    # integration may import scipy.integrate, the bulk of the start-up
+    # no command imports scipy.integrate, the bulk of the start-up: the
+    # exact commands are closed forms, and the master equation is
+    # integrated in the package
     SRC = str(Path(__file__).resolve().parents[1] / "src")
     SCRIPT = (
         "import json, sys\n"
@@ -742,13 +789,15 @@ class TestColdStart:
         assert codes == [EXIT_OK] * len(commands)
         assert not loaded
 
-    def test_master_equation_loads_the_integrator(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.json",
-            extra={"grid": {"t_max": 4.0, "samples": 41}, "method": "me"},
-        )
-        codes, loaded = self.run_fresh(
-            [["evolve", "--config", cfg, "--out", str(tmp_path)]]
-        )
-        assert codes == [EXIT_OK]
-        assert loaded
+    def test_master_equation_commands_skip_scipy(self, tmp_path):
+        commands = []
+        for method in ("me", "compare"):
+            cfg = write_config(
+                tmp_path / f"{method}.json",
+                extra={"grid": {"t_max": 4.0, "samples": 41}, "method": method},
+            )
+            commands.append(["evolve", "--config", cfg, "--out", str(tmp_path)])
+        commands.append(["verify", "--config", cfg, "--out", str(tmp_path)])
+        codes, loaded = self.run_fresh(commands)
+        assert codes == [EXIT_OK] * len(commands)
+        assert not loaded

@@ -383,6 +383,21 @@ class TestSegmentFailure:
         with pytest.raises(StepFailure, match=r"\[0\.0, 6\.0\].*ZeroDivisionError"):
             run_me(base_modes, SYS0, ENV0, grid_to(6.0, 61))
 
+    def test_step_below_ten_ulp_names_the_segment(self, base_modes, monkeypatch):
+        # NaN coefficients past t = 3 fail every error test of a step that
+        # reaches them, so the step shrinks until it is below 10 ulp of t
+        import invharm.evolution as evolution
+
+        real = evolution.coeffs_general
+
+        def nan_late(modes, t):
+            c = real(modes, t)
+            return c._replace(omega_eff_sq=math.nan) if t > 3.0 else c
+
+        monkeypatch.setattr(evolution, "coeffs_general", nan_late)
+        with pytest.raises(StepFailure, match=r"\[0\.0, 6\.0\].*10 ulp of t = 2\.99"):
+            run_me(base_modes, SYS0, ENV0, grid_to(6.0, 61))
+
 
 class TestValidationAndComparison:
     def test_me_requires_grid_from_zero(self, base_modes):
