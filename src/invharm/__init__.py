@@ -28,12 +28,10 @@ from .coefficients import (
     contract,
 )
 from .evolution import (
-    GridMismatch,
     IntegratorOptions,
-    MOMENT_NAMES,
     StepFailure,
     Trajectory,
-    compare_trajectories,
+    moment_deviation,
     run_exact,
     run_me,
 )
@@ -97,13 +95,11 @@ __all__ = [
     "diagnostics_from_area",
     # evolution
     "StepFailure",
-    "GridMismatch",
     "IntegratorOptions",
-    "MOMENT_NAMES",
     "Trajectory",
     "run_exact",
     "run_me",
-    "compare_trajectories",
+    "moment_deviation",
     # analysis
     "DomainError",
     "WindowTooShort",

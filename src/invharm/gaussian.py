@@ -46,7 +46,7 @@ class SqueezeSpec:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and symmetric covariance for 1 or 2 modes."""
+    """Mean vector (x, p) and symmetric 2x2 covariance of one mode."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -56,8 +56,8 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        if mean.shape[0] not in (2, 4) or cov.shape != (mean.shape[0],) * 2:
-            raise ValueError("state must have 1 or 2 modes")
+        if mean.shape != (2,) or cov.shape != (2, 2):
+            raise ValueError("a state has one mode: a mean of shape (2,), a 2x2 covariance")
         # cov - cov.T is antisymmetric, so its largest entry is its largest
         # magnitude; the scale of cov only matters past 1e-12
         asym = (cov - cov.T).max()
@@ -89,8 +89,10 @@ def squeezed_pure(
 
 
 def _check_area(A):
+    """A sub-unit area is a numerical failure; the message names the
+    smallest area that is not NaN."""
     if np.any(A < 1.0 - 1e-9):
-        raise ValueError(f"scaled area A = {np.min(A)} < 1")
+        raise NonPhysical(f"scaled area A = {np.nanmin(A)} < 1")
 
 
 def entropy_exact(A):

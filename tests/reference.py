@@ -4,7 +4,9 @@ The program evaluates the reduced state from the system rows [M_0 | M_1]
 of the transition matrix alone.  These helpers build the whole two-mode
 state, push it through the full 4x4 transition matrix and reduce it
 afterwards, so the tests can hold the block path to a construction that
-shares none of its algebra.  ``fit_entropy_log`` fits the logarithmic
+shares none of its algebra.  A two-mode state is a plain (mean, cov)
+pair of arrays, ordered [x, p, y, q]; a one-mode state is a
+``GaussianState``.  ``fit_entropy_log`` fits the logarithmic
 entropy growth of a free-particle environment.
 """
 
@@ -65,36 +67,35 @@ def full_transition(modes: NormalModes, t: float) -> np.ndarray:
     return unscale @ rot @ block @ rot.T @ scale
 
 
-def product_state(sys: GaussianState, env: GaussianState) -> GaussianState:
-    """Unentangled two-mode state from two one-mode factors."""
-    if sys.mean.shape != (2,) or env.mean.shape != (2,):
-        raise ValueError("product_state expects two 1-mode states")
+def product_state(sys: GaussianState, env: GaussianState):
+    """(mean, cov) of the unentangled two-mode state of two one-mode
+    factors."""
     mean = np.concatenate([sys.mean, env.mean])
     cov = np.zeros((4, 4))
     cov[:2, :2] = sys.cov
     cov[2:, 2:] = env.cov
-    return GaussianState(mean=mean, cov=cov)
+    return mean, cov
 
 
-def propagate(state: GaussianState, T: np.ndarray) -> GaussianState:
-    """Push means and covariances through a linear phase-space map."""
+def propagate(mean: np.ndarray, cov: np.ndarray, T: np.ndarray):
+    """Push a mean and a covariance through a linear phase-space map;
+    returns the new (mean, cov)."""
     T = np.asarray(T)
-    if T.shape != (state.mean.shape[0],) * 2:
+    if T.shape != (mean.shape[0],) * 2:
         raise ValueError("transition matrix shape does not match state")
-    cov = T @ state.cov @ T.T
+    cov = T @ cov @ T.T
     cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean=T @ state.mean, cov=cov)
+    return T @ mean, cov
 
 
-def reduce_system(state: GaussianState) -> GaussianState:
-    """Marginal of the system mode (upper-left block)."""
-    return GaussianState(mean=state.mean[:2].copy(), cov=state.cov[:2, :2].copy())
+def reduce_system(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
+    """Marginal of the system mode (upper-left block) of a two-mode
+    (mean, cov)."""
+    return GaussianState(mean=mean[:2].copy(), cov=cov[:2, :2].copy())
 
 
 def area_ratio(state: GaussianState, hbar: float = 1.0) -> float:
     """Phase-space area in units of hbar/2: A = sqrt(det cov)/(hbar/2)."""
-    if state.mean.shape != (2,):
-        raise ValueError("area_ratio expects a 1-mode state")
     radicand = float(np.linalg.det(state.cov))
     if radicand < -1e-12:
         raise NonPhysical(f"negative area radicand {radicand:.3e}")

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import invharm.cli
 from invharm import NormalModes, coeffs_closed, contract, dtilde, find_divergences
@@ -246,6 +251,28 @@ class TestExitCodesAndErrors:
             f"non-finite {column} at t = " if command != "divergences" else column
         )
         assert "Warning" not in err
+
+    def test_sub_unit_area_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # an area below the purity floor beside a NaN one exits 3, and
+        # the message names the smallest area, not the NaN
+        import invharm.evolution as evolution
+
+        real = evolution._reduced_area
+
+        def broken(*args):
+            A = real(*args)
+            A[1], A[2] = math.nan, 0.5
+            return A
+
+        monkeypatch.setattr(evolution, "_reduced_area", broken)
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 2.0, "samples": 5}}
+        )
+        code = run_cli(["evolve", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "numerical", "message": "scaled area A = 0.5 < 1"}
+        assert not (tmp_path / "evolve.csv").exists()
 
     def test_coeffs_stay_finite_until_the_kernels_overflow(self, tmp_path, capsys):
         # every coefficient is a closed form in the kernels, so no
@@ -596,6 +623,25 @@ class TestDivergencesCommand:
         assert report["divergence_times"] == []
         assert report["t_c_paper"] is None
 
+    @pytest.mark.parametrize(
+        "modes",
+        [{"lambda_sq": 0.0}, {"lambda_sq": -1.0}, {"omega": 0.0}, {"theta_c": 0.0}],
+        ids=["free_env", "stable_env", "zero_omega", "decoupled"],
+    )
+    def test_estimates_are_null_outside_their_domain(self, tmp_path, capsys, modes):
+        # the critical-time estimates need lambda^2 > 0, omega > 0 and
+        # 0 < |theta_c| < 1
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 4.0}}, modes=modes
+        )
+        assert run_cli(
+            ["divergences", "--config", cfg, "--out", str(tmp_path)]
+        ) == EXIT_OK
+        capsys.readouterr()
+        report = json.loads((tmp_path / "divergences.json").read_text())
+        assert report["t_c_paper"] is None
+        assert report["t_c_derived"] is None
+
     def test_late_roots_return(self, tmp_path, capsys):
         modes = {"omega": 0.001, "lambda_sq": -9e-6, "theta_c": 0.785398}
         cfg = write_config(
@@ -724,13 +770,41 @@ class TestVerifyCommand:
         monkeypatch.setattr(invharm.cli, "coeffs_closed", skewed)
         cfg = write_config(tmp_path / "c.json")
         assert run_cli(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VERIFY
-        report = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        report = json.loads(out)
         assert report["pass"] is False
         assert report["checks"]["dual_formula"]["pass"] is False
         assert report["checks"]["oracle"]["pass"] is True
+        assert json.loads(err)["error"] == {
+            "type": "verification", "message": "failed checks: dual_formula"
+        }
         [(modes, t)] = calls
         assert t.shape == (1000,)
         assert np.all(np.abs(dtilde(modes, t)) > 1e-3)
+
+    def test_oracle_scores_each_row(self, tmp_path, capsys, monkeypatch):
+        # one early master-equation row off by 1e-5 of its value fails
+        # the oracle under its moment's name, however small the row is
+        # next to the moment's peak over the run
+        real = invharm.cli.run_me
+
+        def skewed(*args):
+            me = real(*args)
+            me.moments[5, 2] *= 1.0 + 1e-5
+            return me
+
+        monkeypatch.setattr(invharm.cli, "run_me", skewed)
+        cfg = write_config(tmp_path / "c.json")
+        assert run_cli(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VERIFY
+        out, err = capsys.readouterr()
+        oracle = json.loads(out)["checks"]["oracle"]
+        per_moment = oracle.pop("per_moment")
+        assert per_moment.pop("dx2") == pytest.approx(1e-5, rel=1e-3)
+        assert list(per_moment) == ["dp2", "dxp", "mean_p", "mean_x"]
+        assert max(per_moment.values()) < 1e-8
+        assert oracle["max_rel_err"] == pytest.approx(1e-5, rel=1e-3)
+        assert oracle["pass"] is False
+        assert json.loads(err)["error"]["message"] == "failed checks: oracle"
 
     def test_draws_keep_the_first_accepted_trials(self, monkeypatch):
         # every draw in order: three batches, none rejected
@@ -801,3 +875,124 @@ class TestColdStart:
         codes, loaded = self.run_fresh(commands)
         assert codes == [EXIT_OK] * len(commands)
         assert not loaded
+
+
+# a field value that is no valid number: each one is a validation error
+JUNK = (math.nan, math.inf, -1.0, True, "1", None, [1.0], {})
+
+# every numeric config field a draw sets, with the range of its values
+RANGES = {
+    "modes": {
+        "omega": (0.0, 2.0), "lambda_sq": (-2.0, 2.0), "theta_c": (-0.5, 0.5),
+        "m_s": (0.3, 3.0), "m_e": (0.3, 3.0), "hbar": (0.3, 3.0),
+    },
+    "bare": {
+        "omega_bare": (0.0, 2.0), "lambda_sq_bare": (-2.0, 2.0), "g": (0.0, 0.5),
+        "m_s": (0.3, 3.0), "m_e": (0.3, 3.0),
+    },
+    "system": {"r": (0.1, 10.0), "angle": (-3.2, 3.2)},
+    "environment": {"r": (0.1, 10.0), "angle": (-3.2, 3.2)},
+    "grid": {"t_max": (0.1, 6.0)},
+    "integrator": {
+        "rel_tol": (1e-11, 1e-3), "abs_tol": (1e-13, 1e-6),
+        "divergence_guard": (1e-4, 0.5),
+    },
+}
+
+
+# what makes a draw invalid: nothing for half the draws, else one fault
+FAULTS = (None,) * 9 + (
+    "junk field", "both parameter sets", "no parameter set", "grid", "method",
+    "fit window", "scan values", "not an object", "not JSON", "command",
+)
+
+
+@st.composite
+def invocations(draw):
+    """A command line and the text of the config it reads.
+
+    A master-equation run (evolve with "me" or "compare", verify) has no
+    time bound of its own (README, Numerical notes): its cost grows with
+    omega * t_max.  So every draw keeps omega, lambda and t_max small,
+    the masses near 1 and the grid short."""
+    fault = draw(st.sampled_from(FAULTS))
+    command = draw(st.sampled_from(
+        ["modes", "coeffs", "evolve", "divergences", "scan", "verify"]
+    ))
+    params = {"both parameter sets": ("modes", "bare"), "no parameter set": ()}.get(
+        fault, (draw(st.sampled_from(["modes", "bare"])),)
+    )
+    raw = {}
+    for name, ranges in RANGES.items():
+        if name in ("modes", "bare") and name not in params:
+            continue
+        raw[name] = {
+            key: draw(st.floats(lo, hi))
+            for key, (lo, hi) in ranges.items()
+            if key in ("omega_bare", "lambda_sq_bare", "g") or draw(st.booleans())
+        }
+    for name in ("system", "environment"):
+        if draw(st.booleans()):
+            raw[name]["mean"] = draw(
+                st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+            )
+    if fault == "junk field":
+        section = draw(st.sampled_from(sorted(raw)))
+        raw[section][draw(st.sampled_from(sorted(RANGES[section])))] = draw(
+            st.sampled_from(JUNK)
+        )
+    raw["grid"].update(draw(st.sampled_from(
+        [{"samples": 1}, {"samples": 2.5}, {"samples": 9, "dt": 0.5}, {"dt": 0.0}]
+        if fault == "grid" else [{}, {"samples": 2}, {"samples": 9}, {"dt": 0.5}]
+    )))
+    raw["method"] = draw(st.sampled_from(
+        ["x"] if fault == "method" else ["exact", "me", "compare"]
+    ))
+    raw["fit_window"] = [2.0, 1.0] if fault == "fit window" else [0.5, 2.0]
+    if fault == "command":
+        command = "bogus"
+    argv = [command]
+    if command == "scan":
+        argv += ["--vary", draw(st.sampled_from(["theta_c", "r_e", "m_s", "hbar"]))]
+        lo = -1.0 if fault == "scan values" else 0.1
+        values = draw(
+            st.lists(st.floats(lo, 2.0), min_size=fault != "scan values", max_size=3)
+        )
+        argv.append("--values=" + ",".join(map(repr, values)))
+    text = json.dumps(raw)
+    text = {"not an object": f"[{text}]", "not JSON": text[:-1]}.get(fault, text)
+    return argv, text
+
+
+class TestExitCodeContract:
+    # the README's exit codes hold for every input: 0, 1 or 3, or 2 from
+    # verify alone; a nonzero exit writes exactly one error JSON line on
+    # standard error; and main returns instead of raising
+    KIND = {
+        EXIT_CONFIG: "validation",
+        EXIT_VERIFY: "verification",
+        EXIT_NUMERIC: "numerical",
+    }
+
+    # about 15 ms an example on a 2-core machine
+    @settings(max_examples=60, deadline=None)
+    @given(invocations())
+    def test_every_input_ends_in_a_documented_exit(self, invocation):
+        argv, text = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "c.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(
+                    argv + ["--config", config, "--out", os.path.join(tmp, "out")]
+                )
+        event(f"{argv[0]} exit {code}")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC) or (
+            code == EXIT_VERIFY and argv[0] == "verify"
+        )
+        if code != EXIT_OK:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["type"] == self.KIND[code]
