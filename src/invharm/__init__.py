@@ -41,10 +41,6 @@ from .gaussian import (
     NonPhysical,
     SqueezeSpec,
     diagnostics_from_area,
-    energy,
-    entropy_approx,
-    entropy_exact,
-    linear_entropy,
     squeezed_pure,
 )
 from .modes import (
@@ -54,12 +50,7 @@ from .modes import (
     gkernels,
     params_from_modes,
 )
-from .propagator import (
-    cross_block,
-    det_m1,
-    dtilde,
-    mode_blocks,
-)
+from .propagator import dtilde, system_rows
 
 __version__ = "0.1.0"
 
@@ -73,9 +64,7 @@ __all__ = [
     "gkernels",
     # propagator
     "dtilde",
-    "det_m1",
-    "mode_blocks",
-    "cross_block",
+    "system_rows",
     # coefficients
     "UnsupportedRegime",
     "MECoefficients",
@@ -88,10 +77,6 @@ __all__ = [
     "GaussianState",
     "Diagnostics",
     "squeezed_pure",
-    "entropy_exact",
-    "entropy_approx",
-    "linear_entropy",
-    "energy",
     "diagnostics_from_area",
     # evolution
     "StepFailure",

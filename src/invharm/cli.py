@@ -45,7 +45,7 @@ from .evolution import (
     run_exact,
     run_me,
 )
-from .gaussian import GaussianState, NonPhysical, SqueezeSpec, squeezed_pure
+from .gaussian import GaussianState, NonPhysical, SqueezeSpec, _check_area, squeezed_pure
 from .modes import NormalModes, SupersystemParams, derive_modes, params_from_modes
 from .propagator import dtilde
 
@@ -272,14 +272,18 @@ def parse_config(raw: dict) -> RunConfig:
         fit_window=fit_window,
     )
     # extreme squeezing overflows the covariance or its determinant,
-    # which every diagnostic reads
+    # which every diagnostic reads, or rounds the determinant below
+    # (hbar/2)^2, so that the state's own area sqrt(det)/(hbar/2) fails
+    # the check every exact row passes
     with np.errstate(over="ignore", invalid="ignore"):
         for name, state in zip(("system", "environment"), cfg.states()):
-            if not (
-                np.isfinite(state.cov).all()
-                and np.isfinite(np.linalg.det(state.cov))
-            ):
+            det = np.linalg.det(state.cov)
+            if not (np.isfinite(state.cov).all() and np.isfinite(det)):
                 raise ConfigError(f"'{name}': initial covariance is not finite")
+            try:
+                _check_area(np.sqrt(max(det, 0.0)) / (cfg.modes.hbar / 2.0))
+            except NonPhysical as exc:
+                raise ConfigError(f"'{name}': initial state has {exc}") from exc
     return cfg
 
 

@@ -87,8 +87,7 @@ def coeffs_general(modes: NormalModes, t) -> MECoefficients:
     phi_1 derivative ladder.
     """
     k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
-    cw, sw, x = modes.cw, modes.sw, modes.x
-    m_s, m_e = modes.m_s, modes.m_e
+    cw, sw, x, m_e = modes.cw, modes.sw, modes.x, modes.m_e
     dt_ = _dtilde(kern, modes)
 
     dk = k1 - k2
@@ -99,9 +98,9 @@ def coeffs_general(modes: NormalModes, t) -> MECoefficients:
     fq = modes.root_se * x * dk * (cw * s2 + sw * s1) / dt_
 
     phi1, dphi1, d2phi1 = _phi1(kern, modes)
-    # sub-tensors stored in [[yy, yq], [qy, qq]] labelling
-    pref = modes.root_se / modes.hbar**2
-    pref2 = pref / m_s
+    # sub-tensors stored in [[yy, yq], [qy, qq]] labelling, with the
+    # per-run prefactors root_se / hbar^2 and that over m_s
+    pref, pref2 = modes.pref, modes.pref2
     f1_rows = (
         (pref * (m_e * fy * d2phi1), pref * (fy * dphi1)),
         (pref * (m_e * fq * d2phi1), pref * (fq * dphi1)),

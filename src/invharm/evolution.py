@@ -3,8 +3,9 @@ initial product state: a system and an environment
 :class:`~invharm.gaussian.GaussianState`.
 
 ``run_exact`` evaluates the reduced state from the system rows
-[M_0 | M_1] of the exact transition matrix, over the whole time grid at
-once, which involves no time-stepping error.
+[M_0 | M_1] of the exact transition matrix and their minors, all read
+from one ``system_rows`` call over the whole time grid, which involves
+no time-stepping error.
 ``run_me`` integrates the five moment ODEs of the master equation with
 the package's adaptive DOP853 stepper (:mod:`invharm.dop853`, on Python
 floats), reached through the module global ``solve_ivp`` once per
@@ -12,9 +13,9 @@ segment: it takes the coefficients from ``coeffs_general(modes, t)``,
 one call per right-hand-side evaluation, and weights them with the
 environment's initial mean and covariance.  Across windows where the
 determinant guard trips (master-equation breakdown instants) it bridges
-with the exact propagator and resumes.  A :class:`Trajectory` records
-those windows in ``bridges`` and the grid points they cover in
-``bridged``.
+with the exact propagator, one ``system_rows`` call per window, and
+resumes.  A :class:`Trajectory` records those windows in ``bridges`` and
+the grid points they cover in ``bridged``.
 
 ``moment_deviation`` is the one measure of how far the master equation
 strays from the exact dynamics: per row and per moment,
@@ -34,7 +35,7 @@ from .coefficients import coeffs_general, contract
 from .dop853 import solve_ivp
 from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
 from .modes import NormalModes
-from .propagator import cross_block, det_m1, dtilde, mode_blocks
+from .propagator import dtilde, system_rows
 
 __all__ = [
     "StepFailure",
@@ -80,13 +81,11 @@ class Trajectory:
     bridges: list
 
 
-def _exact_moments(
-    modes: NormalModes, sys0: GaussianState, env0: GaussianState, t: np.ndarray
-) -> np.ndarray:
-    """Reduced moments, shape (n, 5), at the n times t of the product
-    state sys0 x env0: only the system rows [M_0 | M_1] of the transition
-    matrix act on it."""
-    m0, m1 = (np.moveaxis(b, -1, 0) for b in mode_blocks(modes, t))
+def _exact_moments(rows, sys0: GaussianState, env0: GaussianState) -> np.ndarray:
+    """Reduced moments, shape (n, 5), of the product state sys0 x env0 at
+    the n times of ``rows``, a :func:`system_rows` result: only the
+    system rows [M_0 | M_1] of the transition matrix act on it."""
+    m0, m1 = (np.moveaxis(b, -1, 0) for b in rows[:2])
     mean = m0 @ sys0.mean + m1 @ env0.mean
     cov = m0 @ sys0.cov @ m0.swapaxes(1, 2) + m1 @ env0.cov @ m1.swapaxes(1, 2)
     return np.column_stack(
@@ -111,15 +110,15 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 
 def _reduced_area(
     modes: NormalModes,
+    rows,
     cs: np.ndarray,
     ce: np.ndarray,
     det_s: float,
     det_e: float,
-    t: np.ndarray,
 ) -> np.ndarray:
-    """Scaled area at the times t of the reduced state of an initially
-    uncorrelated two-mode state, evaluated without catastrophic
-    cancellation.
+    """Scaled area at the times of ``rows`` (a :func:`system_rows`
+    result) of the reduced state of an initially uncorrelated two-mode
+    state, evaluated without catastrophic cancellation.
 
     The reduced covariance is L L^T with L = [M0 Cs | M1 Ce] (Cs, Ce
     factors of the initial covariances Vs, Ve, whose determinants are
@@ -129,16 +128,17 @@ def _reduced_area(
         Dtilde^2 det(Vs) + det(M1)^2 det(Ve) + ||Cs^T X Ce||_F^2
 
     with X = M0^T J M1.  Every addend is a square, and the minors
-    themselves come from :func:`dtilde` / :func:`det_m1` /
-    :func:`cross_block` in analytically reduced form, so the result keeps
-    relative accuracy even when the covariance entries dwarf the area.
+    Dtilde, det(M1) and X come from :func:`system_rows` in analytically
+    reduced form, so the result keeps relative accuracy even when the
+    covariance entries dwarf the area.
     The determinant of the assembled reduced covariance, by contrast,
     loses all precision once the entries exceed the area by more than
     half the working precision.
     """
-    det_a = dtilde(modes, t) ** 2 * det_s
-    det_b = det_m1(modes, t) ** 2 * det_e
-    minors = cs.T @ np.moveaxis(cross_block(modes, t), -1, 0) @ ce
+    _, _, dt_, det_m1, cross = rows
+    det_a = dt_**2 * det_s
+    det_b = det_m1**2 * det_e
+    minors = cs.T @ np.moveaxis(cross, -1, 0) @ ce
     rad = det_a + det_b + np.sum(minors * minors, axis=(1, 2))
     return np.sqrt(np.maximum(rad, 0.0)) / (modes.hbar / 2.0)
 
@@ -157,8 +157,9 @@ def run_exact(
     det_s = float(np.linalg.det(sys0.cov))
     det_e = float(np.linalg.det(env0.cov))
 
-    moments = _exact_moments(modes, sys0, env0, grid)
-    A = _reduced_area(modes, cs, ce, det_s, det_e, grid)
+    rows = system_rows(modes, grid)
+    moments = _exact_moments(rows, sys0, env0)
+    A = _reduced_area(modes, rows, cs, ce, det_s, det_e)
     return Trajectory(
         times=grid,
         moments=moments,
@@ -274,7 +275,9 @@ def run_me(
         sel = np.where((grid > a + 1e-15) & (grid <= b + 1e-15))[0]
         if blocked:
             # fill from the exact state and restart from it at the far edge
-            exact = _exact_moments(modes, sys0, env0, np.append(grid[sel], b))
+            exact = _exact_moments(
+                system_rows(modes, np.append(grid[sel], b)), sys0, env0
+            )
             moments[sel] = exact[:-1]
             bridged[sel] = True
             y = exact[-1]

@@ -1,6 +1,7 @@
 """Gaussian states: squeezed pure states and the diagnostics of a
-reduced 1-mode state (area, entropies, energy).  The diagnostic
-functions take one value or an array with one value per time.
+reduced 1-mode state (area, entropies, energy), all computed in one
+``diagnostics_from_area`` call from one value or an array with one value
+per time.
 
 Squeezing convention: r = Delta x / Delta p in natural units, so a pure
 state with r = 1 is the round vacuum-like state with both variances
@@ -20,10 +21,6 @@ __all__ = [
     "GaussianState",
     "Diagnostics",
     "squeezed_pure",
-    "entropy_exact",
-    "entropy_approx",
-    "linear_entropy",
-    "energy",
     "diagnostics_from_area",
 ]
 
@@ -90,44 +87,10 @@ def squeezed_pure(
 
 def _check_area(A):
     """A sub-unit area is a numerical failure; the message names the
-    smallest area that is not NaN."""
+    smallest area that is not NaN.  The tolerance of 1e-9 absorbs the
+    rounding of an area computed from a stored covariance."""
     if np.any(A < 1.0 - 1e-9):
         raise NonPhysical(f"scaled area A = {np.nanmin(A)} < 1")
-
-
-def entropy_exact(A):
-    """Von Neumann entropy of a 1-mode Gaussian state with scaled area A.
-
-    With the mean occupation n = (A - 1)/2 this is
-    (n + 1) ln(n + 1) - n ln n = ln(1 + n) + n ln(1 + 1/n): two positive
-    terms, so it keeps full relative precision at every area, where the
-    textbook difference of the two products cancels once A is large.
-    """
-    _check_area(A)
-    n = np.maximum(0.5 * (A - 1.0), 0.0)
-    pos = n > 0.0
-    inv = 1.0 / np.where(pos, n, 1.0)
-    return np.where(pos, np.log1p(n) + n * np.log1p(inv), 0.0)[()]
-
-
-def entropy_approx(A):
-    """ln A: within 1 - ln 2 of the exact entropy, exact at A = 1."""
-    _check_area(A)
-    return np.log(np.maximum(A, 1.0))
-
-
-def linear_entropy(A):
-    """1 - Tr rho^2 = 1 - 1/A."""
-    _check_area(A)
-    return 1.0 - 1.0 / np.maximum(A, 1.0)
-
-
-def energy(moments, m_s: float, omega: float):
-    """Mean oscillator energy (means included) from the moments
-    (mean_x, mean_p, dx2, dp2, dxp) along the last axis."""
-    dx2 = moments[..., 2] + moments[..., 0] ** 2
-    dp2 = moments[..., 3] + moments[..., 1] ** 2
-    return 0.5 * (m_s * omega**2 * dx2 + dp2 / m_s)
 
 
 def diagnostics_from_area(A, moments, m_s: float, omega: float) -> Diagnostics:
@@ -137,12 +100,29 @@ def diagnostics_from_area(A, moments, m_s: float, omega: float) -> Diagnostics:
     The caller supplies the area because it can evaluate it more
     accurately than the determinant of the stored covariance allows (the
     determinant loses all precision once the covariance entries dwarf the
-    area).
+    area).  The area is checked once; areas a hair below 1 from rounding
+    are clamped to the pure state.
+
+    - ``S``, the von Neumann entropy: with the mean occupation
+      n = (A - 1)/2 it is (n + 1) ln(n + 1) - n ln n
+      = ln(1 + n) + n ln(1 + 1/n), two positive terms, so it keeps full
+      relative precision at every area, where the textbook difference of
+      the two products cancels once A is large.
+    - ``S_approx`` = ln A: within 1 - ln 2 of S, exact at A = 1.
+    - ``varsigma``, the linear entropy 1 - Tr rho^2 = 1 - 1/A.
+    - ``E``, the mean oscillator energy, means included.
     """
+    _check_area(A)
+    n = np.maximum(0.5 * (A - 1.0), 0.0)
+    pos = n > 0.0
+    inv = 1.0 / np.where(pos, n, 1.0)
+    clamped = np.maximum(A, 1.0)
+    dx2 = moments[..., 2] + moments[..., 0] ** 2
+    dp2 = moments[..., 3] + moments[..., 1] ** 2
     return Diagnostics(
         A=A,
-        S=entropy_exact(A),
-        S_approx=entropy_approx(A),
-        varsigma=linear_entropy(A),
-        E=energy(moments, m_s, omega),
+        S=np.where(pos, np.log1p(n) + n * np.log1p(inv), 0.0)[()],
+        S_approx=np.log(clamped),
+        varsigma=1.0 - 1.0 / clamped,
+        E=0.5 * (m_s * omega**2 * dx2 + dp2 / m_s),
     )

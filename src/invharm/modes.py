@@ -75,8 +75,10 @@ class NormalModes:
     the stiffnesses ``k1 = -omega^2`` and ``k2 = lambda_sq`` of the two
     modes, the mixing weights ``cw, sw, x`` (cos^2, sin^2 and
     sin(2 theta)/2), and the mass roots ``root_prod = sqrt(m_s m_e)``,
-    ``root_se = sqrt(m_s / m_e)``, ``root_es = sqrt(m_e / m_s)``.  Float
-    fields go through ``math``, so every constant is a Python float.
+    ``root_se = sqrt(m_s / m_e)``, ``root_es = sqrt(m_e / m_s)``, and the
+    diffusion prefactors ``pref = root_se / hbar^2`` and
+    ``pref2 = pref / m_s``.  Float fields go through ``math``, so every
+    constant is a Python float.
     """
 
     omega: float
@@ -93,6 +95,8 @@ class NormalModes:
     root_prod: float = field(init=False, repr=False, compare=False)
     root_se: float = field(init=False, repr=False, compare=False)
     root_es: float = field(init=False, repr=False, compare=False)
+    pref: float = field(init=False, repr=False, compare=False)
+    pref2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = ("omega", "lambda_sq", "theta_c", "m_s", "m_e", "hbar")
@@ -115,6 +119,8 @@ class NormalModes:
             raise ValueError("hbar must be strictly positive")
         if _any(omega < 0):
             raise ValueError("omega must be >= 0")
+        root_se = lib.sqrt(m_s / m_e)
+        pref = root_se / hbar**2
         for name, value in (
             ("k1", -(omega**2)),
             ("k2", lambda_sq),
@@ -122,8 +128,10 @@ class NormalModes:
             ("sw", lib.sin(theta_c) ** 2),
             ("x", 0.5 * lib.sin(2.0 * theta_c)),
             ("root_prod", lib.sqrt(m_s * m_e)),
-            ("root_se", lib.sqrt(m_s / m_e)),
+            ("root_se", root_se),
             ("root_es", lib.sqrt(m_e / m_s)),
+            ("pref", pref),
+            ("pref2", pref / m_s),
         ):
             object.__setattr__(self, name, value)
 

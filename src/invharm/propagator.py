@@ -1,6 +1,10 @@
 """The system rows [M_0 | M_1] of the transition matrix, built from the
 two mode functions, with the cancellation-free minors of those rows.
 
+``system_rows`` evaluates the four kernels once and returns every block
+and minor the exact path reads; ``dtilde`` evaluates the determinant of
+M_0 alone, for the root search and the master-equation guard.
+
 Phase-space ordering is [x, p, y, q] throughout: system position/momentum
 first, environment second.  Every function takes a float time or an
 array of times; a 2x2 block has shape (2, 2) for a float and (2, 2, n)
@@ -15,9 +19,7 @@ from .modes import NormalModes, gkernels
 
 __all__ = [
     "dtilde",
-    "det_m1",
-    "mode_blocks",
-    "cross_block",
+    "system_rows",
 ]
 
 
@@ -55,25 +57,27 @@ def dtilde(modes: NormalModes, t):
     return _dtilde(_kernels(modes, t), modes)
 
 
-def det_m1(modes: NormalModes, t):
-    """Determinant of the cross block M_1 (dphi1^2 - phi1 d2phi1),
-    evaluated in the same cancellation-free form as :func:`dtilde`."""
-    k1, c1, s1, k2, c2, s2 = _kernels(modes, t)
-    x = modes.x
-    return x * x * (2.0 - 2.0 * c1 * c2 + (k1 + k2) * s1 * s2)
-
-
-def mode_blocks(modes: NormalModes, t) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 blocks (M_0, M_1) of rows 1-2 of the transition matrix.
+def system_rows(modes: NormalModes, t):
+    """The system rows of the transition matrix and their minors, from
+    one evaluation of the kernels: the tuple (M_0, M_1, Dtilde, det M_1, X).
 
     M_0 = [[phi0', phi0/m_s], [m_s phi0'', phi0']] holds the mode
     function phi_0, which mixes the kernels of the two normal modes with
     cos^2/sin^2 weights; M_1 holds phi_1, which carries the sin(2 theta)/2
     cross weight, scaled by the mass roots.  The derivatives follow from
     s' = c, c' = k s for each kernel.
+
+    Dtilde = det M_0 is :func:`dtilde`; det M_1 = dphi1^2 - phi1 d2phi1
+    is evaluated in the same cancellation-free form.  The bilinear block
+    X = M_0^T J M_1 (J the 2x2 antisymmetric form) holds the
+    Wronskian-like combinations of the two mode functions, each expanded
+    with the kernel identity c^2 - k s^2 = 1 so that only terms at the
+    scale of the result appear.  Together these give every 2-column
+    minor of [M_0 | M_1], and hence a cancellation-free reduced-state
+    area.
     """
     k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
-    cw, sw, m_s = modes.cw, modes.sw, modes.m_s
+    cw, sw, x, m_s = modes.cw, modes.sw, modes.x, modes.m_s
     dphi0 = cw * c1 + sw * c2
     phi1, dphi1, d2phi1 = _phi1(kern, modes)
     m0 = np.array(
@@ -88,20 +92,7 @@ def mode_blocks(modes: NormalModes, t) -> tuple[np.ndarray, np.ndarray]:
             [modes.root_prod * d2phi1, modes.root_se * dphi1],
         ]
     )
-    return m0, m1
-
-
-def cross_block(modes: NormalModes, t) -> np.ndarray:
-    """The bilinear block X = M_0^T J M_1 (J the 2x2 antisymmetric form).
-
-    Its entries are the Wronskian-like combinations of the two mode
-    functions; each is expanded with the kernel identity c^2 - k s^2 = 1
-    so that only terms at the scale of the result appear.  Together with
-    :func:`dtilde` and :func:`det_m1` this gives every 2-column minor of
-    [M_0 | M_1], and hence a cancellation-free reduced-state area.
-    """
-    k1, c1, s1, k2, c2, s2 = _kernels(modes, t)
-    cw, sw, x = modes.cw, modes.sw, modes.x
+    det_m1 = x * x * (2.0 - 2.0 * c1 * c2 + (k1 + k2) * s1 * s2)
     # dphi0 d2phi1 - d2phi0 dphi1
     w_dd = x * (k1 * s1 * c2 - k2 * c1 * s2)
     # dphi0 dphi1 - d2phi0 phi1
@@ -114,9 +105,10 @@ def cross_block(modes: NormalModes, t) -> np.ndarray:
     )
     # phi0 dphi1 - dphi0 phi1
     w_cc = x * (c1 * s2 - s1 * c2)
-    return np.array(
+    cross = np.array(
         [
             [modes.root_prod * w_dd, modes.root_se * w_dc],
             [modes.root_es * w_cd, w_cc / modes.root_prod],
         ]
     )
+    return m0, m1, _dtilde(kern, modes), det_m1, cross

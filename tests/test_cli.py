@@ -403,6 +403,34 @@ class TestExitCodesAndErrors:
         assert code == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize(
+        "r, angle, hbar",
+        [
+            (9009.38782981161, 2.241966891994931, 3.4024058628592333),
+            (0.00011134952544217739, -2.23790841982599, 31.57879118212196),
+            (8373.682762350662, -0.5466948026586502, 0.23994865873308027),
+        ],
+    )
+    def test_rejects_a_state_that_cannot_hold_its_own_area(
+        self, tmp_path, capsys, r, angle, hbar
+    ):
+        # the rounded covariance of a strongly squeezed, rotated state has
+        # a determinant below (hbar/2)^2 by more than the area check allows
+        cfg = write_config(
+            tmp_path / "c.json",
+            modes={"hbar": hbar},
+            extra={"system": {"r": r, "angle": angle}},
+        )
+        code = run_cli(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith("'system': initial state has scaled area A = ")
+
+    def test_accepts_strong_squeezing_that_holds_its_area(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", extra={"system": {"r": 1e4, "angle": 1.0}})
+        assert run_cli(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
 
 class TestModesCommand:
     def test_round_trip_report(self, tmp_path, capsys):

@@ -10,9 +10,8 @@ from invharm import (
     NormalModes,
     SqueezeSpec,
     Trajectory,
+    diagnostics_from_area,
     find_divergences,
-    energy,
-    entropy_exact,
     moment_deviation,
     run_exact,
     run_me,
@@ -22,7 +21,6 @@ from invharm import (
 from reference import (
     area_ratio,
     full_transition,
-    moments_of,
     product_state,
     propagate,
     reduce_system,
@@ -168,8 +166,22 @@ class TestFullStateReference:
         ) / 0.25
         assert np.all(np.abs(A**2 - A_ref**2) <= 1e-13 * det_scale)
         assert A.max() > 10.0  # the run has left the pure state far behind
-        assert np.array_equal(traj.diags.S, [entropy_exact(a) for a in A])
-        E_ref = np.array([energy(moments_of(r), modes.m_s, modes.omega) for r in reds])
+        one_per_row = [
+            diagnostics_from_area(a, m, modes.m_s, modes.omega)
+            for a, m in zip(A, traj.moments)
+        ]
+        assert np.array_equal(traj.diags.S, [d.S for d in one_per_row])
+        # E = (m_s omega^2 <x^2> + <p^2> / m_s) / 2, means included
+        E_ref = np.array(
+            [
+                0.5
+                * (
+                    modes.m_s * modes.omega**2 * (r.cov[0, 0] + r.mean[0] ** 2)
+                    + (r.cov[1, 1] + r.mean[1] ** 2) / modes.m_s
+                )
+                for r in reds
+            ]
+        )
         assert np.abs(traj.diags.E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
 
 
@@ -340,6 +352,50 @@ class TestSolverHook:
         run_me(base_modes, SYS0, env0, grid_to(10.0, 501), opts=TestBridging.OPTS)
         assert len(nfev) == 2
         assert len(times) == sum(nfev) > 0
+
+
+class TestOneKernelEvaluation:
+    """The exact path reads every block and minor from one evaluation of
+    the kernels on its grid."""
+
+    def test_run_exact_evaluates_the_kernels_once(self, base_modes, monkeypatch):
+        import invharm.propagator as propagator
+
+        real = propagator.gkernels
+        calls = []
+
+        def counting(k, t):
+            calls.append(np.shape(t))
+            return real(k, t)
+
+        monkeypatch.setattr(propagator, "gkernels", counting)
+        grid = grid_to(12.0, 241)
+        run_exact(base_modes, SYS0, ENV0, grid)
+        # one array call per normal mode
+        assert calls == [grid.shape, grid.shape]
+
+    @pytest.mark.parametrize("t_max", [10.0, 24.0])
+    def test_run_me_evaluates_the_rows_once_per_bridged_window(
+        self, base_modes, monkeypatch, t_max
+    ):
+        import invharm.evolution as evolution
+
+        real = evolution.system_rows
+        calls = []
+
+        def counting(modes, t):
+            calls.append(t)
+            return real(modes, t)
+
+        monkeypatch.setattr(evolution, "system_rows", counting)
+        grid = grid_to(t_max, 50 * int(t_max) + 1)
+        me = run_me(base_modes, SYS0, ENV0, grid, opts=TestBridging.OPTS)
+        assert len(me.bridges) >= 1
+        assert len(calls) == len(me.bridges)
+        # each call covers its window's grid points and its far edge
+        for (a, b), t in zip(me.bridges, calls):
+            assert t[-1] == b
+            assert np.all((t[:-1] > a) & (t[:-1] <= b))
 
 
 class TestFreeParticleEnvironment:

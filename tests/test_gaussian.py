@@ -10,11 +10,8 @@ from invharm import (
     NonPhysical,
     SqueezeSpec,
     diagnostics_from_area,
-    energy,
-    entropy_approx,
-    entropy_exact,
-    linear_entropy,
     squeezed_pure,
+    system_rows,
 )
 
 from reference import (
@@ -144,14 +141,12 @@ class TestPropagate:
     def test_block_oracle_for_system_variance(self, base_modes):
         # reduced Delta x^2 after evolution equals the block formula
         # M0 Vs M0^T + M1 Ve M1^T in the (x, p) corner
-        from invharm import mode_blocks
-
         sys = squeezed_pure(SqueezeSpec(4.0))
         env = squeezed_pure(SqueezeSpec(2.0))
         full = product_state(sys, env)
         t = 1.0
         out = reduce_system(*propagate(*full, full_transition(base_modes, t)))
-        m0, m1 = mode_blocks(base_modes, t)
+        m0, m1 = system_rows(base_modes, t)[:2]
         expected = m0 @ sys.cov @ m0.T + m1 @ env.cov @ m1.T
         assert np.allclose(out.cov, expected, rtol=1e-10)
 
@@ -188,53 +183,62 @@ class TestAreaRatio:
         assert area_ratio(st_, hbar=2.0) == pytest.approx(1.0, rel=1e-14)
 
 
+def diags(A, moments=None, m_s=1.0, omega=1.0):
+    """:func:`diagnostics_from_area` of the area A, with zero moments
+    unless given."""
+    if moments is None:
+        moments = np.zeros(np.shape(A) + (5,))
+    return diagnostics_from_area(A, moments, m_s, omega)
+
+
 class TestEntropyFunctions:
     def test_pure_state_zero_entropy(self):
-        assert entropy_exact(1.0) == 0.0
-        assert entropy_approx(1.0) == 0.0
-        assert linear_entropy(1.0) == 0.0
+        d = diags(1.0)
+        assert d.S == 0.0
+        assert d.S_approx == 0.0
+        assert d.varsigma == 0.0
 
     def test_area_three_hand_value(self):
         # (A+1)/2 = 2, (A-1)/2 = 1: S = 2 ln 2 - 0 = ln 4
-        assert entropy_exact(3.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+        assert diags(3.0).S == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
 
     def test_large_area_asymptotics(self):
         A = 1e3
-        assert entropy_exact(A) == pytest.approx(
+        assert diags(A).S == pytest.approx(
             math.log(A) + 1.0 - math.log(2.0), rel=1e-5
         )
 
     def test_exact_entropy_monotone(self):
         As = np.linspace(1.0, 50.0, 200)
-        Ss = [entropy_exact(A) for A in As]
+        Ss = [diags(A).S for A in As]
         assert all(b > a for a, b in zip(Ss, Ss[1:]))
 
     def test_approx_bound(self):
         # ln A underestimates by at most 1 - ln 2, approached as A -> inf
         bound = 1.0 - math.log(2.0)
         for A in (1.0, 1.1, 2.0, 10.0, 1e6):
-            gap = entropy_exact(A) - entropy_approx(A)
+            d = diags(A)
+            gap = d.S - d.S_approx
             assert 0.0 <= gap <= bound + 1e-12
 
     def test_linear_entropy_and_purity(self):
-        assert linear_entropy(2.0) == pytest.approx(0.5, rel=1e-14)
+        assert diags(2.0).varsigma == pytest.approx(0.5, rel=1e-14)
         # the purity Tr rho^2 = 1/A is 1 - varsigma
-        assert linear_entropy(5.0) == pytest.approx(0.8, rel=1e-14)
+        assert diags(5.0).varsigma == pytest.approx(0.8, rel=1e-14)
 
     def test_rejects_area_below_one(self):
-        for fn in (entropy_exact, entropy_approx, linear_entropy):
-            with pytest.raises(ValueError):
-                fn(0.9)
+        with pytest.raises(ValueError):
+            diags(0.9)
 
     def test_large_area_matches_asymptote(self):
         # S = ln(A/2) + 1 + O(1/A^2); the textbook difference of two
         # products cancelled here and read -ln 2 from A = 1e16 on
         for A in (1e8, 1e12, 1e14, 1e16, 1.1e15, 1e100, 1e300):
-            assert entropy_exact(A) == pytest.approx(
+            assert diags(A).S == pytest.approx(
                 math.log(A / 2.0) + 1.0, rel=1e-15
             )
         As = 10.0 ** np.arange(8, 301)
-        assert np.allclose(entropy_exact(As), np.log(As / 2.0) + 1.0, rtol=1e-15)
+        assert np.allclose(diags(As).S, np.log(As / 2.0) + 1.0, rtol=1e-15)
 
     def test_small_area_matches_textbook_form(self):
         # the difference of the two products loses nothing at small A
@@ -242,44 +246,46 @@ class TestEntropyFunctions:
             textbook = 0.5 * (
                 (A + 1.0) * math.log(A + 1.0) - (A - 1.0) * math.log(A - 1.0)
             ) - math.log(2.0)
-            assert entropy_exact(A) == pytest.approx(textbook, rel=1e-12)
+            assert diags(A).S == pytest.approx(textbook, rel=1e-12)
 
     def test_array_matches_scalar_calls(self):
         As = np.array([1.0, 1.0 - 1e-12, 1.0 + 1e-15, 2.0, 3.0, 1e6, 1e20])
-        for fn in (entropy_exact, entropy_approx, linear_entropy):
-            col = fn(As)
+        cols = diags(As)
+        for name in ("S", "S_approx", "varsigma"):
+            col = getattr(cols, name)
             assert col.shape == As.shape
-            assert [float(v) for v in col] == [float(fn(A)) for A in As]
+            assert [float(v) for v in col] == [float(getattr(diags(A), name)) for A in As]
         with pytest.raises(ValueError):
-            entropy_exact(np.array([2.0, 0.5]))
+            diags(np.array([2.0, 0.5]))
 
     def test_tolerates_rounding_below_one(self):
         # areas a hair under 1 from floating-point noise are clamped
-        assert entropy_exact(1.0 - 1e-12) == 0.0
-        assert linear_entropy(1.0 - 1e-12) == 0.0
+        d = diags(1.0 - 1e-12)
+        assert d.S == 0.0
+        assert d.varsigma == 0.0
 
 
 class TestEnergy:
     def test_round_vacuum(self):
         st_ = moments_of(squeezed_pure(SqueezeSpec(1.0)))
-        assert energy(st_, 1.0, 1.0) == pytest.approx(0.5)
+        assert diags(1.0, st_).E == pytest.approx(0.5)
 
     def test_squeezed_state(self):
         # r = 4: dx2 = 2, dp2 = 1/8
-        e = energy(moments_of(squeezed_pure(SqueezeSpec(4.0))), 1.0, 1.0)
+        e = diags(1.0, moments_of(squeezed_pure(SqueezeSpec(4.0)))).E
         assert e == pytest.approx(0.5 * (2.0 + 0.125), rel=1e-14)
 
     def test_mean_offset_adds_coherent_energy(self):
         st_ = moments_of(GaussianState(np.array([3.0, 0.0]), 0.5 * np.eye(2)))
         m_s, omega = 2.0, 1.5
-        base = energy(moments_of(squeezed_pure(SqueezeSpec(1.0))), m_s, omega)
-        assert energy(st_, m_s, omega) == pytest.approx(
+        base = diags(1.0, moments_of(squeezed_pure(SqueezeSpec(1.0))), m_s, omega).E
+        assert diags(1.0, st_, m_s, omega).E == pytest.approx(
             base + 0.5 * m_s * omega**2 * 9.0, rel=1e-14
         )
 
     def test_mass_and_frequency_scaling(self):
         st_ = moments_of(GaussianState(np.zeros(2), np.diag([1.0, 4.0])))
-        assert energy(st_, 2.0, 3.0) == pytest.approx(
+        assert diags(2.0, st_, 2.0, 3.0).E == pytest.approx(
             0.5 * (2.0 * 9.0 * 1.0 + 4.0 / 2.0), rel=1e-14
         )
 
@@ -289,17 +295,22 @@ class TestDiagnostics:
         st_ = GaussianState(np.array([1.0, 0.5]), np.diag([2.0, 1.0]))
         A = area_ratio(st_)
         d = diagnostics_from_area(A, moments_of(st_), m_s=1.0, omega=1.0)
-        assert d.A == A
-        assert d.S == entropy_exact(A)
-        assert d.S_approx == entropy_approx(A)
-        assert d.varsigma == linear_entropy(A)
-        assert d.E == energy(moments_of(st_), 1.0, 1.0)
+        assert d.A == A == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+        # the textbook forms, one scalar at a time
+        textbook = 0.5 * (
+            (A + 1.0) * math.log(A + 1.0) - (A - 1.0) * math.log(A - 1.0)
+        ) - math.log(2.0)
+        assert d.S == pytest.approx(textbook, rel=1e-14)
+        assert d.S_approx == pytest.approx(math.log(A), rel=1e-15)
+        assert d.varsigma == pytest.approx(1.0 - 1.0 / A, rel=1e-15)
+        # E = (m_s omega^2 <x^2> + <p^2> / m_s) / 2, means included
+        assert d.E == pytest.approx(0.5 * ((2.0 + 1.0) + (1.0 + 0.25)), rel=1e-15)
 
     def test_from_area_overrides_determinant(self):
         st_ = GaussianState(np.zeros(2), 0.5 * np.eye(2))
         d = diagnostics_from_area(3.0, moments_of(st_), m_s=1.0, omega=1.0)
         assert d.A == 3.0
-        assert d.S == entropy_exact(3.0)
+        assert d.S == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
         # energy still comes from the stored covariance
         assert d.E == pytest.approx(0.5)
 

@@ -55,16 +55,28 @@ class TestNormalModesType:
             with pytest.raises(ValueError, match="masses|omega"):
                 NormalModes(**{**fields, **bad})
 
+    def test_diffusion_prefactors(self):
+        m = NormalModes(omega=1.0, lambda_sq=1.5, theta_c=0.1, m_s=0.8, m_e=1.7, hbar=0.6)
+        assert m.pref == pytest.approx(math.sqrt(0.8 / 1.7) / 0.36, rel=1e-15)
+        assert m.pref2 == pytest.approx(math.sqrt(0.8 / 1.7) / (0.36 * 0.8), rel=1e-15)
+
     def test_array_fields_broadcast_to_one_shape(self):
         om = np.array([0.5, 1.0, 2.0])
         th = np.array([-0.3, 0.01, 0.4])
-        m = NormalModes(omega=om, lambda_sq=1.5, theta_c=th, m_s=0.8, m_e=1.7)
+        m = NormalModes(omega=om, lambda_sq=1.5, theta_c=th, m_s=0.8, m_e=1.7, hbar=0.6)
         for name in ("omega", "lambda_sq", "theta_c", "m_s", "m_e", "hbar"):
             assert getattr(m, name).shape == (3,), name
-        names = ("k1", "k2", "cw", "sw", "x", "root_prod", "root_se", "root_es")
+        names = (
+            "k1", "k2", "cw", "sw", "x", "root_prod", "root_se", "root_es", "pref", "pref2"
+        )
         for i in range(3):
             one = NormalModes(
-                omega=float(om[i]), lambda_sq=1.5, theta_c=float(th[i]), m_s=0.8, m_e=1.7
+                omega=float(om[i]),
+                lambda_sq=1.5,
+                theta_c=float(th[i]),
+                m_s=0.8,
+                m_e=1.7,
+                hbar=0.6,
             )
             for name in names:
                 want = getattr(one, name)

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invharm import (
-    NormalModes,
-    coeffs_closed,
-    cross_block,
-    det_m1,
-    dtilde,
-    mode_blocks,
-)
+from invharm import NormalModes, coeffs_closed, dtilde, system_rows
 
 from conftest import BASE, rel_err
 from reference import SYMPLECTIC_FORM, full_transition
@@ -30,8 +23,8 @@ def random_modes(rng, stable_ok=True):
 
 def mode_functions(modes, t):
     """(phi0, dphi0, d2phi0, phi1, dphi1, d2phi1) read back from the
-    entries of :func:`mode_blocks`."""
-    m0, m1 = mode_blocks(modes, t)
+    entries of the blocks of :func:`system_rows`."""
+    m0, m1 = system_rows(modes, t)[:2]
     return (
         modes.m_s * m0[0, 1],
         m0[0, 0],
@@ -123,23 +116,25 @@ class TestFullTransition:
     def test_rows_match_tp(self, base_modes):
         # rows 1-2 of T are the system rows [M_0 | M_1] that T_p keeps
         T = full_transition(base_modes, 1.7)
-        rows = np.hstack(mode_blocks(base_modes, 1.7))
+        rows = np.hstack(system_rows(base_modes, 1.7)[:2])
         assert np.abs(T[:2] - rows).max() < 1e-12 * max(1.0, np.abs(T).max())
 
 
 class TestTpMatrix:
     """The system rows [M_0 | M_1] of the partial-knowledge matrix T_p,
-    as returned by :func:`mode_blocks`."""
+    as returned by :func:`system_rows`."""
 
     def test_identity_at_zero(self, base_modes):
-        m0, m1 = mode_blocks(base_modes, 0.0)
+        m0, m1 = system_rows(base_modes, 0.0)[:2]
         assert np.allclose(m0, np.eye(2), atol=1e-15)
         assert np.allclose(m1, 0.0, atol=1e-15)
 
     def test_decoupled_cross_block_zero(self):
         modes = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
-        _, m1 = mode_blocks(modes, 2.3)
+        _, m1, _, det, x = system_rows(modes, 2.3)
         assert np.allclose(m1, 0.0, atol=1e-15)
+        assert det == 0.0
+        assert np.allclose(x, 0.0, atol=1e-15)
 
 
 class TestDtilde:
@@ -156,9 +151,11 @@ class TestDtilde:
         for _ in range(20):
             modes = random_modes(rng)
             for t in (0.7, 2.0, 4.0):
-                m0, _ = mode_blocks(modes, t)
+                m0, _, dt_, _, _ = system_rows(modes, t)
                 naive = float(np.linalg.det(m0))
                 assert rel_err(dtilde(modes, t), naive) < 1e-9
+                # the rows carry the same evaluation of the same formula
+                assert dt_ == dtilde(modes, t)
 
     def test_matches_closed_form_denominator(self, base_modes):
         c = coeffs_closed(base_modes, 2.0)
@@ -190,23 +187,23 @@ class TestAuxiliaryBlocks:
         for _ in range(20):
             modes = random_modes(rng)
             for t in (0.5, 2.0, 4.0):
-                _, m1 = mode_blocks(modes, t)
-                assert rel_err(det_m1(modes, t), float(np.linalg.det(m1))) < 1e-9
+                _, m1, _, det, _ = system_rows(modes, t)
+                assert rel_err(det, float(np.linalg.det(m1))) < 1e-9
 
     def test_cross_block_matches_naive(self, rng):
         J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
         for _ in range(20):
             modes = random_modes(rng)
             for t in (0.5, 2.0, 4.0):
-                m0, m1 = mode_blocks(modes, t)
+                m0, m1, _, _, stable = system_rows(modes, t)
                 naive = m0.T @ J2 @ m1
-                stable = cross_block(modes, t)
                 scale = max(1.0, np.abs(naive).max())
                 assert np.abs(naive - stable).max() < 1e-9 * scale
 
     def test_zero_at_t_zero(self, base_modes):
-        assert det_m1(base_modes, 0.0) == 0.0
-        assert np.allclose(cross_block(base_modes, 0.0), 0.0, atol=1e-15)
+        _, _, _, det, x = system_rows(base_modes, 0.0)
+        assert det == 0.0
+        assert np.allclose(x, 0.0, atol=1e-15)
 
 
 class TestArrayTimes:
@@ -218,26 +215,21 @@ class TestArrayTimes:
         ts = np.linspace(0.0, 12.0, 97)
         for _ in range(10):
             modes = random_modes(rng)
-            m0, m1 = mode_blocks(modes, ts)
-            assert m0.shape == m1.shape == (2, 2, ts.size)
-            x = cross_block(modes, ts)
-            assert x.shape == (2, 2, ts.size)
-            cols = {
-                "m0": (m0, lambda t: mode_blocks(modes, t)[0]),
-                "m1": (m1, lambda t: mode_blocks(modes, t)[1]),
-                "x": (x, lambda t: cross_block(modes, t)),
-                "dtilde": (dtilde(modes, ts), lambda t: dtilde(modes, t)),
-                "det_m1": (det_m1(modes, ts), lambda t: det_m1(modes, t)),
-            }
-            for name, (got, one) in cols.items():
-                want = np.stack([one(float(t)) for t in ts], axis=-1)
+            rows = system_rows(modes, ts)
+            assert rows[0].shape == rows[1].shape == rows[4].shape == (2, 2, ts.size)
+            assert np.array_equal(rows[2], dtilde(modes, ts))
+            ones = [system_rows(modes, float(t)) for t in ts]
+            for i, name in enumerate(("m0", "m1", "dtilde", "det_m1", "x")):
+                got = rows[i]
+                want = np.stack([one[i] for one in ones], axis=-1)
                 assert got.shape == want.shape, name
                 scale = max(1.0, np.abs(want).max())
                 assert np.abs(got - want).max() <= self.TOL * scale, name
 
     def test_scalar_time_keeps_scalar_shapes(self, base_modes):
-        m0, m1 = mode_blocks(base_modes, 1.5)
-        assert m0.shape == m1.shape == cross_block(base_modes, 1.5).shape == (2, 2)
+        m0, m1, dt_, det, x = system_rows(base_modes, 1.5)
+        assert m0.shape == m1.shape == x.shape == (2, 2)
         assert isinstance(dtilde(base_modes, 1.5), float)
-        assert isinstance(det_m1(base_modes, 1.5), float)
+        assert isinstance(dt_, float)
+        assert isinstance(det, float)
 
