@@ -13,8 +13,6 @@ tests check it against live in the tests.
 """
 
 from .analysis import (
-    DomainError,
-    WindowTooShort,
     critical_time_derived,
     critical_time_paper,
     find_divergences,
@@ -22,14 +20,12 @@ from .analysis import (
 )
 from .coefficients import (
     MECoefficients,
-    UnsupportedRegime,
     coeffs_closed,
     coeffs_general,
     contract,
 )
 from .evolution import (
     IntegratorOptions,
-    StepFailure,
     Trajectory,
     moment_deviation,
     run_exact,
@@ -38,7 +34,6 @@ from .evolution import (
 from .gaussian import (
     Diagnostics,
     GaussianState,
-    NonPhysical,
     SqueezeSpec,
     diagnostics_from_area,
     squeezed_pure,
@@ -66,28 +61,23 @@ __all__ = [
     "dtilde",
     "system_rows",
     # coefficients
-    "UnsupportedRegime",
     "MECoefficients",
     "coeffs_general",
     "coeffs_closed",
     "contract",
     # gaussian
-    "NonPhysical",
     "SqueezeSpec",
     "GaussianState",
     "Diagnostics",
     "squeezed_pure",
     "diagnostics_from_area",
     # evolution
-    "StepFailure",
     "IntegratorOptions",
     "Trajectory",
     "run_exact",
     "run_me",
     "moment_deviation",
     # analysis
-    "DomainError",
-    "WindowTooShort",
     "critical_time_paper",
     "critical_time_derived",
     "find_divergences",

@@ -12,8 +12,6 @@ from .modes import NormalModes
 from .propagator import dtilde
 
 __all__ = [
-    "DomainError",
-    "WindowTooShort",
     "critical_time_paper",
     "critical_time_derived",
     "find_divergences",
@@ -21,21 +19,13 @@ __all__ = [
 ]
 
 
-class DomainError(ValueError):
-    """Arguments outside the validity region of a closed-form estimate."""
-
-
-class WindowTooShort(ValueError):
-    """A fit window does not span enough of the trajectory."""
-
-
 def _check_tc_args(omega: float, lam: float, theta_c: float):
     if omega <= 0:
-        raise DomainError("critical time requires omega > 0")
+        raise ValueError("critical time requires omega > 0")
     if lam <= 0:
-        raise DomainError("critical time requires lambda > 0")
+        raise ValueError("critical time requires lambda > 0")
     if not 0.0 < abs(theta_c) < 1.0:
-        raise DomainError("critical time requires 0 < |theta_c| < 1")
+        raise ValueError("critical time requires 0 < |theta_c| < 1")
 
 
 def critical_time_paper(omega: float, lam: float, theta_c: float) -> float:
@@ -130,18 +120,18 @@ def fit_entropy_line(traj, window, omega: float) -> tuple[float, float]:
     t0, t1 = window
     times = np.asarray(traj.times)
     if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
-        raise WindowTooShort("window extends beyond the trajectory")
+        raise ValueError("window extends beyond the trajectory")
     S = traj.diags.S
     if omega > 0:
         period = math.pi / omega
         n_periods = int(math.floor((t1 - t0) / period))
         if n_periods < 3:
-            raise WindowTooShort(
+            raise ValueError(
                 f"window spans {n_periods} modulation periods; need >= 3"
             )
         t1 = t0 + n_periods * period
     mask = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
     if mask.sum() < 2:
-        raise WindowTooShort("fewer than 2 samples in fit window")
+        raise ValueError("fewer than 2 samples in fit window")
     coeffs = np.polyfit(times[mask], S[mask], 1)
     return float(coeffs[0]), float(coeffs[1])

@@ -30,22 +30,14 @@ import sys
 import numpy as np
 
 from .analysis import (
-    DomainError,
-    WindowTooShort,
     critical_time_derived,
     critical_time_paper,
     find_divergences,
     fit_entropy_line,
 )
 from .coefficients import coeffs_closed, coeffs_general, contract
-from .evolution import (
-    IntegratorOptions,
-    StepFailure,
-    moment_deviation,
-    run_exact,
-    run_me,
-)
-from .gaussian import GaussianState, NonPhysical, SqueezeSpec, _check_area, squeezed_pure
+from .evolution import IntegratorOptions, moment_deviation, run_exact, run_me
+from .gaussian import GaussianState, SqueezeSpec, _check_area, squeezed_pure
 from .modes import NormalModes, SupersystemParams, derive_modes, params_from_modes
 from .propagator import dtilde
 
@@ -72,6 +64,15 @@ FIELDS = {
     "environment": {"r": 2.0, "angle": 0.0},
     "integrator": dataclasses.asdict(IntegratorOptions()),
 }
+
+# the keys each section reads besides its FIELDS, and the top-level keys;
+# any other key is rejected, so a misspelling cannot fall back to a default
+OTHER_KEYS = {
+    "system": ("mean",),
+    "environment": ("mean",),
+    "grid": ("t_max", "samples", "dt"),
+}
+TOP_LEVEL_KEYS = (*FIELDS, "grid", "method", "fit_window")
 
 # scan name -> the (section, field) its values replace
 SCAN_PARAMETERS = {
@@ -202,6 +203,9 @@ def _section(raw: dict, name: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"'{name}' must be a JSON object")
     fields = FIELDS.get(name, {})
+    for key in obj:
+        if key not in fields and key not in OTHER_KEYS.get(name, ()):
+            raise ConfigError(f"'{name}': unknown field '{key}'")
     return obj, {key: _require_number(obj, key, d) for key, d in fields.items()}
 
 
@@ -209,6 +213,9 @@ def parse_config(raw: dict) -> RunConfig:
     """Validate and resolve a raw configuration dictionary."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    for key in raw:
+        if key not in TOP_LEVEL_KEYS:
+            raise ConfigError(f"unknown field '{key}'")
     has_modes = "modes" in raw
     has_bare = "bare" in raw
     if has_modes == has_bare:
@@ -282,7 +289,7 @@ def parse_config(raw: dict) -> RunConfig:
                 raise ConfigError(f"'{name}': initial covariance is not finite")
             try:
                 _check_area(np.sqrt(max(det, 0.0)) / (cfg.modes.hbar / 2.0))
-            except NonPhysical as exc:
+            except FloatingPointError as exc:
                 raise ConfigError(f"'{name}': initial state has {exc}") from exc
     return cfg
 
@@ -424,7 +431,7 @@ def cmd_divergences(cfg: RunConfig, out_dir: str) -> dict:
     try:
         tc_paper = critical_time_paper(om, lam, th)
         tc_derived = critical_time_derived(om, lam, th)
-    except DomainError:
+    except ValueError:
         tc_paper = tc_derived = None
     report = {
         "config": cfg.echo(),
@@ -453,7 +460,7 @@ def _scan_one(run_cfg: RunConfig, value: float, out_dir: str, idx: int):
     _write_csv(os.path.join(out_dir, filename), EVOLVE_COLUMNS, _evolve_table(traj))
     try:
         slope, s0 = fit_entropy_line(traj, run_cfg.fit_window, run_cfg.modes.omega)
-    except WindowTooShort:
+    except ValueError:
         slope = s0 = None
     return {
         "value": value,
@@ -632,18 +639,17 @@ def main(argv=None) -> int:
             return EXIT_VERIFY
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_OK
-    except ConfigError as exc:
-        _emit_error("validation", exc)
-        return EXIT_CONFIG
     except OSError as exc:
         # the config was read and the output directory made: a file in
         # it could not be written
-        _emit_error("validation", ConfigError(f"cannot write output: {exc}"))
+        _emit_error("validation", f"cannot write output: {exc}")
         return EXIT_CONFIG
-    except (StepFailure, NonPhysical, ArithmeticError, np.linalg.LinAlgError) as exc:
+    # LinAlgError is a ValueError, so it is named before ValueError
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         _emit_error("numerical", exc)
         return EXIT_NUMERIC
     except ValueError as exc:
+        # bad input: a ConfigError, or a value outside a formula's domain
         _emit_error("validation", exc)
         return EXIT_CONFIG
 

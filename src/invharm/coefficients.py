@@ -29,16 +29,11 @@ from .modes import NormalModes
 from .propagator import _dtilde, _kernels, _phi1
 
 __all__ = [
-    "UnsupportedRegime",
     "MECoefficients",
     "coeffs_general",
     "coeffs_closed",
     "contract",
 ]
-
-
-class UnsupportedRegime(ValueError):
-    """Closed-form coefficients requested outside their validity range."""
 
 
 class MECoefficients(NamedTuple):
@@ -118,7 +113,7 @@ def coeffs_closed(modes: NormalModes, t) -> MECoefficients:
     a float time, or over array modes and an array of times of their
     shape."""
     if np.any(modes.lambda_sq <= 0) or np.any(modes.omega <= 0):
-        raise UnsupportedRegime(
+        raise ValueError(
             "closed forms require lambda_sq > 0 and omega > 0; "
             "use coeffs_general"
         )

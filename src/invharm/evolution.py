@@ -38,17 +38,12 @@ from .modes import NormalModes
 from .propagator import dtilde, system_rows
 
 __all__ = [
-    "StepFailure",
     "IntegratorOptions",
     "Trajectory",
     "run_exact",
     "run_me",
     "moment_deviation",
 ]
-
-
-class StepFailure(RuntimeError):
-    """Adaptive integration could not meet its tolerances."""
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,8 @@ def run_me(
     Within blocked windows around determinant roots the trajectory is
     filled from the exact propagator and the integrator restarts from
     the exact state at the window's far edge.  Each segment between
-    windows is integrated once, and only if it holds a grid point.
+    windows is integrated once, and only if it holds a grid point; a
+    segment that fails raises ``FloatingPointError`` naming it.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or grid[0] != 0.0:
@@ -261,40 +257,32 @@ def run_me(
     y = np.array([*sys0.mean, sys0.cov[0, 0], sys0.cov[1, 1], sys0.cov[0, 1]])
     moments[0] = y
     t_cur = 0.0
-
-    segments = []
-    for a, b in windows:
-        segments.append((t_cur, a, False))
-        segments.append((a, b, True))
-        t_cur = b
-    segments.append((t_cur, t_end, False))
-
-    for a, b, blocked in segments:
-        if b <= a:
-            continue
-        sel = np.where((grid > a + 1e-15) & (grid <= b + 1e-15))[0]
-        if blocked:
-            # fill from the exact state and restart from it at the far edge
+    # integrate up to each window, fill it from the exact state and
+    # restart from that state at its far edge; the closing (t_end, t_end)
+    # entry integrates the rest.  Only segments holding a grid point are
+    # integrated.
+    for a, b in windows + [(t_end, t_end)]:
+        sel = np.where((grid > t_cur + 1e-15) & (grid <= a + 1e-15))[0]
+        if sel.size:
+            try:
+                sol = solve_ivp(
+                    rhs, (t_cur, a), y, grid[sel], opts.rel_tol, opts.abs_tol
+                )
+            except ArithmeticError as exc:
+                # from the right-hand side, or a step that fell below 10 ulp
+                raise FloatingPointError(
+                    f"integrator failed on [{t_cur}, {a}]: {type(exc).__name__}: {exc}"
+                ) from exc
+            moments[sel] = sol.y
+        if b > a:
+            sel = np.where((grid > a + 1e-15) & (grid <= b + 1e-15))[0]
             exact = _exact_moments(
                 system_rows(modes, np.append(grid[sel], b)), sys0, env0
             )
             moments[sel] = exact[:-1]
             bridged[sel] = True
             y = exact[-1]
-            continue
-        # an unblocked segment ends at a window (whose far edge restarts
-        # from the exact state) or at t_end, so only its grid points
-        # are read
-        if sel.size == 0:
-            continue
-        try:
-            sol = solve_ivp(rhs, (a, b), y, grid[sel], opts.rel_tol, opts.abs_tol)
-        except ArithmeticError as exc:
-            # from the right-hand side, or a step that fell below 10 ulp
-            raise StepFailure(
-                f"integrator failed on [{a}, {b}]: {type(exc).__name__}: {exc}"
-            ) from exc
-        moments[sel] = sol.y
+        t_cur = b
 
     # The covariance determinant is a difference of near-equal large
     # numbers once the entries have grown several orders beyond the

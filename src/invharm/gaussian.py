@@ -16,17 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NonPhysical",
     "SqueezeSpec",
     "GaussianState",
     "Diagnostics",
     "squeezed_pure",
     "diagnostics_from_area",
 ]
-
-
-class NonPhysical(ValueError):
-    """A covariance matrix failed a physicality check."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class GaussianState:
         # magnitude; the scale of cov only matters past 1e-12
         asym = (cov - cov.T).max()
         if asym > 1e-12 and asym > 1e-12 * np.abs(cov).max():
-            raise NonPhysical("covariance matrix not symmetric")
+            raise ValueError("covariance matrix not symmetric")
 
 
 @dataclass(frozen=True)
@@ -86,11 +81,12 @@ def squeezed_pure(
 
 
 def _check_area(A):
-    """A sub-unit area is a numerical failure; the message names the
-    smallest area that is not NaN.  The tolerance of 1e-9 absorbs the
-    rounding of an area computed from a stored covariance."""
+    """A sub-unit area is a numerical failure, a ``FloatingPointError``
+    whose message names the smallest area that is not NaN.  The tolerance
+    of 1e-9 absorbs the rounding of an area computed from a stored
+    covariance."""
     if np.any(A < 1.0 - 1e-9):
-        raise NonPhysical(f"scaled area A = {np.nanmin(A)} < 1")
+        raise FloatingPointError(f"scaled area A = {np.nanmin(A)} < 1")
 
 
 def diagnostics_from_area(A, moments, m_s: float, omega: float) -> Diagnostics:

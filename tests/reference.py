@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from invharm import GaussianState, NonPhysical, NormalModes, WindowTooShort, gkernels
+from invharm import GaussianState, NormalModes, gkernels
 
 # canonical antisymmetric form for ordering [x, p, y, q]
 SYMPLECTIC_FORM = np.array(
@@ -98,7 +98,7 @@ def area_ratio(state: GaussianState, hbar: float = 1.0) -> float:
     """Phase-space area in units of hbar/2: A = sqrt(det cov)/(hbar/2)."""
     radicand = float(np.linalg.det(state.cov))
     if radicand < -1e-12:
-        raise NonPhysical(f"negative area radicand {radicand:.3e}")
+        raise ValueError(f"negative area radicand {radicand:.3e}")
     return math.sqrt(max(radicand, 0.0)) / (hbar / 2.0)
 
 
@@ -114,11 +114,11 @@ def fit_entropy_log(traj, window) -> tuple[float, float]:
     t0, t1 = window
     times = np.asarray(traj.times)
     if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
-        raise WindowTooShort("window extends beyond the trajectory")
+        raise ValueError("window extends beyond the trajectory")
     if t0 <= 0:
-        raise WindowTooShort("log fit window must start at t > 0")
+        raise ValueError("log fit window must start at t > 0")
     mask = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
     if mask.sum() < 2:
-        raise WindowTooShort("fewer than 2 samples in fit window")
+        raise ValueError("fewer than 2 samples in fit window")
     c1, c0 = np.polyfit(np.log(times[mask]), traj.diags.S[mask], 1)
     return float(c0), float(c1)

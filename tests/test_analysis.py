@@ -5,12 +5,10 @@ import pytest
 
 from invharm import (
     Diagnostics,
-    DomainError,
     GaussianState,
     NormalModes,
     SqueezeSpec,
     Trajectory,
-    WindowTooShort,
     coeffs_general,
     contract,
     critical_time_derived,
@@ -68,18 +66,18 @@ class TestCriticalTime:
             assert weakerp - basep == pytest.approx(4.0 / lam, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^critical time requires lambda > 0$"):
             critical_time_paper(1.0, 0.0, 0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^critical time requires lambda > 0$"):
             critical_time_paper(1.0, -1.0, 0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^critical time requires 0 < \|theta_c\| < 1$"):
             critical_time_derived(1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^critical time requires 0 < \|theta_c\| < 1$"):
             critical_time_derived(1.0, 1.0, 1.5)
         # omega = 0 would take log(0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^critical time requires omega > 0$"):
             critical_time_paper(0.0, 1.0, 0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"^critical time requires omega > 0$"):
             critical_time_derived(0.0, 1.0, 0.1)
 
 
@@ -223,10 +221,12 @@ class TestEntropyFits:
     def test_line_fit_window_checks(self):
         times = np.linspace(0.0, 20.0, 201)
         traj = synthetic_trajectory(times, times)
-        with pytest.raises(WindowTooShort):
-            fit_entropy_line(traj, (5.0, 25.0), 1.0)  # beyond trajectory
-        with pytest.raises(WindowTooShort):
-            fit_entropy_line(traj, (5.0, 7.0), 1.0)  # < 3 modulation periods
+        with pytest.raises(ValueError, match=r"^window extends beyond the trajectory$"):
+            fit_entropy_line(traj, (5.0, 25.0), 1.0)
+        with pytest.raises(
+            ValueError, match=r"^window spans 0 modulation periods; need >= 3$"
+        ):
+            fit_entropy_line(traj, (5.0, 7.0), 1.0)
 
     def test_log_fit_exact_recovery(self):
         times = np.linspace(1.0, 100.0, 2001)
@@ -237,7 +237,7 @@ class TestEntropyFits:
 
     def test_log_fit_rejects_zero_start(self):
         times = np.linspace(0.0, 10.0, 101)
-        with pytest.raises(WindowTooShort):
+        with pytest.raises(ValueError, match=r"^log fit window must start at t > 0$"):
             fit_entropy_log(synthetic_trajectory(times, times), (0.0, 10.0))
 
     def test_unstable_entropy_is_not_logarithmic(self, base_modes):

@@ -1,6 +1,7 @@
 """Nothing stays in the package that only tests call: every public name,
 and every field of the result and parameter types, is used somewhere in
-the program itself."""
+the program itself.  The library fails with built-in exceptions; the
+CLI's own validation type is the one exception class it defines."""
 
 import ast
 import dataclasses
@@ -29,15 +30,20 @@ def loaded_names(attributes_only=False) -> set:
     return names
 
 
-def record_types():
-    """Every dataclass and NamedTuple the package defines."""
+def defined_types():
+    """Every class the modules of the package define."""
     for path in MODULES:
         mod = importlib.import_module(f"invharm.{path.stem}")
         for obj in vars(mod).values():
-            if not isinstance(obj, type) or obj.__module__ != mod.__name__:
-                continue
-            if dataclasses.is_dataclass(obj) or hasattr(obj, "_fields"):
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
                 yield obj
+
+
+def record_types():
+    """Every dataclass and NamedTuple the package defines."""
+    for obj in defined_types():
+        if dataclasses.is_dataclass(obj) or hasattr(obj, "_fields"):
+            yield obj
 
 
 def members(cls) -> list:
@@ -66,3 +72,12 @@ def test_every_field_is_read_in_the_package():
         if name not in read
     ]
     assert unread == []
+
+
+def test_the_only_exception_class_is_config_error():
+    errors = [
+        f"{cls.__module__}.{cls.__name__}"
+        for cls in defined_types()
+        if issubclass(cls, BaseException)
+    ]
+    assert errors == ["invharm.cli.ConfigError"]

@@ -87,6 +87,37 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"modes": {}, "fit_window": [5.0]})
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                {"modes": {"lamda_sq": 2.0}, "grid": {"tmax": 3.0}, "methd": "me"},
+                "unknown field 'methd'",
+            ),
+            ({"modes": {"lamda_sq": 2.0}}, "'modes': unknown field 'lamda_sq'"),
+            (
+                {"bare": {"omega_bare": 1.0, "lambda_sq_bare": 1.0, "g": 0.1, "G": 0.2}},
+                "'bare': unknown field 'G'",
+            ),
+            ({"modes": {}, "system": {"means": [1.0, 0.0]}}, "'system': unknown field 'means'"),
+            ({"modes": {}, "environment": {"t_max": 3.0}}, "'environment': unknown field 't_max'"),
+            ({"modes": {}, "grid": {"tmax": 3.0}}, "'grid': unknown field 'tmax'"),
+            ({"modes": {}, "integrator": {"rtol": 1e-8}}, "'integrator': unknown field 'rtol'"),
+        ],
+        ids=["top_level", "modes", "bare", "system", "environment", "grid", "integrator"],
+    )
+    def test_rejects_an_unknown_key(self, tmp_path, capsys, raw, message):
+        # a misspelled key would otherwise leave its default in force
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(raw)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(raw))
+        code = run_cli(["evolve", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "validation", "message": message}
+        assert not (tmp_path / "o").exists()
+
     def test_dt_grid(self):
         cfg = parse_config({"modes": {}, "grid": {"t_max": 2.0, "dt": 0.5}})
         assert cfg.samples == 5
@@ -666,6 +697,21 @@ class TestDivergencesCommand:
             ["divergences", "--config", cfg, "--out", str(tmp_path)]
         ) == EXIT_OK
         capsys.readouterr()
+        report = json.loads((tmp_path / "divergences.json").read_text())
+        assert report["t_c_paper"] is None
+        assert report["t_c_derived"] is None
+
+    def test_estimates_are_null_where_their_log_underflows(self, tmp_path, capsys):
+        # omega * lambda rounds to 0 inside the log of both estimates: the
+        # estimate is undefined, which is no fault of the input
+        modes = {"omega": 5e-324, "lambda_sq": 1e-4, "theta_c": 0.1}
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 1.0}}, modes=modes
+        )
+        assert run_cli(
+            ["divergences", "--config", cfg, "--out", str(tmp_path)]
+        ) == EXIT_OK
+        assert capsys.readouterr().err == ""
         report = json.loads((tmp_path / "divergences.json").read_text())
         assert report["t_c_paper"] is None
         assert report["t_c_derived"] is None

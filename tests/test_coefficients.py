@@ -7,7 +7,6 @@ from invharm import (
     GaussianState,
     NormalModes,
     SqueezeSpec,
-    UnsupportedRegime,
     coeffs_closed,
     coeffs_general,
     contract,
@@ -131,7 +130,7 @@ class TestDualFormulas:
 
     def test_closed_rejects_stable_environment(self):
         modes = NormalModes(omega=1.0, lambda_sq=-1.0, theta_c=0.1, m_s=1.0, m_e=1.0)
-        with pytest.raises(UnsupportedRegime):
+        with pytest.raises(ValueError, match=r"^closed forms require lambda_sq > 0"):
             coeffs_closed(modes, 1.0)
 
 
@@ -271,7 +270,7 @@ class TestArrayModes:
         modes = NormalModes(
             omega=1.0, lambda_sq=np.array([1.0, -0.5]), theta_c=0.1, m_s=1.0, m_e=1.0
         )
-        with pytest.raises(UnsupportedRegime):
+        with pytest.raises(ValueError, match=r"^closed forms require lambda_sq > 0"):
             coeffs_closed(modes, np.array([1.0, 2.0]))
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from invharm import (
     IntegratorOptions,
-    StepFailure,
     NormalModes,
     SqueezeSpec,
     Trajectory,
@@ -431,7 +430,7 @@ class TestFreeParticleEnvironment:
 class TestSegmentFailure:
     def test_arithmetic_error_names_the_segment(self, base_modes, monkeypatch):
         # an arithmetic error inside the right-hand side surfaces as a
-        # StepFailure naming the segment being integrated
+        # FloatingPointError naming the segment being integrated
         import invharm.evolution as evolution
 
         real = evolution.coeffs_general
@@ -442,8 +441,11 @@ class TestSegmentFailure:
             return real(modes, t)
 
         monkeypatch.setattr(evolution, "coeffs_general", failing)
-        with pytest.raises(StepFailure, match=r"\[0\.0, 6\.0\].*ZeroDivisionError"):
+        with pytest.raises(
+            FloatingPointError, match=r"\[0\.0, 6\.0\].*ZeroDivisionError"
+        ) as info:
             run_me(base_modes, SYS0, ENV0, grid_to(6.0, 61))
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_step_below_ten_ulp_names_the_segment(self, base_modes, monkeypatch):
         # NaN coefficients past t = 3 fail every error test of a step that
@@ -457,7 +459,7 @@ class TestSegmentFailure:
             return c._replace(omega_eff_sq=math.nan) if t > 3.0 else c
 
         monkeypatch.setattr(evolution, "coeffs_general", nan_late)
-        with pytest.raises(StepFailure, match=r"\[0\.0, 6\.0\].*10 ulp of t = 2\.99"):
+        with pytest.raises(FloatingPointError, match=r"\[0\.0, 6\.0\].*10 ulp of t = 2\.99"):
             run_me(base_modes, SYS0, ENV0, grid_to(6.0, 61))
 
 
