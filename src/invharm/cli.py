@@ -14,7 +14,7 @@ verify       dual-formula coefficient check and exact-vs-ME oracle
 Exit codes: 0 success, 1 validation error, 2 verification failure,
 3 numerical failure.  Malformed input produces a machine-readable error
 JSON on standard error.  Outputs are byte-deterministic for identical
-inputs: floats are written with 17 significant digits, lines end in
+inputs: floats are written as C's ``%.17g`` text, lines end in
 ``\\n``, and column order is fixed.
 """
 
@@ -29,6 +29,7 @@ import sys
 
 import numpy as np
 
+from ._csvtext import csv_bytes
 from .analysis import (
     critical_time_derived,
     critical_time_paper,
@@ -306,8 +307,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def _write_csv(path: str, columns, table: np.ndarray, valid=None):
-    """Write a float table, one row per time with ``t`` first, at 17
-    significant digits; ``valid``, if given, is a last true/false column.
+    """Write a float table, one row per time with ``t`` first, each value
+    as C's ``"%.17g"`` text; ``valid``, if given, is a last true/false
+    column.
 
     A non-finite value is a numerical failure, named by its column and
     the first time at which it appears.
@@ -318,13 +320,9 @@ def _write_csv(path: str, columns, table: np.ndarray, valid=None):
         raise FloatingPointError(
             f"non-finite {columns[col]} at t = {float(table[row, 0])!r}"
         )
-    row_fmt = ",".join(["%.17g"] * table.shape[1])
-    if valid is not None:
-        row_fmt += ",%s"
-        table = np.column_stack((table.astype(object), np.where(valid, "true", "false")))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.write((row_fmt + "\n") * table.shape[0] % tuple(table.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        fh.write(csv_bytes(table, valid))
 
 
 def _write_json(path: str, obj):

@@ -93,16 +93,6 @@ def _exact_moments(rows, sys0: GaussianState, env0: GaussianState) -> np.ndarray
     )
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """A factor C with C C^T = cov (Cholesky, eigen fallback on the PSD
-    boundary)."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-
-
 def _reduced_area(
     modes: NormalModes,
     rows,
@@ -148,7 +138,9 @@ def run_exact(
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     # per-run invariants of the area expansion
-    cs, ce = _psd_factor(sys0.cov), _psd_factor(env0.cov)
+    # the validated states are positive definite; a covariance that is
+    # not raises LinAlgError, a numerical failure
+    cs, ce = np.linalg.cholesky(sys0.cov), np.linalg.cholesky(env0.cov)
     det_s = float(np.linalg.det(sys0.cov))
     det_e = float(np.linalg.det(env0.cov))
 

@@ -14,7 +14,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import invharm.cli
-from invharm import NormalModes, coeffs_closed, contract, dtilde, find_divergences
+from invharm import (
+    IntegratorOptions,
+    NormalModes,
+    coeffs_closed,
+    contract,
+    dtilde,
+    find_divergences,
+)
 from invharm.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -520,7 +527,8 @@ class TestCoeffsCommand:
         cells = [line.split(",") for line in lines[1:]]
         dt = np.array([float(c[col]) for c in cells])
         valid = np.array([c[-1] == "true" for c in cells])
-        assert np.array_equal(valid, np.abs(dt) > (1e-3 if guard is None else guard))
+        used = IntegratorOptions().divergence_guard if guard is None else guard
+        assert np.array_equal(valid, np.abs(dt) > used)
         # the root row alone, or the three rows within the wider guard
         want = [400] if guard is None else [399, 400, 401]
         assert np.flatnonzero(~valid).tolist() == want

@@ -200,6 +200,19 @@ class TestAuxiliaryBlocks:
                 scale = max(1.0, np.abs(naive).max())
                 assert np.abs(naive - stable).max() < 1e-9 * scale
 
+    def test_det_m1_is_one_minus_dtilde(self):
+        # the system rows of a symplectic matrix satisfy
+        # M0 J M0^T + M1 J M1^T = J, so det M1 = 1 - Dtilde; the two
+        # closed forms keep the identity to rounding, past several roots
+        rng = np.random.default_rng(20260)
+        for _ in range(200):
+            modes = random_modes(rng)
+            lam = math.sqrt(abs(modes.lambda_sq))
+            ts = np.linspace(0.0, 20.0 / max(lam, 0.5), 400)
+            _, _, dt_, det, _ = system_rows(modes, ts)
+            err = np.abs(dt_ + det - 1.0) / np.maximum(np.abs(dt_), 1.0)
+            assert err.max() <= 1e-14
+
     def test_zero_at_t_zero(self, base_modes):
         _, _, _, det, x = system_rows(base_modes, 0.0)
         assert det == 0.0
