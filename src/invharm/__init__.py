@@ -6,10 +6,11 @@ time-dependent master-equation coefficients of the reduced system, and
 provides entropy/energy/decoherence analysis plus a deterministic CLI.
 Every run starts from a system and an environment ``GaussianState``
 (``squeezed_pure`` builds one from a ``SqueezeSpec`` and a mean);
-``run_exact`` and ``run_me`` take the same states; the coefficient
-functions depend on the modes and the time alone.  Every name exported
-here is used by the program itself; the independent references the
-tests check it against live in the tests.
+``run_exact`` and ``run_me`` take the same states; ``coeffs_general``
+depends on the modes and the time alone.  Every name exported here is
+used by the program itself; the independent references the tests check
+it against, among them a second closed form of the coefficients, live in
+the tests.
 """
 
 from .analysis import (
@@ -20,7 +21,6 @@ from .analysis import (
 )
 from .coefficients import (
     MECoefficients,
-    coeffs_closed,
     coeffs_general,
     contract,
 )
@@ -63,7 +63,6 @@ __all__ = [
     # coefficients
     "MECoefficients",
     "coeffs_general",
-    "coeffs_closed",
     "contract",
     # gaussian
     "SqueezeSpec",

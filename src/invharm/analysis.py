@@ -104,8 +104,10 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
                 roots.append(float(ts[i]))
             continue
         # from the end where Dtilde is negative; past t = 2**19 an ulp of
-        # t exceeds 1e-10 and the midpoint stop ends the bisection
-        neg, pos = (ts[i], ts[i + 1]) if va[i] < 0.0 else (ts[i + 1], ts[i])
+        # t exceeds 1e-10 and the midpoint stop ends the bisection.  The
+        # ends are Python floats: a float time is the cheaper dtilde call
+        lo, hi = float(ts[i]), float(ts[i + 1])
+        neg, pos = (lo, hi) if va[i] < 0.0 else (hi, lo)
         neg, pos = _bisect_crossing(lambda t: dtilde(modes, t), neg, pos, 1e-10)
         roots.append(0.5 * (neg + pos))
     return roots

@@ -1,29 +1,21 @@
-"""Master-equation coefficients, evaluated two independent ways.
+"""Master-equation coefficients, in closed form in the four kernels.
 
-``coeffs_general`` evaluates closed forms in the four kernels c1, s1,
-c2, s2 for every signed environment stiffness; ``coeffs_closed`` is the
-trigonometric/hyperbolic reference for an unstable environment
-(lambda_sq > 0).  Wherever both apply they agree to near machine
-precision, which is the main cross-check of the whole construction.
-Both depend on the modes and the time alone: the environment's initial
-state enters only where a caller weights the forces Fy, Fq with its mean
-and contracts the diffusion sub-tensors with its covariance
-(:func:`contract`).
+``coeffs_general`` evaluates closed forms in the kernels c1, s1, c2, s2
+for every signed environment stiffness.  The coefficients depend on the
+modes and the time alone: the environment's initial state enters only
+where a caller weights the forces Fy, Fq with its mean and contracts the
+diffusion sub-tensors with its covariance (:func:`contract`).
 
 At a float time every scalar coefficient is a Python float computed
 without numpy temporaries: the master-equation right-hand side makes one
-such call per evaluation.  Both routes also broadcast over array modes
-(a :class:`~invharm.modes.NormalModes` with array fields) with an array
-of times of their shape, one set of parameters per element.  The
-diffusion sub-tensors are kept as rows of entries.
+such call per evaluation.  Over an array of times every field is an
+array of its shape.  The diffusion sub-tensors are kept as rows of
+entries.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .modes import NormalModes
 from .propagator import _dtilde, _kernels, _phi1
@@ -31,7 +23,6 @@ from .propagator import _dtilde, _kernels, _phi1
 __all__ = [
     "MECoefficients",
     "coeffs_general",
-    "coeffs_closed",
     "contract",
 ]
 
@@ -72,9 +63,8 @@ def contract(tensor, cov):
 
 
 def coeffs_general(modes: NormalModes, t) -> MECoefficients:
-    """Coefficients from the kernel closed forms, at a float time, over
-    an array of times, or over array modes and an array of times of
-    their shape.
+    """Coefficients from the kernel closed forms, at a float time or
+    over an array of times.
 
     Each mode-function ratio is reduced with c^2 - k s^2 = 1, so no term
     outgrows the result and dividing by Dtilde loses no precision.  The
@@ -105,67 +95,4 @@ def coeffs_general(modes: NormalModes, t) -> MECoefficients:
         (pref2 * (m_e * fq * dphi1), pref2 * (fq * phi1)),
     )
     # positional, in field order: keywords cost a tenth of a scalar call
-    return MECoefficients(dt_, om2, gam, fy, fq, f1_rows, f2_rows)
-
-
-def coeffs_closed(modes: NormalModes, t) -> MECoefficients:
-    """Coefficients from the closed forms for an unstable environment, at
-    a float time, or over array modes and an array of times of their
-    shape."""
-    if np.any(modes.lambda_sq <= 0) or np.any(modes.omega <= 0):
-        raise ValueError(
-            "closed forms require lambda_sq > 0 and omega > 0; "
-            "use coeffs_general"
-        )
-    # one formula text for both: math on floats, numpy ufuncs on arrays
-    w = modes.omega
-    xp = np if isinstance(w, np.ndarray) or isinstance(t, np.ndarray) else math
-    lam = xp.sqrt(modes.lambda_sq)
-    m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
-    c2, s2 = modes.cw, modes.sw
-    s2t = 2.0 * modes.x
-    swt, cwt = xp.sin(w * t), xp.cos(w * t)
-    shl, chl = xp.sinh(lam * t), xp.cosh(lam * t)
-
-    big_d = (w * w - lam * lam) * c2 * s2 * swt * shl + w * lam * (
-        2.0 * cwt * chl * c2 * s2 + c2 * c2 + s2 * s2
-    )
-    dt_ = big_d / (w * lam)
-
-    om2 = (w * lam / big_d) * (
-        w * w * c2 * c2
-        - lam * lam * s2 * s2
-        + (s2t * s2t / 4.0)
-        * ((w * w - lam * lam) * cwt * chl - 2.0 * w * lam * swt * shl)
-    )
-    gam = ((w * w + lam * lam) * s2t * s2t / (4.0 * big_d)) * (
-        lam * swt * chl - w * cwt * shl
-    )
-    p_fac = c2 * chl + s2 * cwt
-    q_fac = w * c2 * shl + lam * s2 * swt
-    fy = (
-        -modes.root_prod
-        * w
-        * lam
-        * (w * w + lam * lam)
-        * s2t
-        / (2.0 * big_d)
-        * p_fac
-    )
-    fq = -modes.root_se * (w * w + lam * lam) * s2t / (2.0 * big_d) * q_fac
-
-    beta = m_s / (4.0 * hbar**2 * big_d) * s2t * s2t * (w * w + lam * lam)
-    sum_fac = lam * shl + w * swt
-    diff_c = chl - cwt
-    diff_s = w * shl - lam * swt
-
-    beta2 = beta / m_s
-    f1_rows = (
-        (beta * (m_e * w * lam * p_fac * sum_fac), beta * (w * lam * p_fac * diff_c)),
-        (beta * (q_fac * sum_fac), beta * (q_fac * diff_c / m_e)),
-    )
-    f2_rows = (
-        (beta2 * (m_e * w * lam * p_fac * diff_c), beta2 * (p_fac * diff_s)),
-        (beta2 * (q_fac * diff_c), beta2 * (q_fac * diff_s / (m_e * w * lam))),
-    )
     return MECoefficients(dt_, om2, gam, fy, fq, f1_rows, f2_rows)

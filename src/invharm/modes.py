@@ -53,11 +53,6 @@ class SupersystemParams:
             raise ValueError("coupling stiffness g must be >= 0")
 
 
-def _any(test):
-    """A comparison of floats, or whether it holds anywhere in an array."""
-    return test.any() if isinstance(test, np.ndarray) else test
-
-
 @dataclass(frozen=True)
 class NormalModes:
     """Normal-mode image of a :class:`SupersystemParams`.
@@ -66,19 +61,13 @@ class NormalModes:
     signed stiffness of the second mode, and ``theta_c`` the mixing
     angle (negative for positive coupling, by the closed-form branch).
 
-    The fields are floats, or arrays with one set of parameters per
-    element: if any field is an array, all of them are broadcast to
-    arrays of one shape, and the kernels, minors and coefficients then
-    broadcast over that parameter axis.
-
     The per-run constants every formula reads are computed here once:
     the stiffnesses ``k1 = -omega^2`` and ``k2 = lambda_sq`` of the two
     modes, the mixing weights ``cw, sw, x`` (cos^2, sin^2 and
     sin(2 theta)/2), and the mass roots ``root_prod = sqrt(m_s m_e)``,
     ``root_se = sqrt(m_s / m_e)``, ``root_es = sqrt(m_e / m_s)``, and the
     diffusion prefactors ``pref = root_se / hbar^2`` and
-    ``pref2 = pref / m_s``.  Float fields go through ``math``, so every
-    constant is a Python float.
+    ``pref2 = pref / m_s``.  Float fields give Python float constants.
     """
 
     omega: float
@@ -99,37 +88,26 @@ class NormalModes:
     pref2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = ("omega", "lambda_sq", "theta_c", "m_s", "m_e", "hbar")
-        values = [getattr(self, name) for name in names]
-        lib = math
-        if any(isinstance(v, np.ndarray) for v in values):
-            lib = np
-            # copies: the constants below must not go stale if the
-            # caller's arrays change
-            values = [
-                v.copy()
-                for v in np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-            ]
-            for name, v in zip(names, values):
-                object.__setattr__(self, name, v)
-        omega, lambda_sq, theta_c, m_s, m_e, hbar = values
-        if _any(m_s <= 0) or _any(m_e <= 0):
+        omega, lambda_sq, theta_c, m_s, m_e, hbar = (
+            self.omega, self.lambda_sq, self.theta_c, self.m_s, self.m_e, self.hbar
+        )
+        if m_s <= 0 or m_e <= 0:
             raise ValueError("masses must be strictly positive")
-        if _any(hbar <= 0):
+        if hbar <= 0:
             raise ValueError("hbar must be strictly positive")
-        if _any(omega < 0):
+        if omega < 0:
             raise ValueError("omega must be >= 0")
-        root_se = lib.sqrt(m_s / m_e)
+        root_se = math.sqrt(m_s / m_e)
         pref = root_se / hbar**2
         for name, value in (
             ("k1", -(omega**2)),
             ("k2", lambda_sq),
-            ("cw", lib.cos(theta_c) ** 2),
-            ("sw", lib.sin(theta_c) ** 2),
-            ("x", 0.5 * lib.sin(2.0 * theta_c)),
-            ("root_prod", lib.sqrt(m_s * m_e)),
+            ("cw", math.cos(theta_c) ** 2),
+            ("sw", math.sin(theta_c) ** 2),
+            ("x", 0.5 * math.sin(2.0 * theta_c)),
+            ("root_prod", math.sqrt(m_s * m_e)),
             ("root_se", root_se),
-            ("root_es", lib.sqrt(m_e / m_s)),
+            ("root_es", math.sqrt(m_e / m_s)),
             ("pref", pref),
             ("pref2", pref / m_s),
         ):
@@ -219,39 +197,31 @@ def _series(u, t):
     return 1.0 + u / 2.0 * (1.0 + u / 12.0), t * (1.0 + u / 6.0 * (1.0 + u / 20.0))
 
 
-def _at(v, where):
-    """A float v, or the elements of array v at the mask ``where``."""
-    return v[where] if np.ndim(v) else v
-
-
-def gkernels(lambda_sq, t):
+def gkernels(lambda_sq: float, t):
     """Generalized propagation kernels (c, s) for x'' = lambda_sq * x.
 
     c = cosh(sqrt(k) t) and s = sinh(sqrt(k) t)/sqrt(k) for k > 0, the
     cos/sin analogues for k < 0, and (1, t) for k = 0.  They satisfy
     s' = c and c' = k s.
 
-    The stiffness and ``t`` are floats, or arrays of one shape.  Two
-    floats go through ``math``, which costs a fraction of a numpy call
-    on one value (the master-equation right-hand side calls this once
-    per evaluation); otherwise numpy ufuncs give arrays of that shape,
-    with the sign branch taken per element, so a stable element never
-    reaches ``cosh``.
+    The stiffness is a float; ``t`` is a float or an array of times.  A
+    float time goes through ``math``, which costs a fraction of a numpy
+    call on one value (the master-equation right-hand side calls this
+    once per evaluation); an array of times gives arrays of its shape,
+    with the Taylor forms wherever |k| t^2 is below the cutoff.
     """
     k = lambda_sq
     u = k * t * t
     if isinstance(u, np.ndarray):
         c, s = _series(u, t)
-        # t * t >= 0, so u carries the sign of k; both sets are empty
-        # for k == 0
-        for far, ch, sh in (
-            (u >= _SERIES_CUTOFF, np.cosh, np.sinh),
-            (u <= -_SERIES_CUTOFF, np.cos, np.sin),
-        ):
-            if far.any():
-                r = np.sqrt(np.abs(_at(k, far)))
-                rt = r * _at(t, far)
-                c[far], s[far] = ch(rt), sh(rt) / r
+        # u carries the sign of k, so one branch serves every far time;
+        # none is far for k == 0
+        far = np.abs(u) >= _SERIES_CUTOFF
+        if far.any():
+            ch, sh = (np.cosh, np.sinh) if k > 0 else (np.cos, np.sin)
+            r = math.sqrt(abs(k))
+            rt = r * t[far]
+            c[far], s[far] = ch(rt), sh(rt) / r
         return c, s
     if abs(u) < _SERIES_CUTOFF:
         return _series(u, t)

@@ -6,7 +6,10 @@ state, push it through the full 4x4 transition matrix and reduce it
 afterwards, so the tests can hold the block path to a construction that
 shares none of its algebra.  A two-mode state is a plain (mean, cov)
 pair of arrays, ordered [x, p, y, q]; a one-mode state is a
-``GaussianState``.  ``fit_entropy_log`` fits the logarithmic
+``GaussianState``.  ``coeffs_closed`` evaluates the master-equation
+coefficients from their trigonometric/hyperbolic closed forms for an
+unstable environment, a second route to the values ``coeffs_general``
+builds from the kernels.  ``fit_entropy_log`` fits the logarithmic
 entropy growth of a free-particle environment.
 """
 
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from invharm import GaussianState, NormalModes, gkernels
+from invharm import GaussianState, MECoefficients, NormalModes, gkernels
 
 # canonical antisymmetric form for ordering [x, p, y, q]
 SYMPLECTIC_FORM = np.array(
@@ -65,6 +68,66 @@ def full_transition(modes: NormalModes, t: float) -> np.ndarray:
     scale = np.diag([rs, 1.0 / rs, re, 1.0 / re])
     unscale = np.diag([1.0 / rs, rs, 1.0 / re, re])
     return unscale @ rot @ block @ rot.T @ scale
+
+
+def coeffs_closed(modes: NormalModes, t) -> MECoefficients:
+    """Coefficients from the closed forms for an unstable environment
+    (lambda_sq > 0, omega > 0), at a time or over an array of times."""
+    if modes.lambda_sq <= 0 or modes.omega <= 0:
+        raise ValueError(
+            "closed forms require lambda_sq > 0 and omega > 0; "
+            "use coeffs_general"
+        )
+    w = modes.omega
+    lam = math.sqrt(modes.lambda_sq)
+    m_s, m_e, hbar = modes.m_s, modes.m_e, modes.hbar
+    c2, s2 = modes.cw, modes.sw
+    s2t = 2.0 * modes.x
+    swt, cwt = np.sin(w * t), np.cos(w * t)
+    shl, chl = np.sinh(lam * t), np.cosh(lam * t)
+
+    big_d = (w * w - lam * lam) * c2 * s2 * swt * shl + w * lam * (
+        2.0 * cwt * chl * c2 * s2 + c2 * c2 + s2 * s2
+    )
+    dt_ = big_d / (w * lam)
+
+    om2 = (w * lam / big_d) * (
+        w * w * c2 * c2
+        - lam * lam * s2 * s2
+        + (s2t * s2t / 4.0)
+        * ((w * w - lam * lam) * cwt * chl - 2.0 * w * lam * swt * shl)
+    )
+    gam = ((w * w + lam * lam) * s2t * s2t / (4.0 * big_d)) * (
+        lam * swt * chl - w * cwt * shl
+    )
+    p_fac = c2 * chl + s2 * cwt
+    q_fac = w * c2 * shl + lam * s2 * swt
+    fy = (
+        -modes.root_prod
+        * w
+        * lam
+        * (w * w + lam * lam)
+        * s2t
+        / (2.0 * big_d)
+        * p_fac
+    )
+    fq = -modes.root_se * (w * w + lam * lam) * s2t / (2.0 * big_d) * q_fac
+
+    beta = m_s / (4.0 * hbar**2 * big_d) * s2t * s2t * (w * w + lam * lam)
+    sum_fac = lam * shl + w * swt
+    diff_c = chl - cwt
+    diff_s = w * shl - lam * swt
+
+    beta2 = beta / m_s
+    f1_rows = (
+        (beta * (m_e * w * lam * p_fac * sum_fac), beta * (w * lam * p_fac * diff_c)),
+        (beta * (q_fac * sum_fac), beta * (q_fac * diff_c / m_e)),
+    )
+    f2_rows = (
+        (beta2 * (m_e * w * lam * p_fac * diff_c), beta2 * (p_fac * diff_s)),
+        (beta2 * (q_fac * diff_c), beta2 * (q_fac * diff_s / (m_e * w * lam))),
+    )
+    return MECoefficients(dt_, om2, gam, fy, fq, f1_rows, f2_rows)
 
 
 def product_state(sys: GaussianState, env: GaussianState):

@@ -14,7 +14,6 @@ from invharm import (
     GaussianState,
     NormalModes,
     SqueezeSpec,
-    coeffs_closed,
     coeffs_general,
     contract,
     critical_time_derived,
@@ -28,7 +27,13 @@ from invharm import (
     squeezed_pure,
 )
 
-from reference import SYMPLECTIC_FORM, fit_entropy_log, full_transition, product_state
+from reference import (
+    SYMPLECTIC_FORM,
+    coeffs_closed,
+    fit_entropy_log,
+    full_transition,
+    product_state,
+)
 
 BASE = NormalModes(
     omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0, hbar=1.0

@@ -279,6 +279,16 @@ class TestBridging:
         # here is looser than the pre-breakdown oracle bound
         assert dev.max() < 1e-4 * scale
 
+    def test_roots_and_edges_are_python_floats(self, base_modes):
+        # the bisections run on Python floats, not on numpy scalars of
+        # the root scan, and return them
+        roots = find_divergences(base_modes, 30.0)
+        assert len(roots) >= 3
+        assert all(type(r) is float for r in roots)
+        me = run_me(base_modes, SYS0, ENV0, grid_to(30.0, 301), opts=self.OPTS)
+        assert len(me.bridges) >= 3
+        assert all(type(e) is float for w in me.bridges for e in w)
+
     def test_default_guard_matches_exact_through_breakdown(self, base_modes):
         # with the default (narrow) guard nothing lands in the window;
         # the integrator crosses the ill-conditioned region and stays

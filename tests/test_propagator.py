@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from invharm import NormalModes, coeffs_closed, dtilde, system_rows
+from invharm import NormalModes, dtilde, system_rows
 
 from conftest import BASE, rel_err
-from reference import SYMPLECTIC_FORM, full_transition
+from reference import SYMPLECTIC_FORM, coeffs_closed, full_transition
 
 
 def random_modes(rng, stable_ok=True):
