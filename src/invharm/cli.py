@@ -396,7 +396,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
     grid = cfg.grid()
     columns = EVOLVE_COLUMNS
     if cfg.method == "compare":
-        # only the master-equation run has bridges to report
+        # only the master-equation run has bridges and evaluations to report
         exact, traj, dev = _compare_runs(cfg, grid)
         table = np.column_stack(
             (_evolve_table(exact), _evolve_table(traj)[:, 1:], dev.max(axis=1))
@@ -417,6 +417,8 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
     meta = {"config": cfg.echo(), "method": cfg.method}
     if traj.bridges:
         meta["bridges"] = [list(w) for w in traj.bridges]
+    if cfg.method != "exact":
+        meta["rhs_evals"] = traj.rhs_evals
     _write_json(os.path.join(out_dir, "evolve.meta.json"), meta)
     return {"path": path, "rows": len(table)}
 

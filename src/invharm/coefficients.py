@@ -6,11 +6,15 @@ modes and the time alone: the environment's initial state enters only
 where a caller weights the forces Fy, Fq with its mean and contracts the
 diffusion sub-tensors with its covariance (:func:`contract`).
 
-At a float time every scalar coefficient is a Python float computed
-without numpy temporaries: the master-equation right-hand side makes one
-such call per evaluation.  Over an array of times every field is an
-array of its shape.  The diffusion sub-tensors are kept as rows of
-entries.
+Every formula is written once, in the per-run function
+``_coefficients_at(modes)``: it binds the constants of a run once and
+returns a function of the time.  ``coeffs_general`` wraps it for one
+call; the master-equation right-hand side builds it once per run and
+calls it at each evaluation, and weights the diffusion entries through
+``_weights``, the per-run form of :func:`contract`.  At a float time
+every scalar coefficient is a Python float computed without numpy
+temporaries.  Over an array of times every field is an array of its
+shape.  The diffusion sub-tensors are kept as rows of entries.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .modes import NormalModes
-from .propagator import _dtilde, _kernels, _phi1
+from .propagator import _kernels_at
 
 __all__ = [
     "MECoefficients",
@@ -47,6 +51,18 @@ class MECoefficients(NamedTuple):
     f2_rows: tuple
 
 
+def _weights(cov):
+    """The per-run form of :func:`contract`: binds the entries of the
+    covariance ``cov`` once and returns a function of the four entries
+    (yy, yq, qy, qq) of a sub-tensor that gives their contraction."""
+    (v_yy, v_yq), (_, v_qq) = cov
+
+    def weigh(yy, yq, qy, qq):
+        return yy * v_yy + (yq + qy) * v_yq + qq * v_qq
+
+    return weigh
+
+
 def contract(tensor, cov):
     """Fully contract a 2x2 sub-coefficient tensor with the environment
     covariance V: t_yy V_yy + (t_yq + t_qy) V_yq + t_qq V_qq.
@@ -55,44 +71,66 @@ def contract(tensor, cov):
     each sub-tensor entry.  Both arguments are indexed ``[i][j]``, so
     nested tuples or lists and (2, 2) or (2, 2, n) arrays all work.
     """
-    return (
-        tensor[0][0] * cov[0][0]
-        + (tensor[0][1] + tensor[1][0]) * cov[0][1]
-        + tensor[1][1] * cov[1][1]
-    )
+    (yy, yq), (qy, qq) = tensor
+    return _weights(cov)(yy, yq, qy, qq)
+
+
+def _coefficients_at(modes: NormalModes):
+    """The per-run form of :func:`coeffs_general`: a function of a float
+    time or an array of times that returns the fields of
+    :class:`MECoefficients` as a plain tuple.
+
+    The kernels, Dtilde and the phi_1 ladder come from one evaluation of
+    ``propagator._kernels_at``.  Constant leading factors are bound here
+    once, each evaluated as the product it leads, so every coefficient
+    keeps its operation order.  Each mode-function ratio is reduced with
+    c^2 - k s^2 = 1, so no term outgrows the result and dividing by
+    Dtilde loses no precision.  The diffusion sub-tensors are built from
+    the force couplings and the phi_1 derivative ladder, with the per-run
+    prefactors root_se / hbar^2 and that over m_s.
+    """
+    kernels = _kernels_at(modes)
+    k1, k2, cw, sw, x, m_e = modes.k1, modes.k2, modes.cw, modes.sw, modes.x, modes.m_e
+    pref, pref2 = modes.pref, modes.pref2
+    dk = k1 - k2
+    cwsw = cw * sw
+    two_k1k2 = 2.0 * k1 * k2
+    ksum = k1 + k2
+    cw_k1 = cw * cw * k1
+    sw_k2 = sw * sw * k2
+    gam0 = cwsw * dk
+    fy0 = modes.root_prod * x * dk
+    fq0 = modes.root_se * x * dk
+
+    def at(t):
+        c1, s1, c2, s2, dt_, phi1, dphi1, d2phi1 = kernels(t)
+        mixed = cwsw * (two_k1k2 * s1 * s2 - ksum * c1 * c2)
+        om2 = (mixed - cw_k1 - sw_k2) / dt_
+        gam = gam0 * (c1 * s2 - s1 * c2) / dt_
+        fy = fy0 * (cw * c2 + sw * c1) / dt_
+        fq = fq0 * (cw * s2 + sw * s1) / dt_
+        # the entries of each sub-tensor in yy, yq, qy, qq order
+        return (
+            dt_,
+            om2,
+            gam,
+            fy,
+            fq,
+            pref * (m_e * fy * d2phi1),
+            pref * (fy * dphi1),
+            pref * (m_e * fq * d2phi1),
+            pref * (fq * dphi1),
+            pref2 * (m_e * fy * dphi1),
+            pref2 * (fy * phi1),
+            pref2 * (m_e * fq * dphi1),
+            pref2 * (fq * phi1),
+        )
+
+    return at
 
 
 def coeffs_general(modes: NormalModes, t) -> MECoefficients:
     """Coefficients from the kernel closed forms, at a float time or
-    over an array of times.
-
-    Each mode-function ratio is reduced with c^2 - k s^2 = 1, so no term
-    outgrows the result and dividing by Dtilde loses no precision.  The
-    diffusion sub-tensors are built from the force couplings and the
-    phi_1 derivative ladder.
-    """
-    k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
-    cw, sw, x, m_e = modes.cw, modes.sw, modes.x, modes.m_e
-    dt_ = _dtilde(kern, modes)
-
-    dk = k1 - k2
-    mixed = cw * sw * (2.0 * k1 * k2 * s1 * s2 - (k1 + k2) * c1 * c2)
-    om2 = (mixed - cw * cw * k1 - sw * sw * k2) / dt_
-    gam = cw * sw * dk * (c1 * s2 - s1 * c2) / dt_
-    fy = modes.root_prod * x * dk * (cw * c2 + sw * c1) / dt_
-    fq = modes.root_se * x * dk * (cw * s2 + sw * s1) / dt_
-
-    phi1, dphi1, d2phi1 = _phi1(kern, modes)
-    # sub-tensors stored in [[yy, yq], [qy, qq]] labelling, with the
-    # per-run prefactors root_se / hbar^2 and that over m_s
-    pref, pref2 = modes.pref, modes.pref2
-    f1_rows = (
-        (pref * (m_e * fy * d2phi1), pref * (fy * dphi1)),
-        (pref * (m_e * fq * d2phi1), pref * (fq * dphi1)),
-    )
-    f2_rows = (
-        (pref2 * (m_e * fy * dphi1), pref2 * (fy * phi1)),
-        (pref2 * (m_e * fq * dphi1), pref2 * (fq * phi1)),
-    )
-    # positional, in field order: keywords cost a tenth of a scalar call
-    return MECoefficients(dt_, om2, gam, fy, fq, f1_rows, f2_rows)
+    over an array of times."""
+    c = _coefficients_at(modes)(t)
+    return MECoefficients(*c[:5], (c[5:7], c[7:9]), (c[9:11], c[11:]))

@@ -16,7 +16,7 @@ steps up to rounding: the starting step of HNW II.4, the combined E5/E3
 error norm, a safety factor of 0.9 on the step from the error exponent
 -1/8, growth by at most 10 and shrinking by at most 5 per step, no
 growth right after a rejection, and failure once the step needed is
-below 10 ulp of t.
+below 10 ulp of t or is NaN.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> Solution:
     * |y|`` per component, in the root-mean-square norm; every point of
     t_eval is read from the dense output of the step that covers it.
     Raises :class:`FloatingPointError` if the step needed falls below
-    10 ulp of t.
+    10 ulp of t, or is NaN.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
@@ -65,9 +65,11 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> Solution:
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # a NaN step fails this test too: it comes from a right-hand
+            # side that is NaN where the segment starts
+            if not h_abs >= min_step:
                 raise FloatingPointError(
-                    f"step size fell below 10 ulp of t = {t!r}"
+                    f"step size {h_abs!r} is not at least 10 ulp of t = {t!r}"
                 )
             t_new = min(t + h_abs, t_bound)
             h = t_new - t

@@ -9,13 +9,16 @@ no time-stepping error.
 ``run_me`` integrates the five moment ODEs of the master equation with
 the package's adaptive DOP853 stepper (:mod:`invharm.dop853`, on Python
 floats), reached through the module global ``solve_ivp`` once per
-segment: it takes the coefficients from ``coeffs_general(modes, t)``,
-one call per right-hand-side evaluation, and weights them with the
-environment's initial mean and covariance.  Across windows where the
-determinant guard trips (master-equation breakdown instants) it bridges
-with the exact propagator, one ``system_rows`` call per window, and
-resumes.  A :class:`Trajectory` records those windows in ``bridges`` and
-the grid points they cover in ``bridged``.
+segment.  It builds the per-run coefficient function once
+(``coefficients._coefficients_at``, through the module global of that
+name), and each right-hand-side evaluation calls it at a float time and
+weights its forces and diffusion entries with the environment's initial
+mean and covariance, whose entries are bound once too.  Across windows
+where the determinant guard trips (master-equation breakdown instants)
+it bridges with the exact propagator, one ``system_rows`` call per
+window, and resumes.  A :class:`Trajectory` records those windows in
+``bridges``, the grid points they cover in ``bridged``, and the
+right-hand-side evaluations of all segments in ``rhs_evals``.
 
 ``moment_deviation`` is the one measure of how far the master equation
 strays from the exact dynamics: per row and per moment,
@@ -26,12 +29,13 @@ each moment's largest over the rows outside the bridged windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import _bisect_crossing, find_divergences
-from .coefficients import coeffs_general, contract
+from .coefficients import _coefficients_at, _weights
 from .dop853 import solve_ivp
 from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
 from .modes import NormalModes
@@ -53,10 +57,11 @@ class IntegratorOptions:
     divergence_guard: float = 1e-3
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.divergence_guard <= 0:
-            raise ValueError("divergence_guard must be positive")
+        for name in ("rel_tol", "abs_tol", "divergence_guard"):
+            value = getattr(self, name)
+            # NaN fails this test too
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -66,7 +71,9 @@ class Trajectory:
     ``diags`` holds one column per diagnostic, with one entry per time.
     ``bridges`` lists the merged (start, end) windows that ``run_me``
     filled from the exact propagator, and ``bridged`` marks the grid
-    points inside them; an exact run has none.
+    points inside them; an exact run has none.  ``rhs_evals`` counts the
+    right-hand-side evaluations of ``run_me``'s segments, 0 for an exact
+    run.
     """
 
     times: np.ndarray
@@ -74,6 +81,7 @@ class Trajectory:
     diags: Diagnostics
     bridged: np.ndarray  # bool mask of exact-bridged samples
     bridges: list
+    rhs_evals: int = 0
 
 
 def _exact_moments(rows, sys0: GaussianState, env0: GaussianState) -> np.ndarray:
@@ -206,28 +214,29 @@ def run_me(
 
     m_s = modes.m_s
     hbar = modes.hbar
+    coefficients = _coefficients_at(modes)
     # per-run constants of the right-hand side, each the leading factor
     # of its product, so every product is evaluated in the same order
+    neg_m_s = -m_s
+    neg_two_m_s = -2.0 * m_s
     hbar_sq = hbar**2
     two_hbar_sq = 2.0 * hbar_sq
     # the environment's initial mean and covariance, bound once
     mean_y, mean_q = env0.mean.tolist()
-    cov = env0.cov.tolist()
+    weigh = _weights(env0.cov.tolist())
 
     def rhs(t, y):
-        c = coeffs_general(modes, t)
-        om2 = c.omega_eff_sq
-        gam = c.gamma_eff
-        force = c.Fy * mean_y + c.Fq * mean_q
-        f1 = contract(c.f1_rows, cov)
-        f2 = contract(c.f2_rows, cov)
+        _, om2, gam, fy, fq, yy1, yq1, qy1, qq1, yy2, yq2, qy2, qq2 = coefficients(t)
+        force = fy * mean_y + fq * mean_q
+        f1 = weigh(yy1, yq1, qy1, qq1)
+        f2 = weigh(yy2, yq2, qy2, qq2)
         mx, mp, dx2, dp2, dxp = y
         return [
             mp / m_s,
-            -m_s * om2 * mx - gam * mp + force,
+            neg_m_s * om2 * mx - gam * mp + force,
             2.0 * dxp / m_s,
-            -2.0 * m_s * om2 * dxp - 2.0 * gam * dp2 + two_hbar_sq * f1,
-            -m_s * om2 * dx2 + dp2 / m_s - gam * dxp + hbar_sq * f2,
+            neg_two_m_s * om2 * dxp - 2.0 * gam * dp2 + two_hbar_sq * f1,
+            neg_m_s * om2 * dx2 + dp2 / m_s - gam * dxp + hbar_sq * f2,
         ]
 
     t_end = float(grid[-1])
@@ -249,6 +258,7 @@ def run_me(
     y = np.array([*sys0.mean, sys0.cov[0, 0], sys0.cov[1, 1], sys0.cov[0, 1]])
     moments[0] = y
     t_cur = 0.0
+    rhs_evals = 0
     # integrate up to each window, fill it from the exact state and
     # restart from that state at its far edge; the closing (t_end, t_end)
     # entry integrates the rest.  Only segments holding a grid point are
@@ -266,6 +276,7 @@ def run_me(
                     f"integrator failed on [{t_cur}, {a}]: {type(exc).__name__}: {exc}"
                 ) from exc
             moments[sel] = sol.y
+            rhs_evals += sol.nfev
         if b > a:
             sel = np.where((grid > a + 1e-15) & (grid <= b + 1e-15))[0]
             exact = _exact_moments(
@@ -289,6 +300,7 @@ def run_me(
         diags=diagnostics_from_area(A, moments, m_s, modes.omega),
         bridged=bridged,
         bridges=windows,
+        rhs_evals=rhs_evals,
     )
 
 

@@ -3,7 +3,10 @@ two mode functions, with the cancellation-free minors of those rows.
 
 ``system_rows`` evaluates the four kernels once and returns every block
 and minor the exact path reads; ``dtilde`` evaluates the determinant of
-M_0 alone, for the root search and the master-equation guard.
+M_0 alone, for the root search and the master-equation guard.  Both take
+the kernels, Dtilde and the phi_1 ladder from the per-run evaluation
+``_kernels_at(modes)``, which the master-equation coefficients share, so
+each of those formulas is written once.
 
 Phase-space ordering is [x, p, y, q] throughout: system position/momentum
 first, environment second.  Every function takes a float time or an
@@ -13,9 +16,11 @@ for n times.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .modes import NormalModes, gkernels
+from .modes import _SERIES_CUTOFF, NormalModes, gkernels
 
 __all__ = [
     "dtilde",
@@ -23,27 +28,57 @@ __all__ = [
 ]
 
 
-def _kernels(modes: NormalModes, t):
-    """(k1, c1, s1, k2, c2, s2): stiffness k1 = -omega^2 and k2 = lambda_sq
-    of the two normal modes, each followed by its kernels."""
+def _kernels_at(modes: NormalModes):
+    """The per-run evaluation of the kernels and of the mode-function
+    terms every path reads: a function of a float time or an array of
+    times that returns (c1, s1, c2, s2, Dtilde, phi1, dphi1, d2phi1).
+
+    c1, s1 and c2, s2 are the kernels of the modes of stiffness
+    k1 = -omega^2 and k2 = lambda_sq.  At a float time past the series
+    cutoff of both modes they come from each mode's rate and closed-form
+    pair, bound here once; an array of times, or a time near 0, goes
+    through :func:`gkernels`, which gives the same bits there.  Constant
+    leading factors are bound here too, each evaluated as the product it
+    leads, so every result keeps its operation order.
+    """
     k1, k2 = modes.k1, modes.k2
-    c1, s1 = gkernels(k1, t)
-    c2, s2 = gkernels(k2, t)
-    return k1, c1, s1, k2, c2, s2
+    cw, sw, x = modes.cw, modes.sw, modes.x
+    dt0 = cw * cw + sw * sw
+    cwsw = cw * sw
+    ksum = k1 + k2
+    # each mode's closed-form pair and rate, as gkernels takes them: the
+    # first mode's stiffness is -omega^2 <= 0
+    ch1, sh1, r1 = math.cos, math.sin, math.sqrt(-k1)
+    ch2, sh2, r2 = (
+        (math.cosh, math.sinh, math.sqrt(k2)) if k2 > 0
+        else (math.cos, math.sin, math.sqrt(-k2))
+    )
+    # from twice the time at which |k| t^2 reaches the series cutoff,
+    # gkernels takes the closed forms of both modes
+    k_min = min(-k1, abs(k2))
+    t_far = 2.0 * math.sqrt(_SERIES_CUTOFF / k_min) if k_min > 0 else math.inf
 
+    def at(t):
+        if type(t) is float and t >= t_far:
+            rt = r1 * t
+            c1, s1 = ch1(rt), sh1(rt) / r1
+            rt = r2 * t
+            c2, s2 = ch2(rt), sh2(rt) / r2
+        else:
+            c1, s1 = gkernels(k1, t)
+            c2, s2 = gkernels(k2, t)
+        return (
+            c1,
+            s1,
+            c2,
+            s2,
+            dt0 + cwsw * (2.0 * c1 * c2 - ksum * s1 * s2),
+            x * (s1 - s2),
+            x * (c1 - c2),
+            x * (k1 * s1 - k2 * s2),
+        )
 
-def _dtilde(kern, modes: NormalModes):
-    """:func:`dtilde` from the results of :func:`_kernels`."""
-    k1, c1, s1, k2, c2, s2 = kern
-    cw, sw = modes.cw, modes.sw
-    return cw * cw + sw * sw + cw * sw * (2.0 * c1 * c2 - (k1 + k2) * s1 * s2)
-
-
-def _phi1(kern, modes: NormalModes):
-    """(phi1, dphi1, d2phi1) from the results of :func:`_kernels`."""
-    k1, c1, s1, k2, c2, s2 = kern
-    x = modes.x
-    return x * (s1 - s2), x * (c1 - c2), x * (k1 * s1 - k2 * s2)
+    return at
 
 
 def dtilde(modes: NormalModes, t):
@@ -54,7 +89,7 @@ def dtilde(modes: NormalModes, t):
     never appear: the naive form loses all precision once the unstable
     kernel dwarfs 1/eps.
     """
-    return _dtilde(_kernels(modes, t), modes)
+    return _kernels_at(modes)(t)[4]
 
 
 def system_rows(modes: NormalModes, t):
@@ -76,10 +111,9 @@ def system_rows(modes: NormalModes, t):
     minor of [M_0 | M_1], and hence a cancellation-free reduced-state
     area.
     """
-    k1, c1, s1, k2, c2, s2 = kern = _kernels(modes, t)
-    cw, sw, x, m_s = modes.cw, modes.sw, modes.x, modes.m_s
+    c1, s1, c2, s2, dt_, phi1, dphi1, d2phi1 = _kernels_at(modes)(t)
+    k1, k2, cw, sw, x, m_s = modes.k1, modes.k2, modes.cw, modes.sw, modes.x, modes.m_s
     dphi0 = cw * c1 + sw * c2
-    phi1, dphi1, d2phi1 = _phi1(kern, modes)
     m0 = np.array(
         [
             [dphi0, (cw * s1 + sw * s2) / m_s],
@@ -111,4 +145,4 @@ def system_rows(modes: NormalModes, t):
             [modes.root_es * w_cd, w_cc / modes.root_prod],
         ]
     )
-    return m0, m1, _dtilde(kern, modes), det_m1, cross
+    return m0, m1, dt_, det_m1, cross

@@ -638,6 +638,22 @@ class TestEvolveCommand:
         a, b = meta["bridges"][0]
         assert 7.5 < a < b < 8.5
 
+    def test_meta_reports_rhs_evals_of_the_master_equation(self, tmp_path, capsys):
+        # me and compare write the same count from the same run; exact
+        # makes no right-hand-side evaluation and writes none
+        metas = {}
+        for method in ("exact", "me", "compare"):
+            out = tmp_path / method
+            cfg = write_config(
+                tmp_path / f"{method}.json",
+                extra={"grid": {"t_max": 10.0, "samples": 201}, "method": method},
+            )
+            assert run_cli(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            metas[method] = json.loads((out / "evolve.meta.json").read_text())
+        capsys.readouterr()
+        assert "rhs_evals" not in metas["exact"]
+        assert metas["me"]["rhs_evals"] == metas["compare"]["rhs_evals"] > 0
+
     def test_compare_meta_reports_the_me_bridges(self, tmp_path, capsys):
         metas = {}
         for method in ("me", "compare"):

@@ -5,6 +5,7 @@ import pytest
 
 from invharm import (
     GaussianState,
+    MECoefficients,
     NormalModes,
     SqueezeSpec,
     coeffs_general,
@@ -14,12 +15,19 @@ from invharm import (
     run_me,
     squeezed_pure,
 )
+from invharm.coefficients import _coefficients_at
 
 from conftest import rel_err
 from reference import coeffs_closed
 
 
 ENV = GaussianState(np.zeros(2), np.array([[1.0, 0.1], [0.1, 0.25]]))
+
+
+def as_coefficients(fields):
+    """The tuple of a per-run coefficient function as an MECoefficients,
+    with its eight diffusion entries as rows."""
+    return MECoefficients(*fields[:5], (fields[5:7], fields[7:9]), (fields[9:11], fields[11:]))
 
 
 def value(c, name, env=ENV):
@@ -231,7 +239,8 @@ class TestArrayModes:
     def test_general_matches_float_calls(self):
         # float modes of a stable, a free and an unstable environment, each
         # over an array of times held to the float call at each time, off
-        # the times where |Dtilde| is small
+        # the times where |Dtilde| is small; both go through one per-run
+        # coefficient function, the one the master equation calls
         t_all = np.random.default_rng(8).uniform(0.0, 6.0, 120)
         for lambda_sq in (-2.3, 0.0, 1.7):
             modes = NormalModes(
@@ -239,10 +248,11 @@ class TestArrayModes:
             )
             t = t_all[np.abs(dtilde(modes, t_all)) > 1e-3]
             assert t.size > 60, lambda_sq
-            cols = coeffs_general(modes, t)
+            at = _coefficients_at(modes)
+            cols = as_coefficients(at(t))
             assert np.shape(cols.f1_rows) == (2, 2, t.size)
             for i in range(t.size):
-                want = coeffs_general(modes, float(t[i]))
+                want = as_coefficients(at(float(t[i])))
                 for name in self.FIELDS:
                     got = value(cols, name, self.ENV0)[..., i]
                     ref = np.asarray(value(want, name, self.ENV0))

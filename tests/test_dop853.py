@@ -43,6 +43,24 @@ def test_tableau_equals_scipys():
     assert [[row[4 + i] for row in rows] for i in range(4)] == reference.D.tolist()
 
 
+def test_nan_at_the_start_fails_at_once():
+    # a NaN derivative at the start gives a NaN starting step, which must
+    # fail the step-size test instead of being retried without end; the
+    # call cap turns a loop that does not stop into a failure
+    calls = []
+
+    def nan_rhs(t, y):
+        calls.append(t)
+        if len(calls) > 1000:
+            raise RuntimeError("the stepper kept calling the right-hand side")
+        return [math.nan] * 2
+
+    with pytest.raises(FloatingPointError, match=r"nan is not at least 10 ulp of t = 0\.0"):
+        dop853.solve_ivp(nan_rhs, (0.0, 1.0), [1.0, 0.0], [0.5, 1.0], 1e-10, 1e-12)
+    # the start and the starting-step probe
+    assert len(calls) == 2
+
+
 # (modes, system (r, angle, mean), environment (r, angle, mean)): two
 # mixing angles, unequal masses with rotated and displaced states, a
 # stable environment, and a strong coupling with hbar != 1

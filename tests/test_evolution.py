@@ -48,6 +48,14 @@ class TestIntegratorOptions:
             with pytest.raises(ValueError, match="divergence_guard"):
                 IntegratorOptions(divergence_guard=guard)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "divergence_guard"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        # a NaN rel_tol made run_me step forever, and a NaN guard gave
+        # zero-width bridges
+        with pytest.raises(ValueError, match=field):
+            IntegratorOptions(**{field: value})
+
 
 class TestDecoupledLimit:
     MODES = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
@@ -337,30 +345,28 @@ class TestSolverHook:
         ((a, b),) = me.bridges
         assert spans == [(0.0, a), (b, 10.0)]
 
-    def test_one_coeffs_call_per_rhs_evaluation(self, base_modes, monkeypatch):
-        # every right-hand-side evaluation makes one call of the module
-        # global invharm.evolution.coeffs_general, which a profiler
-        # patches to count them
+    def test_rhs_evals_counts_the_solver_calls(self, base_modes, monkeypatch):
+        # Trajectory.rhs_evals is the number of calls every segment's
+        # solver made to the right-hand side; an exact run makes none
         import invharm.evolution as evolution
 
-        real_coeffs, real_solve = evolution.coeffs_general, evolution.solve_ivp
-        times, nfev = [], []
+        real = evolution.solve_ivp
+        calls = []
 
-        def counting_coeffs(modes, t):
-            times.append(t)
-            return real_coeffs(modes, t)
+        def counting(fun, *args, **kwargs):
+            def counted(t, y):
+                calls.append(t)
+                return fun(t, y)
 
-        def counting_solve(*args, **kwargs):
-            sol = real_solve(*args, **kwargs)
-            nfev.append(sol.nfev)
-            return sol
+            return real(counted, *args, **kwargs)
 
-        monkeypatch.setattr(evolution, "coeffs_general", counting_coeffs)
-        monkeypatch.setattr(evolution, "solve_ivp", counting_solve)
+        monkeypatch.setattr(evolution, "solve_ivp", counting)
         env0 = squeezed_pure(SqueezeSpec(2.0, 0.3), mean=(0.3, -0.1))
-        run_me(base_modes, SYS0, env0, grid_to(10.0, 501), opts=TestBridging.OPTS)
-        assert len(nfev) == 2
-        assert len(times) == sum(nfev) > 0
+        grid = grid_to(10.0, 501)
+        me = run_me(base_modes, SYS0, env0, grid, opts=TestBridging.OPTS)
+        assert len(me.bridges) == 1
+        assert me.rhs_evals == len(calls) > 0
+        assert run_exact(base_modes, SYS0, env0, grid).rhs_evals == 0
 
 
 class TestOneKernelEvaluation:
@@ -438,19 +444,29 @@ class TestFreeParticleEnvironment:
 
 
 class TestSegmentFailure:
+    # faults are injected into the per-run coefficient function that
+    # run_me builds through the module global
+    # invharm.evolution._coefficients_at
+    def inject(self, monkeypatch, fault):
+        import invharm.evolution as evolution
+
+        real = evolution._coefficients_at
+
+        def faulty(modes):
+            at = real(modes)
+            return lambda t: fault(at, t)
+
+        monkeypatch.setattr(evolution, "_coefficients_at", faulty)
+
     def test_arithmetic_error_names_the_segment(self, base_modes, monkeypatch):
         # an arithmetic error inside the right-hand side surfaces as a
         # FloatingPointError naming the segment being integrated
-        import invharm.evolution as evolution
-
-        real = evolution.coeffs_general
-
-        def failing(modes, t):
+        def failing(at, t):
             if t > 3.0:
                 raise ZeroDivisionError("float division by zero")
-            return real(modes, t)
+            return at(t)
 
-        monkeypatch.setattr(evolution, "coeffs_general", failing)
+        self.inject(monkeypatch, failing)
         with pytest.raises(
             FloatingPointError, match=r"\[0\.0, 6\.0\].*ZeroDivisionError"
         ) as info:
@@ -460,15 +476,12 @@ class TestSegmentFailure:
     def test_step_below_ten_ulp_names_the_segment(self, base_modes, monkeypatch):
         # NaN coefficients past t = 3 fail every error test of a step that
         # reaches them, so the step shrinks until it is below 10 ulp of t
-        import invharm.evolution as evolution
+        def nan_late(at, t):
+            c = at(t)
+            # omega_eff_sq follows dtilde
+            return (c[0], math.nan, *c[2:]) if t > 3.0 else c
 
-        real = evolution.coeffs_general
-
-        def nan_late(modes, t):
-            c = real(modes, t)
-            return c._replace(omega_eff_sq=math.nan) if t > 3.0 else c
-
-        monkeypatch.setattr(evolution, "coeffs_general", nan_late)
+        self.inject(monkeypatch, nan_late)
         with pytest.raises(FloatingPointError, match=r"\[0\.0, 6\.0\].*10 ulp of t = 2\.99"):
             run_me(base_modes, SYS0, ENV0, grid_to(6.0, 61))
 

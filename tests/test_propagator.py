@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from invharm import NormalModes, dtilde, system_rows
+from invharm import NormalModes, dtilde, gkernels, system_rows
+from invharm.propagator import _kernels_at
 
 from conftest import BASE, rel_err
 from reference import SYMPLECTIC_FORM, coeffs_closed, full_transition
@@ -246,3 +247,24 @@ class TestArrayTimes:
         assert isinstance(dt_, float)
         assert isinstance(det, float)
 
+
+
+class TestPerRunKernels:
+    @pytest.mark.parametrize("omega", [0.0, 1.3])
+    @pytest.mark.parametrize("lambda_sq", [-2.3, 0.0, 1e-12, 1.7])
+    def test_float_times_match_gkernels_bit_for_bit(self, omega, lambda_sq):
+        # the per-run kernels at a float time are gkernels' float results,
+        # on both sides of each mode's series cutoff |k| t^2 = 1e-8 and of
+        # twice its time, from which the bound closed forms take over
+        modes = NormalModes(
+            omega=omega, lambda_sq=lambda_sq, theta_c=-0.35, m_s=0.7, m_e=1.6
+        )
+        at = _kernels_at(modes)
+        ts = [0.0, 1e-9, 0.3, 2.0, 7.5]
+        for k in (modes.k1, modes.k2):
+            if k != 0.0:
+                edge = math.sqrt(1e-8 / abs(k))
+                ts += [f * edge for f in (0.5, 1.0, 1.0 + 1e-15, 1.9, 2.0, 2.1)]
+        for t in ts:
+            got = at(t)[:4]
+            assert got == (*gkernels(modes.k1, t), *gkernels(modes.k2, t)), t
