@@ -6,11 +6,13 @@ time-dependent master-equation coefficients of the reduced system, and
 provides entropy/energy/decoherence analysis plus a deterministic CLI.
 Every run starts from a system and an environment ``GaussianState``
 (``squeezed_pure`` builds one from a ``SqueezeSpec`` and a mean);
-``run_exact`` and ``run_me`` take the same states; ``coeffs_general``
-depends on the modes and the time alone.  Every name exported here is
-used by the program itself; the independent references the tests check
-it against, among them a second closed form of the coefficients, live in
-the tests.
+``run_exact`` and ``run_me`` take the same states.  ``dtilde``,
+``coeffs_general`` and ``contract`` bind the constants of a run once and
+return the function the root search and the master equation call; the
+coefficients depend on the modes and the time alone.  Every name
+exported here is used by the program itself; the independent references
+the tests check it against, among them a second closed form of the
+coefficients, live in the tests.
 """
 
 from .analysis import (
@@ -19,11 +21,7 @@ from .analysis import (
     find_divergences,
     fit_entropy_line,
 )
-from .coefficients import (
-    MECoefficients,
-    coeffs_general,
-    contract,
-)
+from .coefficients import coeffs_general, contract
 from .evolution import (
     IntegratorOptions,
     Trajectory,
@@ -61,7 +59,6 @@ __all__ = [
     "dtilde",
     "system_rows",
     # coefficients
-    "MECoefficients",
     "coeffs_general",
     "contract",
     # gaussian

@@ -92,7 +92,8 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
     step = _scan_step(modes, t_max)
     n = int(math.ceil(t_max / step)) + 1
     ts = np.linspace(0.0, t_max, n)
-    vals = dtilde(modes, ts)
+    dt = dtilde(modes)
+    vals = dt(ts)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise FloatingPointError(f"Dtilde is not finite at t = {float(ts[bad[0]])!r}")
@@ -105,10 +106,10 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
             continue
         # from the end where Dtilde is negative; past t = 2**19 an ulp of
         # t exceeds 1e-10 and the midpoint stop ends the bisection.  The
-        # ends are Python floats: a float time is the cheaper dtilde call
+        # ends are Python floats: a float time is the cheaper evaluation
         lo, hi = float(ts[i]), float(ts[i + 1])
         neg, pos = (lo, hi) if va[i] < 0.0 else (hi, lo)
-        neg, pos = _bisect_crossing(lambda t: dtilde(modes, t), neg, pos, 1e-10)
+        neg, pos = _bisect_crossing(dt, neg, pos, 1e-10)
         roots.append(0.5 * (neg + pos))
     return roots
 

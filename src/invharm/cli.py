@@ -12,9 +12,9 @@ scan         one evolve run per value of a varied parameter, plus an
 verify       exact-vs-ME oracle on the config's own parameters
 
 Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 numerical failure.  Malformed input produces a machine-readable error
-JSON on standard error.  Outputs are byte-deterministic for identical
-inputs: floats are written as C's ``%.17g`` text, lines end in
+3 numerical failure.  Malformed input, a grid too large to allocate
+included, produces a machine-readable error JSON on standard error.
+Outputs are byte-deterministic for identical inputs: floats are written as C's ``%.17g`` text, lines end in
 ``\\n``, and column order is fixed.
 """
 
@@ -354,22 +354,11 @@ def cmd_modes(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
     grid = cfg.grid()
     _, env0 = cfg.states()
-    c = coeffs_general(cfg.modes, grid)
-    table = np.column_stack(
-        (
-            grid,
-            c.dtilde,
-            c.omega_eff_sq,
-            c.gamma_eff,
-            c.Fy,
-            c.Fq,
-            contract(c.f1_rows, env0.cov),
-            contract(c.f2_rows, env0.cov),
-            np.reshape(c.f1_rows, (4, -1)).T,
-            np.reshape(c.f2_rows, (4, -1)).T,
-        )
-    )
-    valid = np.abs(c.dtilde) > cfg.integrator.divergence_guard
+    # dtilde, omega_eff_sq, gamma_eff, Fy, Fq, then the entries of f1, f2
+    c = coeffs_general(cfg.modes)(grid)
+    weigh = contract(env0.cov)
+    table = np.column_stack((grid, *c[:5], weigh(*c[5:9]), weigh(*c[9:]), *c[5:]))
+    valid = np.abs(c[0]) > cfg.integrator.divergence_guard
     path = os.path.join(out_dir, "coeffs.csv")
     _write_csv(path, COEFF_COLUMNS, table, valid=valid)
     _write_json(os.path.join(out_dir, "coeffs.meta.json"), {"config": cfg.echo()})
@@ -472,8 +461,6 @@ def _scan_one(run_cfg: RunConfig, value: float, out_dir: str, idx: int):
 def cmd_scan(cfg: RunConfig, out_dir: str, vary: str, values) -> dict:
     if vary is None or values is None:
         raise ConfigError("scan requires --vary and --values")
-    if not values:
-        raise ConfigError("scan requires at least one value")
     # every value is validated before the first run writes its file
     run_cfgs = [_apply_vary(cfg, vary, v) for v in values]
     runs = [
@@ -490,7 +477,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> dict:
     """Exact-vs-ME oracle on cfg's modes and initial states: the moments
     of both runs up to 90% of the first divergence, each moment scored
     by its worst row outside the bridged windows."""
-    roots = find_divergences(cfg.modes, max(cfg.t_max, 1.0))
+    roots = find_divergences(cfg.modes, cfg.t_max)
     t_end = 0.9 * roots[0] if roots else cfg.t_max
     _, me, dev = _compare_runs(cfg, np.linspace(0.0, t_end, 201))
     worst_rows = dev[~me.bridged].max(axis=0).tolist()
@@ -509,7 +496,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _parse_values(raw: str):
-    items = [v.strip() for v in raw.split(",") if v.strip() != ""]
+    items = [v.strip() for v in raw.split(",")]
+    if "" in items:
+        raise ConfigError(f"--values has an empty entry: {raw!r}")
     try:
         values = [float(v) for v in items]
     except ValueError as exc:
@@ -583,6 +572,10 @@ def main(argv=None) -> int:
         # the config was read and the output directory made: a file in
         # it could not be written
         _emit_error("validation", f"cannot write output: {exc}")
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a grid too large to allocate
+        _emit_error("validation", f"out of memory: {exc}")
         return EXIT_CONFIG
     # LinAlgError is a ValueError, so it is named before ValueError
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -6,55 +6,37 @@ modes and the time alone: the environment's initial state enters only
 where a caller weights the forces Fy, Fq with its mean and contracts the
 diffusion sub-tensors with its covariance (:func:`contract`).
 
-Every formula is written once, in the per-run function
-``_coefficients_at(modes)``: it binds the constants of a run once and
-returns a function of the time.  ``coeffs_general`` wraps it for one
-call; the master-equation right-hand side builds it once per run and
-calls it at each evaluation, and weights the diffusion entries through
-``_weights``, the per-run form of :func:`contract`.  At a float time
-every scalar coefficient is a Python float computed without numpy
-temporaries.  Over an array of times every field is an array of its
-shape.  The diffusion sub-tensors are kept as rows of entries.
+Both are per-run evaluators, and every formula is written once in them:
+``coeffs_general(modes)`` and ``contract(cov)`` bind the constants of a
+run once and return a function.  The master-equation right-hand side
+builds both once per run and calls them at each evaluation; the
+``coeffs`` command calls them once over its whole grid.  At a float time
+every coefficient is a Python float computed without numpy temporaries;
+over an array of times every entry is an array of its shape.  The
+diffusion sub-tensors are returned as their entries in yy, yq, qy, qq
+order.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .modes import NormalModes
 from .propagator import _kernels_at
 
 __all__ = [
-    "MECoefficients",
     "coeffs_general",
     "contract",
 ]
 
 
-class MECoefficients(NamedTuple):
-    """All coefficients of the reduced master equation at one time, or
-    one column per field over an array of times.
+def contract(cov):
+    """The contraction of a 2x2 sub-coefficient tensor with the
+    environment covariance V, t_yy V_yy + (t_yq + t_qy) V_yq + t_qq V_qq,
+    as a function of the tensor's four entries (yy, yq, qy, qq), with
+    the entries of V, indexed ``[i][j]``, bound once.
 
-    ``f1_rows``/``f2_rows`` hold the diffusion sub-tensor entries as
-    ((yy, yq), (qy, qq)); at a float time they and every other field are
-    Python floats.  The times themselves are the caller's and are not
-    stored.  Near a zero of Dtilde the drift-derived fields are large but
-    finite; the caller decides, with its own guard, where not to use them.
+    This is the weighting the exact diffusion K Ve M1^T + M1 Ve K^T gives
+    each sub-tensor entry.
     """
-
-    dtilde: float
-    omega_eff_sq: float
-    gamma_eff: float
-    Fy: float
-    Fq: float
-    f1_rows: tuple
-    f2_rows: tuple
-
-
-def _weights(cov):
-    """The per-run form of :func:`contract`: binds the entries of the
-    covariance ``cov`` once and returns a function of the four entries
-    (yy, yq, qy, qq) of a sub-tensor that gives their contraction."""
     (v_yy, v_yq), (_, v_qq) = cov
 
     def weigh(yy, yq, qy, qq):
@@ -63,22 +45,14 @@ def _weights(cov):
     return weigh
 
 
-def contract(tensor, cov):
-    """Fully contract a 2x2 sub-coefficient tensor with the environment
-    covariance V: t_yy V_yy + (t_yq + t_qy) V_yq + t_qq V_qq.
-
-    This is the weighting the exact diffusion K Ve M1^T + M1 Ve K^T gives
-    each sub-tensor entry.  Both arguments are indexed ``[i][j]``, so
-    nested tuples or lists and (2, 2) or (2, 2, n) arrays all work.
-    """
-    (yy, yq), (qy, qq) = tensor
-    return _weights(cov)(yy, yq, qy, qq)
-
-
-def _coefficients_at(modes: NormalModes):
-    """The per-run form of :func:`coeffs_general`: a function of a float
-    time or an array of times that returns the fields of
-    :class:`MECoefficients` as a plain tuple.
+def coeffs_general(modes: NormalModes):
+    """The coefficients of the reduced master equation as a function of a
+    float time or an array of times, with the constants of the run bound
+    once.  It returns the tuple (dtilde, omega_eff_sq, gamma_eff, Fy, Fq,
+    f1_yy, f1_yq, f1_qy, f1_qq, f2_yy, f2_yq, f2_qy, f2_qq): at a float
+    time, Python floats; over an array of times, arrays of its shape.
+    Near a zero of Dtilde the drift-derived entries are large but finite;
+    the caller decides, with its own guard, where not to use them.
 
     The kernels, Dtilde and the phi_1 ladder come from one evaluation of
     ``propagator._kernels_at``.  Constant leading factors are bound here
@@ -128,9 +102,3 @@ def _coefficients_at(modes: NormalModes):
 
     return at
 
-
-def coeffs_general(modes: NormalModes, t) -> MECoefficients:
-    """Coefficients from the kernel closed forms, at a float time or
-    over an array of times."""
-    c = _coefficients_at(modes)(t)
-    return MECoefficients(*c[:5], (c[5:7], c[7:9]), (c[9:11], c[11:]))

@@ -10,10 +10,11 @@ no time-stepping error.
 the package's adaptive DOP853 stepper (:mod:`invharm.dop853`, on Python
 floats), reached through the module global ``solve_ivp`` once per
 segment.  It builds the per-run coefficient function once
-(``coefficients._coefficients_at``, through the module global of that
-name), and each right-hand-side evaluation calls it at a float time and
-weights its forces and diffusion entries with the environment's initial
-mean and covariance, whose entries are bound once too.  Across windows
+(``coeffs_general(modes)``, through the module global of that name), and
+each right-hand-side evaluation calls it at a float time and weights its
+forces and diffusion entries with the environment's initial mean and
+covariance, bound once too (``contract(cov)``).  The root search and
+each root's guard window bind ``dtilde(modes)`` once.  Across windows
 where the determinant guard trips (master-equation breakdown instants)
 it bridges with the exact propagator, one ``system_rows`` call per
 window, and resumes.  A :class:`Trajectory` records those windows in
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _bisect_crossing, find_divergences
-from .coefficients import _coefficients_at, _weights
+from .coefficients import coeffs_general, contract
 from .dop853 import solve_ivp
 from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
 from .modes import NormalModes
@@ -170,11 +171,13 @@ def _blocked_window(modes, root, guard, t_end):
     Dtilde at a root grows like e^{lambda t}, so the guard set alone
     narrows to nothing at late roots."""
 
+    dt = dtilde(modes)
+
     def edge(direction):
         step = 0.01
         lo = root
         hi = root + direction * step
-        while abs(dtilde(modes, hi)) < guard:
+        while abs(dt(hi)) < guard:
             lo = hi
             step *= 2.0
             hi = root + direction * step
@@ -183,7 +186,7 @@ def _blocked_window(modes, root, guard, t_end):
             if direction < 0 and hi < 0.0:
                 return 0.0
         # |Dtilde| = guard between lo (inside) and hi (outside)
-        _, hi = _bisect_crossing(lambda t: abs(dtilde(modes, t)) - guard, lo, hi, 0.0)
+        _, hi = _bisect_crossing(lambda t: abs(dt(t)) - guard, lo, hi, 0.0)
         return hi
 
     h = guard / max(modes.omega, abs(modes.lambda_sq) ** 0.5)
@@ -214,7 +217,7 @@ def run_me(
 
     m_s = modes.m_s
     hbar = modes.hbar
-    coefficients = _coefficients_at(modes)
+    coefficients = coeffs_general(modes)
     # per-run constants of the right-hand side, each the leading factor
     # of its product, so every product is evaluated in the same order
     neg_m_s = -m_s
@@ -223,7 +226,7 @@ def run_me(
     two_hbar_sq = 2.0 * hbar_sq
     # the environment's initial mean and covariance, bound once
     mean_y, mean_q = env0.mean.tolist()
-    weigh = _weights(env0.cov.tolist())
+    weigh = contract(env0.cov.tolist())
 
     def rhs(t, y):
         _, om2, gam, fy, fq, yy1, yq1, qy1, qq1, yy2, yq2, qy2, qq2 = coefficients(t)

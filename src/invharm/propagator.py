@@ -2,16 +2,17 @@
 two mode functions, with the cancellation-free minors of those rows.
 
 ``system_rows`` evaluates the four kernels once and returns every block
-and minor the exact path reads; ``dtilde`` evaluates the determinant of
-M_0 alone, for the root search and the master-equation guard.  Both take
-the kernels, Dtilde and the phi_1 ladder from the per-run evaluation
-``_kernels_at(modes)``, which the master-equation coefficients share, so
-each of those formulas is written once.
+and minor the exact path reads; ``dtilde(modes)`` returns the
+determinant of M_0 alone as a function of the time, for the root search
+and the master-equation guard.  Both take the kernels, Dtilde and the
+phi_1 ladder from the per-run evaluation ``_kernels_at(modes)``, which
+the master-equation coefficients share, so each of those formulas is
+written once.
 
 Phase-space ordering is [x, p, y, q] throughout: system position/momentum
-first, environment second.  Every function takes a float time or an
-array of times; a 2x2 block has shape (2, 2) for a float and (2, 2, n)
-for n times.
+first, environment second.  ``system_rows`` and the function ``dtilde``
+returns take a float time or an array of times; a 2x2 block has shape
+(2, 2) for a float and (2, 2, n) for n times.
 """
 
 from __future__ import annotations
@@ -81,15 +82,22 @@ def _kernels_at(modes: NormalModes):
     return at
 
 
-def dtilde(modes: NormalModes, t):
-    """Determinant of the system block M_0 (dimensionless, 1 at t=0).
+def dtilde(modes: NormalModes):
+    """The determinant of the system block M_0 (dimensionless, 1 at t=0)
+    as a function of a float time or an array of times, with the
+    constants of the run bound once.
 
     Algebraically dphi0^2 - phi0 d2phi0, but evaluated via the kernel
     identity c^2 - k s^2 = 1 so that the exponentially large squares
     never appear: the naive form loses all precision once the unstable
     kernel dwarfs 1/eps.
     """
-    return _kernels_at(modes)(t)[4]
+    kernels = _kernels_at(modes)
+
+    def at(t):
+        return kernels(t)[4]
+
+    return at
 
 
 def system_rows(modes: NormalModes, t):

@@ -8,16 +8,17 @@ shares none of its algebra.  A two-mode state is a plain (mean, cov)
 pair of arrays, ordered [x, p, y, q]; a one-mode state is a
 ``GaussianState``.  ``coeffs_closed`` evaluates the master-equation
 coefficients from their trigonometric/hyperbolic closed forms for an
-unstable environment, a second route to the values ``coeffs_general``
-builds from the kernels.  ``fit_entropy_log`` fits the logarithmic
-entropy growth of a free-particle environment.
+unstable environment, a second route to the values the function of
+``coeffs_general`` builds from the kernels, returned in the same order.
+``fit_entropy_log`` fits the logarithmic entropy growth of a
+free-particle environment.
 """
 
 import math
 
 import numpy as np
 
-from invharm import GaussianState, MECoefficients, NormalModes, gkernels
+from invharm import GaussianState, NormalModes, gkernels
 
 # canonical antisymmetric form for ordering [x, p, y, q]
 SYMPLECTIC_FORM = np.array(
@@ -70,9 +71,12 @@ def full_transition(modes: NormalModes, t: float) -> np.ndarray:
     return unscale @ rot @ block @ rot.T @ scale
 
 
-def coeffs_closed(modes: NormalModes, t) -> MECoefficients:
+def coeffs_closed(modes: NormalModes, t) -> tuple:
     """Coefficients from the closed forms for an unstable environment
-    (lambda_sq > 0, omega > 0), at a time or over an array of times."""
+    (lambda_sq > 0, omega > 0), at a time or over an array of times: the
+    tuple (dtilde, omega_eff_sq, gamma_eff, Fy, Fq, f1_yy, f1_yq, f1_qy,
+    f1_qq, f2_yy, f2_yq, f2_qy, f2_qq) that ``coeffs_general``'s function
+    returns."""
     if modes.lambda_sq <= 0 or modes.omega <= 0:
         raise ValueError(
             "closed forms require lambda_sq > 0 and omega > 0; "
@@ -119,15 +123,21 @@ def coeffs_closed(modes: NormalModes, t) -> MECoefficients:
     diff_s = w * shl - lam * swt
 
     beta2 = beta / m_s
-    f1_rows = (
-        (beta * (m_e * w * lam * p_fac * sum_fac), beta * (w * lam * p_fac * diff_c)),
-        (beta * (q_fac * sum_fac), beta * (q_fac * diff_c / m_e)),
+    return (
+        dt_,
+        om2,
+        gam,
+        fy,
+        fq,
+        beta * (m_e * w * lam * p_fac * sum_fac),
+        beta * (w * lam * p_fac * diff_c),
+        beta * (q_fac * sum_fac),
+        beta * (q_fac * diff_c / m_e),
+        beta2 * (m_e * w * lam * p_fac * diff_c),
+        beta2 * (p_fac * diff_s),
+        beta2 * (q_fac * diff_c),
+        beta2 * (q_fac * diff_s / (m_e * w * lam)),
     )
-    f2_rows = (
-        (beta2 * (m_e * w * lam * p_fac * diff_c), beta2 * (p_fac * diff_s)),
-        (beta2 * (q_fac * diff_c), beta2 * (q_fac * diff_s / (m_e * w * lam))),
-    )
-    return MECoefficients(dt_, om2, gam, fy, fq, f1_rows, f2_rows)
 
 
 def product_state(sys: GaussianState, env: GaussianState):

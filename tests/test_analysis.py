@@ -90,7 +90,7 @@ class TestFindDivergences:
         roots = find_divergences(base_modes, 10.0)
         assert len(roots) >= 1
         t1 = roots[0]
-        assert abs(dtilde(base_modes, t1)) < 1e-8
+        assert abs(dtilde(base_modes)(t1)) < 1e-8
         assert t1 == pytest.approx(7.994, abs=2e-3)
         t_c = critical_time_derived(1.0, 1.0, math.pi / 64)
         assert t1 >= t_c - 0.5
@@ -99,8 +99,9 @@ class TestFindDivergences:
         roots = find_divergences(base_modes, 20.0)
         assert roots == sorted(roots)
         assert all(0.0 < r < 20.0 for r in roots)
+        dt = dtilde(base_modes)
         for r in roots:
-            assert dtilde(base_modes, r - 1e-4) * dtilde(base_modes, r + 1e-4) < 0
+            assert dt(r - 1e-4) * dt(r + 1e-4) < 0
 
     def test_stable_environment_against_dense_scan(self):
         # strong mixing with a stable environment: the determinant
@@ -111,7 +112,8 @@ class TestFindDivergences:
         )
         roots = find_divergences(modes, 50.0)
         ts = np.linspace(0.0, 50.0, 200001)
-        vals = np.array([dtilde(modes, t) for t in ts])
+        dt = dtilde(modes)
+        vals = np.array([dt(t) for t in ts])
         brute = ts[:-1][np.sign(vals[:-1]) * np.sign(vals[1:]) < 0]
         assert len(roots) == len(brute) > 10
         assert np.abs(np.array(roots) - brute).max() < 5e-4
@@ -134,9 +136,10 @@ class TestFindDivergences:
         roots = find_divergences(LATE_ROOTS, 1e6)
         assert roots == sorted(roots)
         assert sum(r > 2.0**19 for r in roots) > 100
+        dt = dtilde(LATE_ROOTS)
         for r in roots:
             d = max(1e-10, 4.0 * math.ulp(r))
-            assert dtilde(LATE_ROOTS, r - d) * dtilde(LATE_ROOTS, r + d) <= 0.0, r
+            assert dt(r - d) * dt(r + d) <= 0.0, r
 
 
 class TestBisectCrossing:
@@ -183,8 +186,9 @@ class TestApproxD:
         th = 1e-3
         modes = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=th, m_s=1.0, m_e=1.0)
         t_c = critical_time_derived(1.0, 1.0, th)
+        dt = dtilde(modes)
         for t in np.linspace(1.0, 0.8 * t_c, 30):
-            exact = dtilde(modes, t)
+            exact = dt(t)
             approx = weak_coupling_dtilde(1.0, 1.0, th, t)
             assert abs(approx - exact) < 0.2 * max(abs(exact), abs(exact - 1.0), 0.05)
 
@@ -194,8 +198,9 @@ class TestApproxF1:
         # envelope estimate: bounds the actual diffusion scalar from
         # above within two decades over the pre-breakdown window
         env = GaussianState(np.zeros(2), np.diag([0.5, 0.5]))
+        at, weigh = coeffs_general(base_modes), contract(env.cov)
         for t in np.linspace(3.0, 7.0, 9):
-            actual = contract(coeffs_general(base_modes, t).f1_rows, env.cov)
+            actual = weigh(*at(t)[5:9])  # the entries of f1
             ratio = actual / f1_envelope(base_modes, t)
             assert 0.01 < ratio < 10.0
 

@@ -64,7 +64,7 @@ def test_every_public_name_is_used_in_the_package():
 def test_every_field_is_read_in_the_package():
     read = loaded_names(attributes_only=True)
     types = list(record_types())
-    assert {"Trajectory", "Diagnostics", "MECoefficients"} <= {c.__name__ for c in types}
+    assert {"Trajectory", "Diagnostics"} <= {c.__name__ for c in types}
     unread = [
         f"{cls.__name__}.{name}"
         for cls in types

@@ -393,6 +393,21 @@ class TestExitCodesAndErrors:
                 assert repr(value) in err["message"]
         assert not list(tmp_path.glob("scan_*"))
 
+    @pytest.mark.parametrize("command", ["evolve", "coeffs", "scan"])
+    def test_a_grid_too_large_to_allocate_is_a_validation_error(
+        self, tmp_path, capsys, command
+    ):
+        # 2**55 samples of 8 bytes exceed every 64-bit address space, so
+        # the allocation fails at once
+        cfg = write_config(tmp_path / "c.json", extra={"grid": {"samples": 2**55}})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if command == "scan":
+            argv += ["--vary", "theta_c", "--values=0.01"]
+        assert run_cli(argv) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith("out of memory: ")
+
     def test_scan_validates_every_value_before_the_first_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         args = ["--vary", "m_s", "--values=0.8,1.2,-1.0"]
@@ -411,10 +426,23 @@ class TestExitCodesAndErrors:
                 ["scan", "--config", "{cfg}", "--vary", "m_s", "--values", "-1.0,2"],
                 "argument --values: expected one argument",
             ),
+            # an empty entry would shift every later scan_NNN.csv index
+            # off the list as given
+            (
+                ["scan", "--config", "{cfg}", "--vary", "theta_c", "--values=0.1,,0.3"],
+                "--values has an empty entry: '0.1,,0.3'",
+            ),
+            (
+                ["scan", "--config", "{cfg}", "--vary", "theta_c", "--values=0.1,"],
+                "--values has an empty entry: '0.1,'",
+            ),
             (["tune", "--config", "{cfg}"], "argument command: invalid choice: 'tune'"),
             (["evolve", "--out", "o"], "the following arguments are required: --config"),
         ],
-        ids=["negative_value", "unknown_command", "missing_config"],
+        ids=[
+            "negative_value", "empty_value", "trailing_comma", "unknown_command",
+            "missing_config",
+        ],
     )
     def test_usage_errors_are_validation_errors(self, tmp_path, capsys, argv, message):
         cfg = write_config(tmp_path / "c.json")
@@ -546,8 +574,8 @@ class TestCoeffsCommand:
         table = np.genfromtxt(tmp_path / "coeffs.csv", delimiter=",", names=True)
         cov = load_config(cfg).states()[1].cov
         for f in ("f1", "f2"):
-            rows = [[table[f"{f}_{a}{b}"] for b in "yq"] for a in "yq"]
-            assert np.array_equal(table[f], contract(rows, cov)), f
+            entries = [table[f"{f}_{a}{b}"] for a in "yq" for b in "yq"]
+            assert np.array_equal(table[f], contract(cov)(*entries)), f
 
     def test_meta_written(self, tmp_path, capsys):
         cfg = write_config(
@@ -854,6 +882,28 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["oracle"]["max_rel_err"] < 1e-6
 
+    def test_checks_up_to_the_horizon_alone(self, tmp_path, capsys, monkeypatch):
+        # the first root, at t = 0.346, lies past t_max: the oracle runs
+        # on [0, t_max], not up to 90% of a root the config never reaches
+        real = invharm.cli.run_exact
+        grids = []
+
+        def capture(modes, sys0, env0, grid):
+            grids.append(grid)
+            return real(modes, sys0, env0, grid)
+
+        monkeypatch.setattr(invharm.cli, "run_exact", capture)
+        modes = {"omega": 3.0, "lambda_sq": 50.0, "theta_c": 0.5}
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 0.2}}, modes=modes
+        )
+        assert run_cli(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        root = find_divergences(NormalModes(m_s=1.0, m_e=1.0, **modes), 1.0)[0]
+        assert root == pytest.approx(0.346, abs=1e-3)
+        assert len(grids) == 1
+        assert np.array_equal(grids[0], np.linspace(0.0, 0.2, 201))
+
     def test_oracle_scores_each_row(self, tmp_path, capsys, monkeypatch):
         # one early master-equation row off by 1e-5 of its value fails
         # the oracle under its moment's name, however small the row is
@@ -1000,7 +1050,10 @@ def invocations(draw):
             st.sampled_from(JUNK)
         )
     raw["grid"].update(draw(st.sampled_from(
-        [{"samples": 1}, {"samples": 2.5}, {"samples": 9, "dt": 0.5}, {"dt": 0.0}]
+        [
+            {"samples": 1}, {"samples": 2.5}, {"samples": 9, "dt": 0.5}, {"dt": 0.0},
+            {"samples": 2**55},
+        ]
         if fault == "grid" else [{}, {"samples": 2}, {"samples": 9}, {"dt": 0.5}]
     )))
     raw["method"] = draw(st.sampled_from(

@@ -412,6 +412,31 @@ class TestOneKernelEvaluation:
             assert t[-1] == b
             assert np.all((t[:-1] > a) & (t[:-1] <= b))
 
+    def test_run_me_binds_the_kernels_a_bounded_number_of_times(self, monkeypatch):
+        # the per-run kernel evaluation is bound once for the coefficients,
+        # once for the root scan and its bisections, once per root for the
+        # edges of its guard window and once per bridged window: a count
+        # linear in the roots, whatever the depth of the bisections
+        import invharm.coefficients as coefficients
+        import invharm.propagator as propagator
+
+        modes = NormalModes(
+            omega=1.0, lambda_sq=1.0, theta_c=math.pi / 16, m_s=1.0, m_e=1.0
+        )
+        roots = find_divergences(modes, 30.0)
+        assert len(roots) >= 8
+        real = propagator._kernels_at
+        calls = []
+
+        def counting(modes):
+            calls.append(modes)
+            return real(modes)
+
+        for module in (propagator, coefficients):
+            monkeypatch.setattr(module, "_kernels_at", counting)
+        run_me(modes, SYS0, ENV0, grid_to(30.0, 301))
+        assert 0 < len(calls) <= 2 + 2 * len(roots)
+
 
 class TestFreeParticleEnvironment:
     MODES = NormalModes(
@@ -446,17 +471,17 @@ class TestFreeParticleEnvironment:
 class TestSegmentFailure:
     # faults are injected into the per-run coefficient function that
     # run_me builds through the module global
-    # invharm.evolution._coefficients_at
+    # invharm.evolution.coeffs_general
     def inject(self, monkeypatch, fault):
         import invharm.evolution as evolution
 
-        real = evolution._coefficients_at
+        real = evolution.coeffs_general
 
         def faulty(modes):
             at = real(modes)
             return lambda t: fault(at, t)
 
-        monkeypatch.setattr(evolution, "_coefficients_at", faulty)
+        monkeypatch.setattr(evolution, "coeffs_general", faulty)
 
     def test_arithmetic_error_names_the_segment(self, base_modes, monkeypatch):
         # an arithmetic error inside the right-hand side surfaces as a

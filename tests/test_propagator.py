@@ -140,27 +140,29 @@ class TestTpMatrix:
 
 class TestDtilde:
     def test_one_at_zero(self, base_modes):
-        assert dtilde(base_modes, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert dtilde(base_modes)(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_decoupled_is_one_everywhere(self):
         modes = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
         ts = np.linspace(0.0, 100.0, 4001)
-        vals = np.array([dtilde(modes, t) for t in ts])
+        dt = dtilde(modes)
+        vals = np.array([dt(t) for t in ts])
         assert np.abs(vals - 1.0).max() < 1e-9
 
     def test_matches_block_determinant(self, rng):
         for _ in range(20):
             modes = random_modes(rng)
+            dt = dtilde(modes)
             for t in (0.7, 2.0, 4.0):
                 m0, _, dt_, _, _ = system_rows(modes, t)
                 naive = float(np.linalg.det(m0))
-                assert rel_err(dtilde(modes, t), naive) < 1e-9
+                assert rel_err(dt(t), naive) < 1e-9
                 # the rows carry the same evaluation of the same formula
-                assert dt_ == dtilde(modes, t)
+                assert dt_ == dt(t)
 
     def test_matches_closed_form_denominator(self, base_modes):
-        c = coeffs_closed(base_modes, 2.0)
-        assert c.dtilde == pytest.approx(dtilde(base_modes, 2.0), rel=1e-12)
+        closed = coeffs_closed(base_modes, 2.0)[0]  # its dtilde
+        assert closed == pytest.approx(dtilde(base_modes)(2.0), rel=1e-12)
 
     def test_near_unity_before_critical_time(self):
         # weak coupling: determinant within 10% of 1 well before the
@@ -169,14 +171,15 @@ class TestDtilde:
         modes = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=th, m_s=1.0, m_e=1.0)
         t_c = -2.0 * math.log(th) + math.log(1.0)  # derived critical time
         ts = np.linspace(0.0, t_c - 2.0, 400)
-        vals = np.array([dtilde(modes, t) for t in ts])
+        dt = dtilde(modes)
+        vals = np.array([dt(t) for t in ts])
         assert np.abs(vals - 1.0).max() < 0.1
 
     def test_no_cancellation_at_long_times(self, base_modes):
         # the kernel-identity form stays accurate where the naive
         # difference of squares has lost every digit
         t = 40.0
-        val = dtilde(base_modes, t)
+        val = dtilde(base_modes)(t)
         assert math.isfinite(val)
         # envelope from the weak-coupling expansion: theta^2 e^{lam t} scale
         envelope = base_modes.theta_c**2 * math.exp(t) * 2.0
@@ -231,7 +234,7 @@ class TestArrayTimes:
             modes = random_modes(rng)
             rows = system_rows(modes, ts)
             assert rows[0].shape == rows[1].shape == rows[4].shape == (2, 2, ts.size)
-            assert np.array_equal(rows[2], dtilde(modes, ts))
+            assert np.array_equal(rows[2], dtilde(modes)(ts))
             ones = [system_rows(modes, float(t)) for t in ts]
             for i, name in enumerate(("m0", "m1", "dtilde", "det_m1", "x")):
                 got = rows[i]
@@ -243,7 +246,7 @@ class TestArrayTimes:
     def test_scalar_time_keeps_scalar_shapes(self, base_modes):
         m0, m1, dt_, det, x = system_rows(base_modes, 1.5)
         assert m0.shape == m1.shape == x.shape == (2, 2)
-        assert isinstance(dtilde(base_modes, 1.5), float)
+        assert isinstance(dtilde(base_modes)(1.5), float)
         assert isinstance(dt_, float)
         assert isinstance(det, float)
 
