@@ -192,6 +192,36 @@ class TestDiffusionStructure:
         assert zero_mean == 0.0
 
 
+class TestArrayTimes:
+    def test_matches_scalar_calls_before_first_root(self):
+        # every column holds to 1e-12 of the largest magnitude it
+        # reaches; the grid stops short of the first root, where the
+        # columns diverge
+        modes = NormalModes(
+            omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=0.9, m_e=1.6
+        )
+        ts = np.linspace(0.0, 0.95 * find_divergences(modes, 16.0)[0], 151)
+        at = coeffs_general(modes)
+        cols = at(ts)
+        ones = [at(float(t)) for t in ts]
+        assert [np.shape(e) for e in cols] == [ts.shape] * 13
+        for name in (
+            "dtilde",
+            "omega_eff_sq",
+            "gamma_eff",
+            "Fy",
+            "Fq",
+            "f1",
+            "f2",
+            "f1_tensor",
+            "f2_tensor",
+        ):
+            got = value(cols, name)
+            want = np.stack([value(c, name) for c in ones], axis=-1)
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
 class TestArrayModes:
     # a rotated environment: every covariance entry reaches f1 and f2
     ENV0 = squeezed_pure(SqueezeSpec(2.0, 0.3))
@@ -208,28 +238,17 @@ class TestArrayModes:
     )
 
     def test_general_matches_float_calls(self):
-        # one coefficient function, the one the master equation calls,
-        # over an array of times held to its calls at each float time, off
-        # the times where |Dtilde| is small: the float modes of a stable,
-        # a free and an unstable environment at random times, and unequal
-        # masses on a grid that stops short of the first root
+        # float modes of a stable, a free and an unstable environment, each
+        # over an array of times held to the float call at each time, off
+        # the times where |Dtilde| is small; both go through one per-run
+        # coefficient function, the one the master equation calls
         t_all = np.random.default_rng(8).uniform(0.0, 6.0, 120)
-        draws = [
-            NormalModes(
+        for lambda_sq in (-2.3, 0.0, 1.7):
+            modes = NormalModes(
                 omega=1.3, lambda_sq=lambda_sq, theta_c=-0.35, m_s=0.7, m_e=1.6, hbar=0.8
             )
-            for lambda_sq in (-2.3, 0.0, 1.7)
-        ]
-        unequal = NormalModes(
-            omega=1.0, lambda_sq=1.0, theta_c=math.pi / 64, m_s=0.9, m_e=1.6
-        )
-        draws.append(unequal)
-        for modes in draws:
-            if modes is unequal:
-                t = np.linspace(0.0, 0.95 * find_divergences(modes, 16.0)[0], 151)
-            else:
-                t = t_all[np.abs(dtilde(modes)(t_all)) > 1e-3]
-            assert t.size > 60, modes
+            t = t_all[np.abs(dtilde(modes)(t_all)) > 1e-3]
+            assert t.size > 60, lambda_sq
             at = coeffs_general(modes)
             cols = at(t)
             assert [np.shape(e) for e in cols] == [t.shape] * 13
@@ -240,7 +259,7 @@ class TestArrayModes:
                     ref = np.asarray(value(want, name, self.ENV0))
                     scale = np.maximum(np.abs(ref), 1.0)
                     assert np.all(np.abs(got - ref) <= 1e-12 * scale), (
-                        modes, name, i
+                        lambda_sq, name, i
                     )
 
 
