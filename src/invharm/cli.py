@@ -337,16 +337,17 @@ def _json_safe(x):
 
 
 def cmd_modes(cfg: RunConfig, out_dir: str) -> dict:
-    bare = params_from_modes(**{k: getattr(cfg.modes, k) for k in FIELDS["modes"]})
-    round_trip = derive_modes(bare)
     # the normal-mode parameters proper: those the bare ones do not share
     proper = [k for k in FIELDS["modes"] if k not in FIELDS["bare"]]
-    report = {
-        "config": cfg.echo(),
-        "modes": {k: getattr(cfg.modes, k) for k in proper},
-        "bare": {k: getattr(bare, k) for k in FIELDS["bare"]},
-        "round_trip": {k: getattr(round_trip, k) for k in proper},
-    }
+    report = {"config": cfg.echo(), "modes": {k: getattr(cfg.modes, k) for k in proper}}
+    try:
+        bare = params_from_modes(**{k: getattr(cfg.modes, k) for k in FIELDS["modes"]})
+    except ValueError:  # the bare system frequency would be imaginary
+        report["bare"] = report["round_trip"] = None
+    else:
+        round_trip = derive_modes(bare)
+        report["bare"] = {k: getattr(bare, k) for k in FIELDS["bare"]}
+        report["round_trip"] = {k: getattr(round_trip, k) for k in proper}
     _write_json(os.path.join(out_dir, "modes.json"), report)
     return report
 

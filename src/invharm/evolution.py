@@ -17,9 +17,10 @@ covariance, bound once too (``contract(cov)``).  The root search and
 each root's guard window bind ``dtilde(modes)`` once.  Across windows
 where the determinant guard trips (master-equation breakdown instants)
 it bridges with the exact propagator, one ``system_rows`` call per
-window, and resumes.  A :class:`Trajectory` records those windows in
-``bridges``, the grid points they cover in ``bridged``, and the
-right-hand-side evaluations of all segments in ``rhs_evals``.
+window, and resumes where |Dtilde| >= guard: each window side doubles
+from guard / (fastest mode rate) until then.  A :class:`Trajectory`
+records those windows in ``bridges``, the grid points they cover in
+``bridged``, and the segments' right-hand-side evaluations in ``rhs_evals``.
 
 ``moment_deviation`` is the one measure of how far the master equation
 strays from the exact dynamics: per row and per moment,
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _bisect_crossing, find_divergences
+from .analysis import find_divergences
 from .coefficients import coeffs_general, contract
 from .dop853 import solve_ivp
 from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
@@ -166,31 +167,23 @@ def run_exact(
 
 
 def _blocked_window(modes, root, guard, t_end):
-    """Interval around a determinant root where |Dtilde| < guard, and at
-    least guard / (fastest mode rate) on each side of it: the slope of
-    Dtilde at a root grows like e^{lambda t}, so the guard set alone
-    narrows to nothing at late roots."""
-
+    """Interval around a determinant root, clipped to [0, t_end], that
+    covers the set where |Dtilde| < guard: each side is the first of the
+    half-widths h, 2h, 4h, ... at whose end |Dtilde| >= guard, with
+    h = guard / (fastest mode rate).  Dtilde's slope at a root grows like
+    e^{lambda t}, so the guard set alone narrows to nothing at late roots."""
     dt = dtilde(modes)
-
-    def edge(direction):
-        step = 0.01
-        lo = root
-        hi = root + direction * step
-        while abs(dt(hi)) < guard:
-            lo = hi
-            step *= 2.0
-            hi = root + direction * step
-            if direction > 0 and hi > t_end + 1.0:
-                return t_end
-            if direction < 0 and hi < 0.0:
-                return 0.0
-        # |Dtilde| = guard between lo (inside) and hi (outside)
-        _, hi = _bisect_crossing(lambda t: abs(dt(t)) - guard, lo, hi, 0.0)
-        return hi
-
     h = guard / max(modes.omega, abs(modes.lambda_sq) ** 0.5)
-    return min(edge(-1.0), max(root - h, 0.0)), max(edge(+1.0), root + h)
+
+    def end(sign, bound):
+        w = h
+        while sign * (bound - (e := root + sign * w)) > 0.0:
+            if abs(dt(e)) >= guard:
+                return e
+            w *= 2.0
+        return bound
+
+    return end(-1.0, 0.0), end(1.0, t_end)
 
 
 def run_me(

@@ -67,7 +67,8 @@ class NormalModes:
     sin(2 theta)/2), and the mass roots ``root_prod = sqrt(m_s m_e)``,
     ``root_se = sqrt(m_s / m_e)``, ``root_es = sqrt(m_e / m_s)``, and the
     diffusion prefactors ``pref = root_se / hbar^2`` and
-    ``pref2 = pref / m_s``.  Float fields give Python float constants.
+    ``pref2 = pref / m_s``.  Float fields give Python float constants;
+    fields for which one is not finite raise a ``ValueError`` naming them.
     """
 
     omega: float
@@ -97,20 +98,24 @@ class NormalModes:
             raise ValueError("hbar must be strictly positive")
         if omega < 0:
             raise ValueError("omega must be >= 0")
-        root_se = math.sqrt(m_s / m_e)
-        pref = root_se / hbar**2
-        for name, value in (
-            ("k1", -(omega**2)),
-            ("k2", lambda_sq),
-            ("cw", math.cos(theta_c) ** 2),
-            ("sw", math.sin(theta_c) ** 2),
-            ("x", 0.5 * math.sin(2.0 * theta_c)),
-            ("root_prod", math.sqrt(m_s * m_e)),
-            ("root_se", root_se),
-            ("root_es", math.sqrt(m_e / m_s)),
-            ("pref", pref),
-            ("pref2", pref / m_s),
+        for name, fields, form in (
+            ("k1", "omega", lambda: -(omega**2)),
+            ("k2", "lambda_sq", lambda: lambda_sq),
+            ("cw", "theta_c", lambda: math.cos(theta_c) ** 2),
+            ("sw", "theta_c", lambda: math.sin(theta_c) ** 2),
+            ("x", "theta_c", lambda: 0.5 * math.sin(2.0 * theta_c)),
+            ("root_prod", "m_s, m_e", lambda: math.sqrt(m_s * m_e)),
+            ("root_se", "m_s, m_e", lambda: math.sqrt(m_s / m_e)),
+            ("root_es", "m_s, m_e", lambda: math.sqrt(m_e / m_s)),
+            ("pref", "m_s, m_e, hbar", lambda: self.root_se / hbar**2),
+            ("pref2", "m_s, m_e, hbar", lambda: self.pref / m_s),
         ):
+            try:
+                value = form()
+            except (ArithmeticError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{fields} out of range: {name} is not a finite float")
             object.__setattr__(self, name, value)
 
 

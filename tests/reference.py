@@ -2,7 +2,8 @@
 
 The program evaluates the reduced state from the system rows [M_0 | M_1]
 of the transition matrix alone.  These helpers build the whole two-mode
-state, push it through the full 4x4 transition matrix and reduce it
+state, push it through the full 4x4 transition matrix, the matrix
+exponential of Hamilton's equations in extended precision, and reduce it
 afterwards, so the tests can hold the block path to a construction that
 shares none of its algebra.  A two-mode state is a plain (mean, cov)
 pair of arrays, ordered [x, p, y, q]; a one-mode state is a
@@ -14,11 +15,17 @@ unstable environment, a second route to the values the function of
 free-particle environment.
 """
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 
-from invharm import GaussianState, NormalModes, gkernels
+from invharm import GaussianState, NormalModes
+
+# working precision of full_transition: enough that its float64 result
+# is the rounded exact matrix at the tests' times
+REFERENCE_DPS = 40
 
 # canonical antisymmetric form for ordering [x, p, y, q]
 SYMPLECTIC_FORM = np.array(
@@ -32,43 +39,40 @@ SYMPLECTIC_FORM = np.array(
 
 
 def full_transition(modes: NormalModes, t: float) -> np.ndarray:
-    """Build the full 4x4 transition matrix for [x, p, y, q].
+    """The full 4x4 transition matrix for [x, p, y, q]: the exponential
+    of t times the generator of Hamilton's equations, evaluated by mpmath
+    at REFERENCE_DPS decimal digits and rounded to float64.
 
-    Conjugation recipe: mass-scale each pair, rotate the two scaled pairs
-    jointly by theta_c into normal coordinates, propagate each normal mode
-    with its kernel, rotate and scale back.  The rotation angle is taken
-    as theta_c itself (not its negative); the two choices differ only by
-    the unobservable global sign of phi_1, and this one makes rows 1-2
-    coincide with the M_0/M_1 block prescription.
+    The Hamiltonian is p^2/2m_s + q^2/2m_e + u^T K u / 2 in the
+    positions u = (x, y), with the stiffness K = S R diag(omega^2,
+    -lambda_sq) R^T S, S = diag(sqrt(m_s), sqrt(m_e)) and R the rotation
+    by theta_c from the normal coordinates to the mass-scaled ones.  The
+    rotation angle is taken as theta_c itself (not its negative); the two
+    choices differ only by the unobservable global sign of phi_1, and
+    this one makes rows 1-2 coincide with the M_0/M_1 block prescription.
+    Nothing of the package's kernels or blocks enters.  Results are
+    cached, as several tests propagate the same modes over one grid.
     """
-    c1, s1 = gkernels(-(modes.omega**2), t)
-    c2, s2 = gkernels(modes.lambda_sq, t)
-    block = np.zeros((4, 4))
-    block[0, 0] = c1
-    block[0, 1] = s1
-    block[1, 0] = -(modes.omega**2) * s1
-    block[1, 1] = c1
-    block[2, 2] = c2
-    block[2, 3] = s2
-    block[3, 2] = modes.lambda_sq * s2
-    block[3, 3] = c2
+    return _transition(modes, float(t)).copy()
 
-    ct = math.cos(modes.theta_c)
-    st = math.sin(modes.theta_c)
-    # joint rotation of the two scaled (position, momentum) pairs
-    rot = np.array(
-        [
-            [ct, 0.0, -st, 0.0],
-            [0.0, ct, 0.0, -st],
-            [st, 0.0, ct, 0.0],
-            [0.0, st, 0.0, ct],
-        ]
-    )
-    rs = math.sqrt(modes.m_s)
-    re = math.sqrt(modes.m_e)
-    scale = np.diag([rs, 1.0 / rs, re, 1.0 / re])
-    unscale = np.diag([1.0 / rs, rs, 1.0 / re, re])
-    return unscale @ rot @ block @ rot.T @ scale
+
+@functools.lru_cache(maxsize=None)
+def _transition(modes: NormalModes, t: float) -> np.ndarray:
+    mp = mpmath.mp
+    with mpmath.workdps(REFERENCE_DPS):
+        ct, st = mp.cos(modes.theta_c), mp.sin(modes.theta_c)
+        rot = mp.matrix([[ct, -st], [st, ct]])
+        scale = mp.diag([mp.sqrt(modes.m_s), mp.sqrt(modes.m_e)])
+        normal = mp.diag([mp.mpf(modes.omega) ** 2, -mp.mpf(modes.lambda_sq)])
+        stiffness = scale * rot * normal * rot.T * scale
+        gen = mp.zeros(4, 4)
+        gen[0, 1] = 1 / mp.mpf(modes.m_s)
+        gen[2, 3] = 1 / mp.mpf(modes.m_e)
+        for row, k in ((1, 0), (3, 1)):
+            # dp/dt = -dV/dx, dq/dt = -dV/dy
+            gen[row, 0], gen[row, 2] = -stiffness[k, 0], -stiffness[k, 1]
+        T = mp.expm(gen * mp.mpf(t))
+        return np.array(T.tolist(), dtype=float)
 
 
 def coeffs_closed(modes: NormalModes, t) -> tuple:

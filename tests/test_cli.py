@@ -260,6 +260,35 @@ class TestExitCodesAndErrors:
         assert not (tmp_path / "evolve.csv").exists()
 
     @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("modes", "hbar", 1e-300),
+            ("bare", "hbar", 1e-300),
+            ("modes", "hbar", 1e160),
+            ("modes", "m_s", 1e-320),
+            ("modes", "omega", 1e200),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["modes", "evolve"])
+    def test_out_of_range_parameters_are_named(
+        self, tmp_path, capsys, command, section, field, value
+    ):
+        # finite fields whose per-run constants overflow or underflow
+        # (hbar^2, m_e / m_s, omega^2) are validation errors naming them
+        body = (
+            {"omega_bare": 1.0, "lambda_sq_bare": 1.0, "g": 0.1}
+            if section == "bare"
+            else {}
+        )
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({section: {**body, field: value}}))
+        code = run_cli([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert field in err["message"] and "out of range" in err["message"]
+
+    @pytest.mark.parametrize(
         "command, t_max, column",
         [
             ("evolve", 400.0, "dx2"),
@@ -516,6 +545,22 @@ class TestModesCommand:
         assert run_cli(["modes", "--config", cfg, "--out", str(out2)]) == EXIT_OK
         capsys.readouterr()
         assert (out1 / "modes.json").read_bytes() == (out2 / "modes.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "modes", [{"omega": 0.0}, {"theta_c": math.pi / 2}], ids=["omega_0", "theta_pi_2"]
+    )
+    def test_modes_without_real_bare_parameters(self, tmp_path, capsys, modes):
+        # the bare system frequency would be imaginary; evolve runs these
+        # modes, so modes reports them with no bare parameters
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 2.0, "samples": 5}}, modes=modes
+        )
+        assert run_cli(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_cli(["modes", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        report = json.loads((tmp_path / "modes.json").read_text())
+        assert report["bare"] is None and report["round_trip"] is None
+        assert report["modes"]["theta_c"] == modes.get("theta_c", math.pi / 64)
 
 
 class TestCoeffsCommand:

@@ -10,6 +10,7 @@ from invharm import (
     SqueezeSpec,
     Trajectory,
     diagnostics_from_area,
+    dtilde,
     find_divergences,
     moment_deviation,
     run_exact,
@@ -296,6 +297,64 @@ class TestBridging:
         me = run_me(base_modes, SYS0, ENV0, grid_to(30.0, 301), opts=self.OPTS)
         assert len(me.bridges) >= 3
         assert all(type(e) is float for w in me.bridges for e in w)
+
+    # the theta_c = pi/16 modes have a root whose guard set at 0.2 reaches
+    # past h, so the doubling is exercised there
+    WIDE_MODES = NormalModes(
+        omega=1.0, lambda_sq=1.0, theta_c=math.pi / 16, m_s=1.0, m_e=1.0
+    )
+
+    def test_window_edges_cost_at_most_three_dtilde_calls_per_root(
+        self, monkeypatch
+    ):
+        # each side of a window climbs a ladder of half-widths from h;
+        # at the default guard the first rung already clears it
+        import invharm.evolution as evolution
+
+        real = evolution.dtilde
+        calls = []
+
+        def counting(modes):
+            at = real(modes)
+
+            def counted(t):
+                calls.append(t)
+                return at(t)
+
+            return counted
+
+        monkeypatch.setattr(evolution, "dtilde", counting)
+        roots = find_divergences(self.WIDE_MODES, 30.0)
+        assert len(roots) >= 8
+        run_me(self.WIDE_MODES, SYS0, ENV0, grid_to(30.0, 301))
+        assert all(type(t) is float for t in calls)
+        assert 0 < len(calls) <= 3 * len(roots)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["base", "theta_pi_16"])
+    def test_window_covers_the_guard_set_within_one_doubling(self, base_modes, wide):
+        from invharm.evolution import _blocked_window
+
+        modes = self.WIDE_MODES if wide else base_modes
+        guard, t_end = self.OPTS.divergence_guard, 30.0
+        dt = dtilde(modes)
+        h = guard / max(modes.omega, math.sqrt(abs(modes.lambda_sq)))
+        roots = find_divergences(modes, t_end)
+        assert len(roots) >= 8
+        doubled = 0
+        for root in roots:
+            a, b = _blocked_window(modes, root, guard, t_end)
+            # never narrower than h, except where clipped to [0, t_end]
+            assert 0.0 <= a <= max(root - h, 0.0)
+            assert min(root + h, t_end) <= b <= t_end
+            for e in (a, b):
+                if e in (0.0, t_end):
+                    continue
+                assert abs(dt(e)) >= guard
+                if e not in (root - h, root + h):
+                    # the rung before the last was still inside the guard set
+                    assert abs(dt(root + (e - root) / 2.0)) < guard
+                    doubled += 1
+        assert doubled > 0 if wide else doubled == 0
 
     def test_default_guard_matches_exact_through_breakdown(self, base_modes):
         # with the default (narrow) guard nothing lands in the window;
