@@ -99,12 +99,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> Solution:
             h_abs = h * max(0.2, 0.9 * error_norm**-0.125)
             rejected = True
 
-        # the points in (t, t_new]; the last step also takes any point
-        # that rounding left past t1
-        if t_new == t_bound:
-            j = len(t_eval)
-        else:
-            j = bisect.bisect_right(t_eval, t_new, i_eval)
+        # the points in (t, t_new]
+        j = bisect.bisect_right(t_eval, t_new, i_eval)
         if j > i_eval:
             rows = _dense(fun, t, y, y_new, k, h)
             nfev += 3

@@ -260,7 +260,7 @@ def run_me(
     # entry integrates the rest.  Only segments holding a grid point are
     # integrated.
     for a, b in windows + [(t_end, t_end)]:
-        sel = np.where((grid > t_cur + 1e-15) & (grid <= a + 1e-15))[0]
+        sel = np.where((grid > t_cur) & (grid <= a))[0]
         if sel.size:
             try:
                 sol = solve_ivp(
@@ -274,7 +274,7 @@ def run_me(
             moments[sel] = sol.y
             rhs_evals += sol.nfev
         if b > a:
-            sel = np.where((grid > a + 1e-15) & (grid <= b + 1e-15))[0]
+            sel = np.where((grid > a) & (grid <= b))[0]
             exact = _exact_moments(
                 system_rows(modes, np.append(grid[sel], b)), sys0, env0
             )

@@ -73,10 +73,23 @@ def squeezed_pure(
     spec: SqueezeSpec, hbar: float = 1.0, mean=(0.0, 0.0)
 ) -> GaussianState:
     """Pure Gaussian state with dx/dp = r, rotated by angle, centred on
-    ``mean``."""
+    ``mean``.
+
+    Extreme squeezing overflows the covariance or its determinant, which
+    every diagnostic reads, or rounds the determinant below (hbar/2)^2,
+    so that the state's own area sqrt(det)/(hbar/2) fails the check every
+    exact row passes; either raises ``ValueError``, with no warning."""
     c, s = math.cos(spec.angle), math.sin(spec.angle)
     rot = np.array([[c, -s], [s, c]])
-    cov = rot @ np.diag([hbar * spec.r / 2.0, hbar / (2.0 * spec.r)]) @ rot.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = rot @ np.diag([hbar * spec.r / 2.0, hbar / (2.0 * spec.r)]) @ rot.T
+        det = np.linalg.det(cov)
+        if not (np.isfinite(cov).all() and np.isfinite(det)):
+            raise ValueError("initial covariance is not finite")
+        try:
+            _check_area(np.sqrt(max(det, 0.0)) / (hbar / 2.0))
+        except FloatingPointError as exc:
+            raise ValueError(f"initial state has {exc}") from exc
     return GaussianState(mean=mean, cov=cov)
 
 

@@ -53,6 +53,19 @@ class SupersystemParams:
             raise ValueError("coupling stiffness g must be >= 0")
 
 
+def _finite(fields: str, name: str, form) -> float:
+    """The value of ``form()``, the constant ``name``; one that cannot be
+    formed or is not a finite float raises a ``ValueError`` naming the
+    ``fields`` it is formed from."""
+    try:
+        value = form()
+    except (ArithmeticError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{fields} out of range: {name} is not a finite float")
+    return value
+
+
 @dataclass(frozen=True)
 class NormalModes:
     """Normal-mode image of a :class:`SupersystemParams`.
@@ -110,13 +123,7 @@ class NormalModes:
             ("pref", "m_s, m_e, hbar", lambda: self.root_se / hbar**2),
             ("pref2", "m_s, m_e, hbar", lambda: self.pref / m_s),
         ):
-            try:
-                value = form()
-            except (ArithmeticError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{fields} out of range: {name} is not a finite float")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(fields, name, form))
 
 
 def derive_modes(params: SupersystemParams) -> NormalModes:
@@ -128,15 +135,18 @@ def derive_modes(params: SupersystemParams) -> NormalModes:
     chosen so that ``omega`` is continuously connected to the bare system
     frequency as g -> 0, which also covers strongly stable environments
     (W2 + L2 < 0) where the naive branch would swap the two modes.
+    An intermediate constant that overflows raises a ``ValueError``
+    naming the bare fields, as :class:`NormalModes` does for its own.
     """
-    w2 = params.omega_bare**2
+    bare = "omega_bare, lambda_sq_bare, g"
+    w2 = _finite(bare, "omega_bare^2", lambda: params.omega_bare**2)
     l2 = params.lambda_sq_bare
     g = params.g
-    rad = math.hypot(w2 + l2, 2.0 * g)
+    rad = _finite(bare, "rad", lambda: math.hypot(w2 + l2, 2.0 * g))
     branch = 1.0 if (w2 + l2) >= 0 else -1.0
 
-    omega_sq = 0.5 * (w2 - l2 + branch * rad)
-    lambda_sq = 0.5 * (l2 - w2 + branch * rad)
+    omega_sq = _finite(bare, "omega^2", lambda: 0.5 * (w2 - l2 + branch * rad))
+    lambda_sq = _finite(bare, "lambda_sq", lambda: 0.5 * (l2 - w2 + branch * rad))
     if omega_sq < 0:
         raise ValueError(
             "normal-mode omega^2 < 0: doubly-unstable supersystems are "
@@ -211,9 +221,11 @@ def gkernels(lambda_sq: float, t):
 
     The stiffness is a float; ``t`` is a float or an array of times.  A
     float time goes through ``math``, which costs a fraction of a numpy
-    call on one value (the master-equation right-hand side calls this
-    once per evaluation); an array of times gives arrays of its shape,
-    with the Taylor forms wherever |k| t^2 is below the cutoff.
+    call on one value (the per-run ``propagator._kernels_at`` calls this
+    only near t = 0, or where a mode is free, and takes its own bound
+    closed forms at every other float time); an array of times gives
+    arrays of its shape, with the Taylor forms wherever |k| t^2 is below
+    the cutoff.
     """
     k = lambda_sq
     u = k * t * t

@@ -437,6 +437,49 @@ class TestExitCodesAndErrors:
         assert err["type"] == "validation"
         assert err["message"].startswith("out of memory: ")
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"samples": 2**63 - 1}, "grid.samples must be at most "),
+            ({"samples": 2**64 - 1}, "grid.samples must be at most "),
+            ({"samples": 2**61}, "grid.samples must be at most "),
+            ({"samples": 10**30}, "grid.samples must be at most "),
+            ({"dt": 1e-300}, "grid.dt is too small: "),
+            ({"dt": 5e-324}, "grid.dt is too small: t_max / dt = inf "),
+        ],
+    )
+    def test_a_grid_too_large_to_describe_names_its_field(
+        self, tmp_path, capsys, grid, message
+    ):
+        # past (2**63 - 1) // 8 float64 samples numpy cannot describe the
+        # grid at all, so it is rejected before any allocation
+        cfg = write_config(tmp_path / "c.json", extra={"grid": grid})
+        code = run_cli(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize(
+        "bare",
+        [
+            {"omega_bare": 1e200, "lambda_sq_bare": 1.0, "g": 0.1},
+            {"omega_bare": 1.0, "lambda_sq_bare": 1.0, "g": 1e308},
+        ],
+        ids=["omega_bare_squared", "radical"],
+    )
+    @pytest.mark.parametrize("command", ["modes", "evolve"])
+    def test_bare_parameters_whose_modes_overflow_are_named(
+        self, tmp_path, capsys, command, bare
+    ):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"bare": bare}))
+        code = run_cli([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith("omega_bare, lambda_sq_bare, g out of range: ")
+
     def test_scan_validates_every_value_before_the_first_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         args = ["--vary", "m_s", "--values=0.8,1.2,-1.0"]
@@ -617,7 +660,7 @@ class TestCoeffsCommand:
         assert run_cli(["coeffs", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
         table = np.genfromtxt(tmp_path / "coeffs.csv", delimiter=",", names=True)
-        cov = load_config(cfg).states()[1].cov
+        cov = load_config(cfg).states[1].cov
         for f in ("f1", "f2"):
             entries = [table[f"{f}_{a}{b}"] for a in "yq" for b in "yq"]
             assert np.array_equal(table[f], contract(cov)(*entries)), f
@@ -899,6 +942,44 @@ class TestScanCommand:
         for fn in ("scan_000.csv", "scan_001.csv", "scan_002.csv", "scan_index.json"):
             assert (outs[0] / fn).read_bytes() == (outs[1] / fn).read_bytes()
 
+    def test_builds_each_state_once(self, tmp_path, capsys, monkeypatch):
+        # the config is parsed once and each value's config is varied from
+        # it: two states for the base config, then two per value
+        calls = {"squeezed_pure": 0, "parse_config": 0}
+
+        def counted(name):
+            real = getattr(invharm.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(invharm.cli, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 2.0, "samples": 11}}
+        )
+        args = ["--vary", "r_s", "--values=1.0,2.0,3.0"]
+        assert run_cli(["scan", "--config", cfg, "--out", str(tmp_path), *args]) == EXIT_OK
+        capsys.readouterr()
+        assert calls == {"squeezed_pure": 8, "parse_config": 1}
+
+    def test_rejects_a_varied_state_that_cannot_hold_its_area(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            modes={"hbar": 3.4024058628592333},
+            extra={"system": {"angle": 2.241966891994931}},
+        )
+        args = ["--vary", "r_s", "--values=1.0,9009.38782981161"]
+        code = run_cli(["scan", "--config", cfg, "--out", str(tmp_path), *args])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith("'system': initial state has scaled area A = ")
+        assert not list(tmp_path.glob("scan_*"))
+
 
 class TestVerifyCommand:
     def test_default_config_passes(self, tmp_path, capsys):
@@ -1097,7 +1178,8 @@ def invocations(draw):
     raw["grid"].update(draw(st.sampled_from(
         [
             {"samples": 1}, {"samples": 2.5}, {"samples": 9, "dt": 0.5}, {"dt": 0.0},
-            {"samples": 2**55},
+            {"samples": 2**55}, {"samples": 2**63 - 1}, {"samples": 2**61},
+            {"samples": 10**30}, {"dt": 1e-300}, {"dt": 5e-324},
         ]
         if fault == "grid" else [{}, {"samples": 2}, {"samples": 9}, {"dt": 0.5}]
     )))

@@ -577,6 +577,15 @@ class TestValidationAndComparison:
         with pytest.raises(ValueError):
             run_me(base_modes, SYS0, ENV0, np.array([]))
 
+    def test_me_fills_a_grid_finer_than_rounding(self, base_modes):
+        # rows closer together than 1e-15 are integrated all the same
+        grid = np.linspace(0.0, 1e-30, 3)
+        me = run_me(base_modes, SYS0, ENV0, grid)
+        exact = run_exact(base_modes, SYS0, ENV0, grid)
+        assert np.isfinite(me.moments).all()
+        assert me.rhs_evals > 0
+        assert moment_deviation(exact, me).max() < 1e-12
+
     def test_exact_requires_nonempty_grid(self, base_modes):
         with pytest.raises(ValueError):
             run_exact(base_modes, SYS0, ENV0, [])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ class TestSqueezeSpec:
 
 
 class TestSqueezedPure:
+    AREA = "^initial state has scaled area A = .* < 1$"
+
     def test_round_state(self):
         st_ = squeezed_pure(SqueezeSpec(1.0))
         assert np.allclose(st_.cov, 0.5 * np.eye(2), atol=1e-15)
@@ -67,6 +70,26 @@ class TestSqueezedPure:
     def test_always_pure(self, r, angle):
         st_ = squeezed_pure(SqueezeSpec(r, angle))
         assert area_ratio(st_) == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "r, angle, hbar, message",
+        [
+            # variances near 1e299 whose determinant overflows to -inf
+            # (angle 0.3) or +inf (angle 1.0)
+            (1e-300, 0.3, 1.0, "initial covariance is not finite"),
+            (1e-300, 1.0, 1.0, "initial covariance is not finite"),
+            # rounded covariances whose determinant falls below (hbar/2)^2
+            # by more than the area check allows
+            (9009.38782981161, 2.241966891994931, 3.4024058628592333, AREA),
+            (0.00011134952544217739, -2.23790841982599, 31.57879118212196, AREA),
+            (8373.682762350662, -0.5466948026586502, 0.23994865873308027, AREA),
+        ],
+    )
+    def test_rejects_a_state_it_cannot_build(self, r, angle, hbar, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                squeezed_pure(SqueezeSpec(r, angle), hbar)
 
 
 class TestGaussianState:
