@@ -74,9 +74,10 @@ OTHER_KEYS = {
 }
 TOP_LEVEL_KEYS = (*FIELDS, "grid", "method", "fit_window")
 
-# the most float64 samples one numpy array can describe, 2**63 - 1 bytes;
-# below it a grid too large for memory fails at allocation
-MAX_SAMPLES = (2**63 - 1) // 8
+# the most samples np.linspace can describe: it counts in float64, where
+# each count from 2**60 - 64 rounds to 2**60, too many for one array of
+# 2**63 - 1 bytes; below it a grid too large for memory fails at allocation
+MAX_SAMPLES = 2**60 - 65
 
 # scan name -> the (section, field) its values replace
 SCAN_PARAMETERS = {

@@ -24,25 +24,14 @@ from __future__ import annotations
 import bisect
 import math
 
-__all__ = ["Solution", "solve_ivp"]
+__all__ = ["solve_ivp"]
 
 
-class Solution:
-    """The solution at the requested times, one list of floats per time,
-    and the number of right-hand-side evaluations it took (``nfev``, for
-    callers that count the work)."""
-
-    __slots__ = ("y", "nfev")
-
-    def __init__(self, y: list, nfev: int):
-        self.y = y
-        self.nfev = nfev
-
-
-def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> Solution:
+def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> tuple:
     """Integrate y' = fun(t, y) from y0 at t0 over t_span = (t0, t1),
-    t0 < t1, and return the solution at t_eval, increasing times in
-    (t0, t1].
+    t0 < t1, and return ``(y, nfev)``: the solution at t_eval, increasing
+    times in (t0, t1], one list of floats per time, and the number of
+    right-hand-side evaluations it took.
 
     ``fun(t, y)`` takes a float and a list of floats and returns a list
     of floats.  Each step keeps the error estimate within ``atol + rtol
@@ -108,7 +97,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> Solution:
                 out.append(_interpolate(rows, (te - t) / h))
             i_eval = j
         t, y, f = t_new, y_new, f_new
-    return Solution(out, nfev)
+    return out, nfev
 
 
 def _rms(v) -> float:

@@ -141,6 +141,31 @@ class TestFindDivergences:
             d = max(1e-10, 4.0 * math.ulp(r))
             assert dt(r - d) * dt(r + d) <= 0.0, r
 
+    @pytest.mark.parametrize("zero, expected", [(1.0, [1.0]), (0.0, [])])
+    def test_an_exact_zero_on_the_scan_is_reported_once(
+        self, base_modes, monkeypatch, zero, expected
+    ):
+        # a D-tilde that is exactly 0 at a scan point, negative before it
+        # and positive after, is reported there once, with no bisection;
+        # a zero at t = 0 is the initial state's, not a root
+        import invharm.analysis as analysis
+
+        scans = []
+
+        def linear(modes):
+            def at(t):
+                if np.ndim(t):
+                    scans.append(t)
+                return t - zero
+
+            return at
+
+        monkeypatch.setattr(analysis, "dtilde", linear)
+        # the scan steps by 1/8 here, so it holds t = 1 exactly
+        assert find_divergences(base_modes, 4.0) == expected
+        (ts,) = scans
+        assert zero in ts
+
 
 class TestBisectCrossing:
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0)], ids=["up", "down"])

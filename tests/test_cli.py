@@ -108,8 +108,20 @@ class TestConfigParsing:
             ({"modes": {}, "environment": {"t_max": 3.0}}, "'environment': unknown field 't_max'"),
             ({"modes": {}, "grid": {"tmax": 3.0}}, "'grid': unknown field 'tmax'"),
             ({"modes": {}, "integrator": {"rtol": 1e-8}}, "'integrator': unknown field 'rtol'"),
+            # the stepper's tolerances are constants of invharm.evolution
+            (
+                {"modes": {}, "integrator": {"rel_tol": 1e-10}},
+                "'integrator': unknown field 'rel_tol'",
+            ),
+            (
+                {"modes": {}, "integrator": {"abs_tol": 1e-12}},
+                "'integrator': unknown field 'abs_tol'",
+            ),
         ],
-        ids=["top_level", "modes", "bare", "system", "environment", "grid", "integrator"],
+        ids=[
+            "top_level", "modes", "bare", "system", "environment", "grid", "integrator",
+            "rel_tol", "abs_tol",
+        ],
     )
     def test_rejects_an_unknown_key(self, tmp_path, capsys, raw, message):
         # a misspelled key would otherwise leave its default in force
@@ -142,11 +154,7 @@ class TestConfigParsing:
                 "modes": {"m_s": 0.9, "m_e": 1.6},
                 "system": {"r": 3.0, "angle": 0.4, "mean": [0.5, -0.2]},
                 "environment": {"r": 1.5, "angle": -0.3, "mean": [1.0, 0.5]},
-                "integrator": {
-                    "rel_tol": 1e-8,
-                    "abs_tol": 1e-9,
-                    "divergence_guard": 0.05,
-                },
+                "integrator": {"divergence_guard": 0.05},
                 "method": "compare",
                 "fit_window": [2, 7.5],
             },
@@ -446,19 +454,38 @@ class TestExitCodesAndErrors:
             ({"samples": 10**30}, "grid.samples must be at most "),
             ({"dt": 1e-300}, "grid.dt is too small: "),
             ({"dt": 5e-324}, "grid.dt is too small: t_max / dt = inf "),
+            # np.linspace counts in float64, where these round to 2**60
+            ({"samples": 2**60 - 64}, "grid.samples must be at most "),
+            ({"samples": 2**60 - 1}, "grid.samples must be at most "),
+            ({"t_max": 3.0, "dt": 3.0 / (2**60 - 32)}, "grid.dt is too small: "),
         ],
     )
     def test_a_grid_too_large_to_describe_names_its_field(
         self, tmp_path, capsys, grid, message
     ):
-        # past (2**63 - 1) // 8 float64 samples numpy cannot describe the
-        # grid at all, so it is rejected before any allocation
+        # past MAX_SAMPLES numpy cannot describe the grid at all, so it
+        # is rejected before any allocation
         cfg = write_config(tmp_path / "c.json", extra={"grid": grid})
         code = run_cli(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "validation"
         assert err["message"].startswith(message)
+
+    def test_the_largest_grid_numpy_can_describe_fails_at_allocation(
+        self, tmp_path, capsys
+    ):
+        # np.linspace counts in float64, and every count from 2**60 - 64
+        # rounds to 2**60, too many for one array; MAX_SAMPLES is the
+        # largest count below them
+        largest = invharm.cli.MAX_SAMPLES
+        assert float(largest) < 2**60 == float(largest + 1)
+        cfg = write_config(tmp_path / "c.json", extra={"grid": {"samples": largest}})
+        code = run_cli(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert err["message"].startswith("out of memory: ")
 
     @pytest.mark.parametrize(
         "bare",
@@ -1127,10 +1154,7 @@ RANGES = {
     "system": {"r": (0.1, 10.0), "angle": (-3.2, 3.2)},
     "environment": {"r": (0.1, 10.0), "angle": (-3.2, 3.2)},
     "grid": {"t_max": (0.1, 6.0)},
-    "integrator": {
-        "rel_tol": (1e-11, 1e-3), "abs_tol": (1e-13, 1e-6),
-        "divergence_guard": (1e-4, 0.5),
-    },
+    "integrator": {"divergence_guard": (1e-4, 0.5)},
 }
 
 
@@ -1175,11 +1199,15 @@ def invocations(draw):
         raw[section][draw(st.sampled_from(sorted(RANGES[section])))] = draw(
             st.sampled_from(JUNK)
         )
+    t_max = raw["grid"].get("t_max", 16.0)
     raw["grid"].update(draw(st.sampled_from(
         [
             {"samples": 1}, {"samples": 2.5}, {"samples": 9, "dt": 0.5}, {"dt": 0.0},
             {"samples": 2**55}, {"samples": 2**63 - 1}, {"samples": 2**61},
             {"samples": 10**30}, {"dt": 1e-300}, {"dt": 5e-324},
+            # counts that np.linspace rounds to 2**60
+            {"samples": 2**60 - 64}, {"samples": 2**60 - 1},
+            {"dt": t_max / (2**60 - 32)},
         ]
         if fault == "grid" else [{}, {"samples": 2}, {"samples": 9}, {"dt": 0.5}]
     )))

@@ -91,9 +91,9 @@ def test_run_me_matches_scipys_dop853(name, monkeypatch):
     nfev = {"package": [], "scipy": []}
 
     def package(*args):
-        sol = dop853.solve_ivp(*args)
-        nfev["package"].append(sol.nfev)
-        return sol
+        y, n = dop853.solve_ivp(*args)
+        nfev["package"].append(n)
+        return y, n
 
     def scipy(fun, t_span, y0, t_eval, rtol, atol):
         sol = scipy_solve_ivp(
@@ -107,7 +107,7 @@ def test_run_me_matches_scipys_dop853(name, monkeypatch):
         )
         assert sol.success
         nfev["scipy"].append(sol.nfev)
-        return dop853.Solution(sol.y.T, sol.nfev)
+        return sol.y.T, sol.nfev
 
     monkeypatch.setattr(evolution, "solve_ivp", package)
     me = run_me(modes, sys0, env0, grid)
@@ -116,3 +116,25 @@ def test_run_me_matches_scipys_dop853(name, monkeypatch):
 
     assert nfev["package"] == nfev["scipy"]
     np.testing.assert_allclose(me.moments, ref.moments, rtol=1e-8, atol=0.0)
+
+
+def test_a_flat_right_hand_side_matches_scipys_dop853():
+    # y' = 0: the start is flat, so the starting step is 1e-6, and every
+    # error estimate is exactly 0, so each step grows by the full factor
+    # of 10; scipy takes the same steps
+    t_eval = [1e-6, 0.5, 3.0, 10.0]
+    y, nfev = dop853.solve_ivp(
+        lambda t, y: [0.0, 0.0], (0.0, 10.0), [1.5, -2.0], t_eval, 1e-10, 1e-12
+    )
+    ref = scipy_solve_ivp(
+        lambda t, y: np.zeros(2),
+        (0.0, 10.0),
+        [1.5, -2.0],
+        method="DOP853",
+        t_eval=t_eval,
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    assert ref.success
+    assert y == ref.y.T.tolist() == [[1.5, -2.0]] * len(t_eval)
+    assert nfev == ref.nfev
