@@ -23,7 +23,6 @@ from .analysis import (
 )
 from .coefficients import coeffs_general, contract
 from .evolution import (
-    IntegratorOptions,
     Trajectory,
     moment_deviation,
     run_exact,
@@ -68,7 +67,6 @@ __all__ = [
     "squeezed_pure",
     "diagnostics_from_area",
     # evolution
-    "IntegratorOptions",
     "Trajectory",
     "run_exact",
     "run_me",

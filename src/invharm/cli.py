@@ -4,7 +4,9 @@ deterministic CSV/JSON emission.
 Commands
 --------
 modes        normal-mode parameters and the round-trip bare parameters
-coeffs       master-equation coefficient time series (CSV)
+coeffs       master-equation coefficient time series (CSV); its ``valid``
+             column is false where |Dtilde| <= the divergence guard,
+             the constant ``invharm.evolution._DIVERGENCE_GUARD``
 evolve       moment/entropy/energy time series (CSV), exact, ME, or both
 divergences  determinant roots and the critical-time estimates (JSON)
 scan         one evolve run per value of a varied parameter, plus an
@@ -37,7 +39,7 @@ from .analysis import (
     fit_entropy_line,
 )
 from .coefficients import coeffs_general, contract
-from .evolution import IntegratorOptions, moment_deviation, run_exact, run_me
+from .evolution import _DIVERGENCE_GUARD, moment_deviation, run_exact, run_me
 from .gaussian import SqueezeSpec, squeezed_pure
 from .modes import NormalModes, SupersystemParams, derive_modes, params_from_modes
 
@@ -62,7 +64,6 @@ FIELDS = {
     },
     "system": {"r": 4.0, "angle": 0.0},
     "environment": {"r": 2.0, "angle": 0.0},
-    "integrator": dataclasses.asdict(IntegratorOptions()),
 }
 
 # the keys each section reads besides its FIELDS, and the top-level keys;
@@ -140,7 +141,6 @@ class RunConfig:
     env_mean: tuple
     t_max: float
     samples: int
-    integrator: IntegratorOptions
     method: str  # "exact" | "me" | "compare"
     fit_window: tuple
     states: tuple = dataclasses.field(init=False, repr=False, compare=False)
@@ -168,7 +168,6 @@ class RunConfig:
                 ("modes", self.modes),
                 ("system", self.system),
                 ("environment", self.environment),
-                ("integrator", self.integrator),
             )
         }
         out["system"]["mean"] = list(self.sys_mean)
@@ -276,7 +275,6 @@ def parse_config(raw: dict) -> RunConfig:
         if samples < 2:
             raise ConfigError("grid must contain at least 2 samples")
 
-        integrator = IntegratorOptions(**_section(raw, "integrator")[1])
         method = raw.get("method", "exact")
         if method not in ("exact", "me", "compare"):
             raise ConfigError("method must be 'exact', 'me', or 'compare'")
@@ -297,7 +295,6 @@ def parse_config(raw: dict) -> RunConfig:
         env_mean=env_mean,
         t_max=t_max,
         samples=samples,
-        integrator=integrator,
         method=method,
         fit_window=fit_window,
     )
@@ -368,7 +365,7 @@ def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
     c = coeffs_general(cfg.modes)(grid)
     weigh = contract(env0.cov)
     table = np.column_stack((grid, *c[:5], weigh(*c[5:9]), weigh(*c[9:]), *c[5:]))
-    valid = np.abs(c[0]) > cfg.integrator.divergence_guard
+    valid = np.abs(c[0]) > _DIVERGENCE_GUARD
     path = os.path.join(out_dir, "coeffs.csv")
     _write_csv(path, COEFF_COLUMNS, table, valid=valid)
     _write_json(os.path.join(out_dir, "coeffs.meta.json"), {"config": cfg.echo()})
@@ -386,7 +383,7 @@ def _compare_runs(cfg: RunConfig, grid: np.ndarray):
     """The exact and the master-equation trajectories of cfg on one grid,
     in that order, and the deviation of their moments."""
     exact = run_exact(cfg.modes, *cfg.states, grid)
-    me = run_me(cfg.modes, *cfg.states, grid, cfg.integrator)
+    me = run_me(cfg.modes, *cfg.states, grid)
     return exact, me, moment_deviation(exact, me)
 
 
@@ -405,7 +402,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> dict:
             + ("rel_err_max",)
         )
     elif cfg.method == "me":
-        traj = run_me(cfg.modes, *cfg.states, grid, cfg.integrator)
+        traj = run_me(cfg.modes, *cfg.states, grid)
         table = _evolve_table(traj)
     else:
         traj = run_exact(cfg.modes, *cfg.states, grid)

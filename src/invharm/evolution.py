@@ -15,10 +15,10 @@ each right-hand-side evaluation calls it at a float time and weights its
 forces and diffusion entries with the environment's initial mean and
 covariance, bound once too (``contract(cov)``).  The root search and
 each root's guard window bind ``dtilde(modes)`` once.  Across windows
-where the determinant guard trips (master-equation breakdown instants)
-it bridges with the exact propagator, one ``system_rows`` call per
-window, and resumes where |Dtilde| >= guard: each window side doubles
-from guard / (fastest mode rate) until then.  A :class:`Trajectory`
+where |Dtilde| < ``_DIVERGENCE_GUARD`` (master-equation breakdown
+instants) it bridges with the exact propagator, one ``system_rows`` call
+per window, and resumes where |Dtilde| >= guard: each window side
+doubles from guard / (fastest mode rate) until then.  A :class:`Trajectory`
 records those windows in ``bridges``, the grid points they cover in
 ``bridged``, and the segments' right-hand-side evaluations in ``rhs_evals``.
 
@@ -31,7 +31,6 @@ each moment's largest over the rows outside the bridged windows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ from .modes import NormalModes
 from .propagator import dtilde, system_rows
 
 __all__ = [
-    "IntegratorOptions",
     "Trajectory",
     "run_exact",
     "run_me",
@@ -56,17 +54,9 @@ __all__ = [
 # closely run_me follows the exact dynamics (ROADMAP item 8)
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class IntegratorOptions:
-    divergence_guard: float = 1e-3
-
-    def __post_init__(self):
-        guard = self.divergence_guard
-        # NaN fails this test too
-        if not 0.0 < guard < math.inf:
-            raise ValueError(f"divergence_guard must be positive and finite, got {guard!r}")
+# the divergence guard: run_me bridges, and coeffs.csv marks invalid,
+# the times where |Dtilde| < it (ROADMAP item 8 measures 1e-2 against it)
+_DIVERGENCE_GUARD = 1e-3
 
 
 @dataclass
@@ -190,11 +180,7 @@ def _blocked_window(modes, root, guard, t_end):
 
 
 def run_me(
-    modes: NormalModes,
-    sys0: GaussianState,
-    env0: GaussianState,
-    grid,
-    opts: IntegratorOptions = IntegratorOptions(),
+    modes: NormalModes, sys0: GaussianState, env0: GaussianState, grid
 ) -> Trajectory:
     """Integrate the five moment ODEs of the master equation on a grid,
     from sys0.  The environment state env0 enters the equation through
@@ -240,9 +226,7 @@ def run_me(
 
     t_end = float(grid[-1])
     roots = find_divergences(modes, t_end) if t_end > 0 else []
-    windows = [
-        _blocked_window(modes, r, opts.divergence_guard, t_end) for r in roots
-    ]
+    windows = [_blocked_window(modes, r, _DIVERGENCE_GUARD, t_end) for r in roots]
     # merge overlaps
     merged = []
     for a, b in sorted(windows):

@@ -50,6 +50,9 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise ValueError("a state has one mode: a mean of shape (2,), a 2x2 covariance")
+        # a non-finite entry would reach every moment of a run as NaN
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("a state's mean and covariance must be finite")
         # cov - cov.T is antisymmetric, so its largest entry is its largest
         # magnitude; the scale of cov only matters past 1e-12
         asym = (cov - cov.T).max()

@@ -14,12 +14,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import invharm.cli
-from invharm import (
-    IntegratorOptions,
-    NormalModes,
-    contract,
-    find_divergences,
-)
+import invharm.evolution
+from invharm import NormalModes, contract, find_divergences
 from invharm.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -107,16 +103,14 @@ class TestConfigParsing:
             ({"modes": {}, "system": {"means": [1.0, 0.0]}}, "'system': unknown field 'means'"),
             ({"modes": {}, "environment": {"t_max": 3.0}}, "'environment': unknown field 't_max'"),
             ({"modes": {}, "grid": {"tmax": 3.0}}, "'grid': unknown field 'tmax'"),
-            ({"modes": {}, "integrator": {"rtol": 1e-8}}, "'integrator': unknown field 'rtol'"),
-            # the stepper's tolerances are constants of invharm.evolution
+            # the divergence guard and the stepper's tolerances are
+            # constants of invharm.evolution: there is no integrator section
             (
-                {"modes": {}, "integrator": {"rel_tol": 1e-10}},
-                "'integrator': unknown field 'rel_tol'",
+                {"modes": {}, "integrator": {"divergence_guard": 1e-3}},
+                "unknown field 'integrator'",
             ),
-            (
-                {"modes": {}, "integrator": {"abs_tol": 1e-12}},
-                "'integrator': unknown field 'abs_tol'",
-            ),
+            ({"modes": {}, "integrator": {"rel_tol": 1e-10}}, "unknown field 'integrator'"),
+            ({"modes": {}, "integrator": {"abs_tol": 1e-12}}, "unknown field 'integrator'"),
         ],
         ids=[
             "top_level", "modes", "bare", "system", "environment", "grid", "integrator",
@@ -154,7 +148,6 @@ class TestConfigParsing:
                 "modes": {"m_s": 0.9, "m_e": 1.6},
                 "system": {"r": 3.0, "angle": 0.4, "mean": [0.5, -0.2]},
                 "environment": {"r": 1.5, "angle": -0.3, "mean": [1.0, 0.5]},
-                "integrator": {"divergence_guard": 0.05},
                 "method": "compare",
                 "fit_window": [2, 7.5],
             },
@@ -169,7 +162,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("value", [[], 5, "x"], ids=["list", "number", "string"])
     @pytest.mark.parametrize(
-        "section", ["modes", "bare", "system", "environment", "grid", "integrator"]
+        "section", ["modes", "bare", "system", "environment", "grid"]
     )
     def test_rejects_a_section_that_is_not_an_object(
         self, tmp_path, capsys, section, value
@@ -362,29 +355,6 @@ class TestExitCodesAndErrors:
         values = [float(v) for line in lines for v in line.split(",")[:-1]]
         assert len(lines) == 11
         assert all(math.isfinite(v) for v in values)
-
-    @pytest.mark.parametrize("command", ["evolve", "coeffs"])
-    @pytest.mark.parametrize("guard", [0, -0.5])
-    def test_rejects_nonpositive_divergence_guard(
-        self, tmp_path, capsys, command, guard
-    ):
-        # a guard <= 0 blocks no window: evolve would fail inside the
-        # integrator at the first root, and coeffs would mark it valid
-        cfg = write_config(
-            tmp_path / "c.json",
-            extra={
-                "grid": {"t_max": 20, "samples": 401},
-                "method": "compare",
-                "integrator": {"divergence_guard": guard},
-            },
-            modes={"lambda_sq": 1.0, "theta_c": 0.1},
-        )
-        code = run_cli([command, "--config", cfg, "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "validation"
-        assert "divergence_guard" in err["error"]["message"]
-        assert not (tmp_path / f"{command}.csv").exists()
 
     def test_invalid_parameters(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", modes={"omega": -2.0})
@@ -653,14 +623,17 @@ class TestCoeffsCommand:
             assert cells[valid_col] == "true"
 
     @pytest.mark.parametrize("guard", [None, 0.2], ids=["default_guard", "guard_0.2"])
-    def test_valid_is_dtilde_above_the_guard(self, tmp_path, capsys, guard):
+    def test_valid_is_dtilde_above_the_guard(
+        self, tmp_path, capsys, monkeypatch, guard
+    ):
         # a grid with the first determinant root on its middle row
         modes = NormalModes(1.0, 1.0, math.pi / 64, 1.0, 1.0)
         root = find_divergences(modes, 10.0)[0]
-        extra = {"grid": {"t_max": 2.0 * root, "samples": 801}}
         if guard is not None:
-            extra["integrator"] = {"divergence_guard": guard}
-        cfg = write_config(tmp_path / "c.json", extra=extra)
+            monkeypatch.setattr(invharm.cli, "_DIVERGENCE_GUARD", guard)
+        cfg = write_config(
+            tmp_path / "c.json", extra={"grid": {"t_max": 2.0 * root, "samples": 801}}
+        )
         assert run_cli(["coeffs", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
         lines = (tmp_path / "coeffs.csv").read_text().splitlines()
@@ -668,8 +641,7 @@ class TestCoeffsCommand:
         cells = [line.split(",") for line in lines[1:]]
         dt = np.array([float(c[col]) for c in cells])
         valid = np.array([c[-1] == "true" for c in cells])
-        used = IntegratorOptions().divergence_guard if guard is None else guard
-        assert np.array_equal(valid, np.abs(dt) > used)
+        assert np.array_equal(valid, np.abs(dt) > invharm.cli._DIVERGENCE_GUARD)
         # the root row alone, or the three rows within the wider guard
         want = [400] if guard is None else [399, 400, 401]
         assert np.flatnonzero(~valid).tolist() == want
@@ -765,14 +737,12 @@ class TestEvolveCommand:
         table = np.genfromtxt(tmp_path / "evolve.csv", delimiter=",", names=True)
         assert table["rel_err_max"].max() <= 1e-6
 
-    def test_me_meta_reports_bridges(self, tmp_path, capsys):
+    def test_me_meta_reports_bridges(self, tmp_path, capsys, monkeypatch):
+        # a guard wide enough that the window holds grid points
+        monkeypatch.setattr(invharm.evolution, "_DIVERGENCE_GUARD", 0.2)
         cfg = write_config(
             tmp_path / "c.json",
-            extra={
-                "grid": {"t_max": 10.0, "samples": 201},
-                "method": "me",
-                "integrator": {"divergence_guard": 0.2},
-            },
+            extra={"grid": {"t_max": 10.0, "samples": 201}, "method": "me"},
         )
         assert run_cli(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
@@ -1057,6 +1027,12 @@ class TestVerifyCommand:
         assert len(grids) == 1
         assert np.array_equal(grids[0], np.linspace(0.0, 0.2, 201))
 
+    def test_passes_on_rows_closer_than_rounding(self, tmp_path, capsys):
+        # t_max = 1e-13: the oracle's 201 rows lie 5e-16 apart
+        cfg = write_config(tmp_path / "c.json", extra={"grid": {"t_max": 1e-13}})
+        assert run_cli(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_oracle_scores_each_row(self, tmp_path, capsys, monkeypatch):
         # one early master-equation row off by 1e-5 of its value fails
         # the oracle under its moment's name, however small the row is
@@ -1080,6 +1056,38 @@ class TestVerifyCommand:
         assert oracle["max_rel_err"] == pytest.approx(1e-5, rel=1e-3)
         assert oracle["pass"] is False
         assert json.loads(err)["error"]["message"] == "failed checks: oracle"
+
+
+class TestByteDeterminism:
+    @pytest.mark.parametrize(
+        "command, extra, names",
+        [
+            ("verify", None, ["verify.json"]),
+            (
+                "evolve",
+                {"grid": {"t_max": 10.0, "samples": 201}, "method": "compare"},
+                ["evolve.csv"],
+            ),
+            (
+                "evolve",
+                {"grid": {"t_max": 10.0, "samples": 201}, "method": "me"},
+                ["evolve.csv", "evolve.meta.json"],
+            ),
+            ("coeffs", None, ["coeffs.csv"]),
+        ],
+        ids=["verify", "compare", "me", "coeffs"],
+    )
+    def test_two_runs_write_the_same_bytes(
+        self, tmp_path, capsys, command, extra, names
+    ):
+        cfg = write_config(tmp_path / "c.json", extra=extra)
+        written = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run_cli([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+        assert set(names) <= set(written[0])
+        assert written[0] == written[1]
 
 
 class TestColdStart:
@@ -1154,7 +1162,6 @@ RANGES = {
     "system": {"r": (0.1, 10.0), "angle": (-3.2, 3.2)},
     "environment": {"r": (0.1, 10.0), "angle": (-3.2, 3.2)},
     "grid": {"t_max": (0.1, 6.0)},
-    "integrator": {"divergence_guard": (1e-4, 0.5)},
 }
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from invharm import (
-    IntegratorOptions,
     NormalModes,
     SqueezeSpec,
     Trajectory,
@@ -37,20 +36,6 @@ def grid_to(t_max, n=401):
 def worst_deviation(exact, me):
     """The largest per-row moment deviation outside the bridged rows."""
     return moment_deviation(exact, me)[~me.bridged].max()
-
-
-class TestIntegratorOptions:
-    def test_rejects_bad_tolerances(self):
-        for guard in (0.0, -0.5):
-            with pytest.raises(ValueError, match="divergence_guard"):
-                IntegratorOptions(divergence_guard=guard)
-
-    @pytest.mark.parametrize("field", ["divergence_guard"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_values(self, field, value):
-        # a NaN guard gave zero-width bridges
-        with pytest.raises(ValueError, match=field):
-            IntegratorOptions(**{field: value})
 
 
 class TestDecoupledLimit:
@@ -229,15 +214,24 @@ class TestSymmetries:
             assert abs(np.prod(sv**2) - 0.0625) < 1e-9 * 0.0625
 
 
-class TestBridging:
-    # a wide guard makes the blocked window span several grid points, so
-    # the bridging bookkeeping is actually exercised; the default guard
-    # window (|Dtilde| < 1e-3) is narrower than typical grid spacings
-    OPTS = IntegratorOptions(divergence_guard=0.2)
+# a wide guard makes the blocked window span several grid points, so
+# the bridging bookkeeping is actually exercised; the default guard
+# window (|Dtilde| < 1e-3) is narrower than typical grid spacings
+WIDE_GUARD = 0.2
 
-    def test_bridged_window_bookkeeping(self, base_modes):
+
+@pytest.fixture
+def wide_guard(monkeypatch):
+    """run_me's divergence guard set to WIDE_GUARD for one test."""
+    import invharm.evolution as evolution
+
+    monkeypatch.setattr(evolution, "_DIVERGENCE_GUARD", WIDE_GUARD)
+
+
+class TestBridging:
+    def test_bridged_window_bookkeeping(self, wide_guard, base_modes):
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        me = run_me(base_modes, SYS0, ENV0, grid)
         assert me.bridged.any()
         bridges = me.bridges
         assert len(bridges) >= 1
@@ -246,18 +240,18 @@ class TestBridging:
         inside = (grid > a) & (grid <= b)
         assert np.array_equal(me.bridged, inside)
 
-    def test_bridged_samples_match_exact(self, base_modes):
+    def test_bridged_samples_match_exact(self, wide_guard, base_modes):
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        me = run_me(base_modes, SYS0, ENV0, grid)
         exact = run_exact(base_modes, SYS0, ENV0, grid)
         sel = me.bridged
         assert sel.sum() >= 2
         dev = np.abs(me.moments[sel] - exact.moments[sel])
         assert dev.max() < 1e-9 * max(1.0, np.abs(exact.moments[sel]).max())
 
-    def test_comparison_excludes_bridged(self, base_modes):
+    def test_comparison_excludes_bridged(self, wide_guard, base_modes):
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        me = run_me(base_modes, SYS0, ENV0, grid)
         exact = run_exact(base_modes, SYS0, ENV0, grid)
         assert me.bridged.any()
         # the deviation is per row, so garbage on the bridged rows
@@ -270,9 +264,9 @@ class TestBridging:
             moment_deviation(exact, me)[~me.bridged],
         )
 
-    def test_resumes_from_exact_state_after_bridge(self, base_modes):
+    def test_resumes_from_exact_state_after_bridge(self, wide_guard, base_modes):
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        me = run_me(base_modes, SYS0, ENV0, grid)
         exact = run_exact(base_modes, SYS0, ENV0, grid)
         b = me.bridges[0][1]
         after = (grid > b) & (grid < b + 0.5)
@@ -295,23 +289,27 @@ class TestBridging:
 
         monkeypatch.setattr(evolution, "find_divergences", listed)
 
-    def test_a_root_listed_twice_gives_the_same_run(self, base_modes, monkeypatch):
+    def test_a_root_listed_twice_gives_the_same_run(
+        self, wide_guard, base_modes, monkeypatch
+    ):
         grid = grid_to(10.0, 501)
-        once = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        once = run_me(base_modes, SYS0, ENV0, grid)
         self.patch_roots(monkeypatch, [0.0])
-        twice = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        twice = run_me(base_modes, SYS0, ENV0, grid)
         assert len(once.bridges) == 1
         assert twice.bridges == once.bridges
         assert np.array_equal(twice.bridged, once.bridged)
         assert np.array_equal(twice.moments, once.moments)
         assert twice.rhs_evals == once.rhs_evals
 
-    def test_overlapping_windows_merge_into_one_bridge(self, base_modes, monkeypatch):
+    def test_overlapping_windows_merge_into_one_bridge(
+        self, wide_guard, base_modes, monkeypatch
+    ):
         # a second root h/2 past the first: its window reaches back over
         # the first one's, so the two are bridged as one
         from invharm.evolution import _blocked_window
 
-        guard, t_end = self.OPTS.divergence_guard, 10.0
+        guard, t_end = WIDE_GUARD, 10.0
         h = guard / max(base_modes.omega, math.sqrt(abs(base_modes.lambda_sq)))
         (root,) = find_divergences(base_modes, t_end)
         first = _blocked_window(base_modes, root, guard, t_end)
@@ -319,19 +317,19 @@ class TestBridging:
         assert second[0] <= first[1]
         self.patch_roots(monkeypatch, [h / 2.0])
         grid = grid_to(t_end, 501)
-        me = run_me(base_modes, SYS0, ENV0, grid, opts=self.OPTS)
+        me = run_me(base_modes, SYS0, ENV0, grid)
         ((a, b),) = me.bridges
         assert (a, b) == (min(first[0], second[0]), max(first[1], second[1]))
         assert np.array_equal(me.bridged, (grid > a) & (grid <= b))
         assert me.bridged.sum() >= 2
 
-    def test_roots_and_edges_are_python_floats(self, base_modes):
+    def test_roots_and_edges_are_python_floats(self, wide_guard, base_modes):
         # the bisections run on Python floats, not on numpy scalars of
         # the root scan, and return them
         roots = find_divergences(base_modes, 30.0)
         assert len(roots) >= 3
         assert all(type(r) is float for r in roots)
-        me = run_me(base_modes, SYS0, ENV0, grid_to(30.0, 301), opts=self.OPTS)
+        me = run_me(base_modes, SYS0, ENV0, grid_to(30.0, 301))
         assert len(me.bridges) >= 3
         assert all(type(e) is float for w in me.bridges for e in w)
 
@@ -372,7 +370,7 @@ class TestBridging:
         from invharm.evolution import _blocked_window
 
         modes = self.WIDE_MODES if wide else base_modes
-        guard, t_end = self.OPTS.divergence_guard, 30.0
+        guard, t_end = WIDE_GUARD, 30.0
         dt = dtilde(modes)
         h = guard / max(modes.omega, math.sqrt(abs(modes.lambda_sq)))
         roots = find_divergences(modes, t_end)
@@ -428,20 +426,18 @@ class TestSolverHook:
         run_me(base_modes, SYS0, ENV0, grid_to(6.0, 61))
         assert spans == [(0.0, 6.0)]
 
-    def test_one_call_per_unblocked_segment(self, base_modes, monkeypatch):
+    def test_one_call_per_unblocked_segment(
+        self, wide_guard, base_modes, monkeypatch
+    ):
         spans = self.record_spans(monkeypatch)
-        me = run_me(
-            base_modes,
-            SYS0,
-            ENV0,
-            grid_to(10.0, 501),
-            opts=TestBridging.OPTS,
-        )
+        me = run_me(base_modes, SYS0, ENV0, grid_to(10.0, 501))
         assert len(find_divergences(base_modes, 10.0)) == 1
         ((a, b),) = me.bridges
         assert spans == [(0.0, a), (b, 10.0)]
 
-    def test_rhs_evals_counts_the_solver_calls(self, base_modes, monkeypatch):
+    def test_rhs_evals_counts_the_solver_calls(
+        self, wide_guard, base_modes, monkeypatch
+    ):
         # Trajectory.rhs_evals is the number of calls every segment's
         # solver made to the right-hand side; an exact run makes none
         import invharm.evolution as evolution
@@ -459,7 +455,7 @@ class TestSolverHook:
         monkeypatch.setattr(evolution, "solve_ivp", counting)
         env0 = squeezed_pure(SqueezeSpec(2.0, 0.3), mean=(0.3, -0.1))
         grid = grid_to(10.0, 501)
-        me = run_me(base_modes, SYS0, env0, grid, opts=TestBridging.OPTS)
+        me = run_me(base_modes, SYS0, env0, grid)
         assert len(me.bridges) == 1
         assert me.rhs_evals == len(calls) > 0
         assert run_exact(base_modes, SYS0, env0, grid).rhs_evals == 0
@@ -487,7 +483,7 @@ class TestOneKernelEvaluation:
 
     @pytest.mark.parametrize("t_max", [10.0, 24.0])
     def test_run_me_evaluates_the_rows_once_per_bridged_window(
-        self, base_modes, monkeypatch, t_max
+        self, wide_guard, base_modes, monkeypatch, t_max
     ):
         import invharm.evolution as evolution
 
@@ -500,7 +496,7 @@ class TestOneKernelEvaluation:
 
         monkeypatch.setattr(evolution, "system_rows", counting)
         grid = grid_to(t_max, 50 * int(t_max) + 1)
-        me = run_me(base_modes, SYS0, ENV0, grid, opts=TestBridging.OPTS)
+        me = run_me(base_modes, SYS0, ENV0, grid)
         assert len(me.bridges) >= 1
         assert len(calls) == len(me.bridges)
         # each call covers its window's grid points and its far edge

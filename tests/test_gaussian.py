@@ -117,6 +117,22 @@ class TestGaussianState:
             GaussianState(mean=np.zeros(2), cov=np.array([[1e-20, 5e-12], [0.0, 1e-20]]))
 
 
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [([math.nan, 0.0], np.eye(2)), ([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]])],
+        ids=["nan_mean", "inf_cov"],
+    )
+    def test_rejects_non_finite_entries(self, mean, cov):
+        # a NaN mean would reach every moment of run_exact as NaN with no
+        # error, and an infinite variance pass the symmetry test with a
+        # RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^a state's mean and covariance must be finite$"
+            with pytest.raises(ValueError, match=message):
+                GaussianState(mean=mean, cov=cov)
+
+
 class TestProductAndReduce:
     def test_product_blocks(self):
         sys = squeezed_pure(SqueezeSpec(4.0))
