@@ -17,7 +17,6 @@ coefficients, live in the tests.
 
 from .analysis import (
     critical_time_derived,
-    critical_time_paper,
     find_divergences,
     fit_entropy_line,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "run_me",
     "moment_deviation",
     # analysis
-    "critical_time_paper",
     "critical_time_derived",
     "find_divergences",
     "fit_entropy_line",

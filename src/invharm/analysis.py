@@ -1,5 +1,5 @@
-"""Closed-form estimates and an empirical fit: critical time, determinant
-roots and the entropy line fit.
+"""The closed-form critical-time estimate, the determinant roots and the
+entropy line fit.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from .modes import NormalModes
 from .propagator import dtilde
 
 __all__ = [
-    "critical_time_paper",
     "critical_time_derived",
     "find_divergences",
     "fit_entropy_line",
@@ -26,16 +25,6 @@ def _check_tc_args(omega: float, lam: float, theta_c: float):
         raise ValueError("critical time requires lambda > 0")
     if not 0.0 < abs(theta_c) < 1.0:
         raise ValueError("critical time requires 0 < |theta_c| < 1")
-
-
-def critical_time_paper(omega: float, lam: float, theta_c: float) -> float:
-    """Divergence timescale, legacy variant: the logarithmic correction
-    term is not scaled by the rate.  Kept for comparison alongside
-    :func:`critical_time_derived`."""
-    _check_tc_args(omega, lam, theta_c)
-    return -2.0 * math.log(abs(theta_c)) / lam + math.log(
-        omega * lam / (omega**2 + lam**2)
-    )
 
 
 def critical_time_derived(omega: float, lam: float, theta_c: float) -> float:
@@ -99,7 +88,10 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
         raise FloatingPointError(f"Dtilde is not finite at t = {float(ts[bad[0]])!r}")
     va, vb = vals[:-1], vals[1:]
     roots = []
-    for i in np.flatnonzero((va == 0.0) | (va * vb < 0.0)):
+    # a sign change, found by comparing the signs: the product va * vb
+    # overflows, or underflows to 0, where both values are far from 1
+    change = ((va < 0.0) != (vb < 0.0)) & (vb != 0.0)
+    for i in np.flatnonzero((va == 0.0) | change):
         if va[i] == 0.0:
             if ts[i] > 0:
                 roots.append(float(ts[i]))

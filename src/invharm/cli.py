@@ -8,9 +8,10 @@ coeffs       master-equation coefficient time series (CSV); its ``valid``
              column is false where |Dtilde| <= the divergence guard,
              the constant ``invharm.evolution._DIVERGENCE_GUARD``
 evolve       moment/entropy/energy time series (CSV), exact, ME, or both
-divergences  determinant roots and the critical-time estimates (JSON)
-scan         one evolve run per value of a varied parameter, plus an
-             index JSON with fitted (slope, S0) per run
+divergences  determinant roots and the critical-time estimate (JSON)
+scan         the evolve output of each value of a varied parameter, all
+             from one exact pass, plus an index JSON with fitted
+             (slope, S0) per value
 verify       exact-vs-ME oracle on the config's own parameters
 
 Exit codes: 0 success, 1 validation error, 2 verification failure,
@@ -34,13 +35,18 @@ import numpy as np
 from ._csvtext import csv_bytes
 from .analysis import (
     critical_time_derived,
-    critical_time_paper,
     find_divergences,
     fit_entropy_line,
 )
 from .coefficients import coeffs_general, contract
-from .evolution import _DIVERGENCE_GUARD, moment_deviation, run_exact, run_me
-from .gaussian import SqueezeSpec, squeezed_pure
+from .evolution import (
+    _DIVERGENCE_GUARD,
+    _exact_run,
+    moment_deviation,
+    run_exact,
+    run_me,
+)
+from .gaussian import Diagnostics, SqueezeSpec, squeezed_pure
 from .modes import NormalModes, SupersystemParams, derive_modes, params_from_modes
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config"]
@@ -146,16 +152,11 @@ class RunConfig:
     states: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = []
-        for name, spec, mean in (
-            ("system", self.system, self.sys_mean),
-            ("environment", self.environment, self.env_mean),
-        ):
-            try:
-                states.append(squeezed_pure(spec, self.modes.hbar, mean))
-            except ValueError as exc:
-                raise ConfigError(f"'{name}': {exc}") from exc
-        object.__setattr__(self, "states", tuple(states))
+        states = (
+            _state("system", self.system, self.modes.hbar, self.sys_mean),
+            _state("environment", self.environment, self.modes.hbar, self.env_mean),
+        )
+        object.__setattr__(self, "states", states)
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
@@ -176,6 +177,15 @@ class RunConfig:
         out["method"] = self.method
         out["fit_window"] = list(self.fit_window)
         return out
+
+
+def _state(name: str, spec: SqueezeSpec, hbar: float, mean):
+    """The initial state of the section ``name``; a state that
+    ``squeezed_pure`` rejects is a ``ConfigError`` naming the section."""
+    try:
+        return squeezed_pure(spec, hbar, mean)
+    except ValueError as exc:
+        raise ConfigError(f"'{name}': {exc}") from exc
 
 
 def _is_number(val) -> bool:
@@ -311,23 +321,30 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _write_csv(path: str, columns, table: np.ndarray, valid=None):
-    """Write a float table, one row per time with ``t`` first, each value
-    as C's ``"%.17g"`` text; ``valid``, if given, is a last true/false
-    column.
-
-    A non-finite value is a numerical failure, named by its column and
-    the first time at which it appears.
-    """
+def _check_finite(columns, table: np.ndarray):
+    """A non-finite value of a float table, one row per time with ``t``
+    first, is a numerical failure, named by its column and the first
+    time at which it appears."""
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row, col = bad[0]
         raise FloatingPointError(
             f"non-finite {columns[col]} at t = {float(table[row, 0])!r}"
         )
+
+
+def _write_text(path: str, columns, text):
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
-        fh.write(csv_bytes(table, valid))
+        fh.write(text)
+
+
+def _write_csv(path: str, columns, table: np.ndarray, valid=None):
+    """Write a finite float table, one row per time with ``t`` first,
+    each value as C's ``"%.17g"`` text; ``valid``, if given, is a last
+    true/false column."""
+    _check_finite(columns, table)
+    _write_text(path, columns, csv_bytes(table, valid))
 
 
 def _write_json(path: str, obj):
@@ -373,10 +390,13 @@ def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _evolve_table(traj) -> np.ndarray:
+    """The ``EVOLVE_COLUMNS`` of a trajectory, on a last axis: shape
+    (n, 11), or (V, n, 11) for an exact run over V values."""
     d = traj.diags
-    return np.column_stack(
-        (traj.times, traj.moments, d.A**2, d.S, d.S_approx, d.varsigma, d.E)
-    )
+    moments = traj.moments
+    times = np.broadcast_to(traj.times[:, None], moments.shape[:-1] + (1,))
+    diags = (d.A**2, d.S, d.S_approx, d.varsigma, d.E)
+    return np.concatenate((times, moments, np.stack(diags, axis=-1)), axis=-1)
 
 
 def _compare_runs(cfg: RunConfig, grid: np.ndarray):
@@ -423,39 +443,46 @@ def cmd_divergences(cfg: RunConfig, out_dir: str) -> dict:
     om, th = cfg.modes.omega, cfg.modes.theta_c
     lam = math.sqrt(max(cfg.modes.lambda_sq, 0.0))
     try:
-        tc_paper = critical_time_paper(om, lam, th)
         tc_derived = critical_time_derived(om, lam, th)
     except ValueError:
-        tc_paper = tc_derived = None
+        tc_derived = None
     report = {
         "config": cfg.echo(),
         "divergence_times": roots,
-        "t_c_paper": _json_safe(tc_paper),
         "t_c_derived": _json_safe(tc_derived),
     }
     _write_json(os.path.join(out_dir, "divergences.json"), report)
     return report
 
 
-def _apply_vary(cfg: RunConfig, name: str, value: float) -> RunConfig:
-    """cfg with the scan parameter ``name`` set to ``value``.  The varied
-    section and the new config validate themselves, the config's states
-    included, so nothing is parsed again."""
+def _scan_inputs(cfg: RunConfig, name: str, values):
+    """The modes, system state and environment state of a scan of
+    ``name`` over ``values``: the varied one a list with one entry per
+    value, the others cfg's own.  Each varied section validates itself,
+    and only a varied squeezing builds states, one per value, so nothing
+    is parsed again."""
     if name not in SCAN_PARAMETERS:
         raise ConfigError(
             f"cannot vary '{name}'; choose one of {', '.join(SCAN_PARAMETERS)}"
         )
     section, key = SCAN_PARAMETERS[name]
-    varied = dataclasses.replace(getattr(cfg, section), **{key: value})
-    return dataclasses.replace(cfg, **{section: varied})
+    varied = [dataclasses.replace(getattr(cfg, section), **{key: v}) for v in values]
+    sys0, env0 = cfg.states
+    if section == "modes":
+        return varied, sys0, env0
+    mean = cfg.sys_mean if section == "system" else cfg.env_mean
+    states = [_state(section, spec, cfg.modes.hbar, mean) for spec in varied]
+    return (cfg.modes, states, env0) if section == "system" else (cfg.modes, sys0, states)
 
 
-def _scan_one(run_cfg: RunConfig, value: float, out_dir: str, idx: int):
-    traj = run_exact(run_cfg.modes, *run_cfg.states, run_cfg.grid())
+def _scan_one(traj, text, value: float, omega: float, window, out_dir: str, idx: int):
+    """Write one scan value's ``scan_NNN.csv`` from its CSV rows ``text``,
+    and fit its entropy line over ``window``; ``traj`` is that value's
+    exact run and ``omega`` its system frequency."""
     filename = f"scan_{idx:03d}.csv"
-    _write_csv(os.path.join(out_dir, filename), EVOLVE_COLUMNS, _evolve_table(traj))
+    _write_text(os.path.join(out_dir, filename), EVOLVE_COLUMNS, text)
     try:
-        slope, s0 = fit_entropy_line(traj, run_cfg.fit_window, run_cfg.modes.omega)
+        slope, s0 = fit_entropy_line(traj, window, omega)
     except ValueError:
         slope = s0 = None
     return {
@@ -467,16 +494,40 @@ def _scan_one(run_cfg: RunConfig, value: float, out_dir: str, idx: int):
 
 
 def cmd_scan(cfg: RunConfig, out_dir: str, vary: str, values) -> dict:
+    """One exact run over every value of the scan, checked once and
+    converted to CSV text once, then one ``scan_NNN.csv`` per value:
+    each the ``evolve.csv`` that ``evolve`` writes for that value's
+    config.  Every value is validated, and the whole scan checked,
+    before the first file is written."""
     if vary is None or values is None:
         raise ConfigError("scan requires --vary and --values")
-    # every value is validated before the first run writes its file
-    run_cfgs = [_apply_vary(cfg, vary, v) for v in values]
-    runs = [
-        _scan_one(run_cfg, v, out_dir, i)
-        for i, (run_cfg, v) in enumerate(zip(run_cfgs, values))
-    ]
+    modes, sys0, env0 = _scan_inputs(cfg, vary, values)
+    grid = cfg.grid()
+    runs = _exact_run(modes, sys0, env0, grid)
+    table = _evolve_table(runs).reshape(-1, len(EVOLVE_COLUMNS))
+    _check_finite(EVOLVE_COLUMNS, table)
+    text = csv_bytes(table)
+    # each value's rows end at every grid.size-th line end
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))
+    ends = [0, *(ends[grid.size - 1 :: grid.size] + 1).tolist()]
+    text = memoryview(text)
+    if isinstance(modes, list):
+        omegas = [m.omega for m in modes]
+    else:
+        omegas = [modes.omega] * len(values)
+    index_runs = []
+    for i, (value, omega) in enumerate(zip(values, omegas)):
+        traj = dataclasses.replace(
+            runs,
+            moments=runs.moments[i],
+            diags=Diagnostics(*(col[i] for col in vars(runs.diags).values())),
+        )
+        rows = text[ends[i] : ends[i + 1]]
+        index_runs.append(
+            _scan_one(traj, rows, value, omega, cfg.fit_window, out_dir, i)
+        )
     # index written last, in input order
-    index = {"config": cfg.echo(), "vary": vary, "runs": runs}
+    index = {"config": cfg.echo(), "vary": vary, "runs": index_runs}
     _write_json(os.path.join(out_dir, "scan_index.json"), index)
     return index
 

@@ -5,7 +5,14 @@ initial product state: a system and an environment
 ``run_exact`` evaluates the reduced state from the system rows
 [M_0 | M_1] of the exact transition matrix and their minors, all read
 from one ``system_rows`` call over the whole time grid, which involves
-no time-stepping error.
+no time-stepping error.  The moments and the area are 2x2 algebra
+written out on the block entries, so the same code takes a leading value
+axis: ``_exact_run`` evaluates V runs (V modes, or V system or
+environment states) in one pass, each value's rows the bits of its own
+``run_exact``, and the ``scan`` command makes one such call per scan.
+``run_exact`` and ``run_me`` share one grid check: a non-finite time, and
+for ``run_me`` a grid that does not start at 0 or that decreases, raise
+``ValueError``.
 ``run_me`` integrates the five moment ODEs of the master equation with
 the package's adaptive DOP853 stepper (:mod:`invharm.dop853`, on Python
 floats), reached through the module global ``solve_ivp`` once per
@@ -40,7 +47,7 @@ from .coefficients import coeffs_general, contract
 from .dop853 import solve_ivp
 from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
 from .modes import NormalModes
-from .propagator import dtilde, system_rows
+from .propagator import _columns, dtilde, system_rows
 
 __all__ = [
     "Trajectory",
@@ -79,39 +86,107 @@ class Trajectory:
     rhs_evals: int = 0
 
 
-def _exact_moments(rows, sys0: GaussianState, env0: GaussianState) -> np.ndarray:
-    """Reduced moments, shape (n, 5), of the product state sys0 x env0 at
-    the n times of ``rows``, a :func:`system_rows` result: only the
-    system rows [M_0 | M_1] of the transition matrix act on it."""
-    m0, m1 = (np.moveaxis(b, -1, 0) for b in rows[:2])
-    mean = m0 @ sys0.mean + m1 @ env0.mean
-    cov = m0 @ sys0.cov @ m0.swapaxes(1, 2) + m1 @ env0.cov @ m1.swapaxes(1, 2)
-    return np.column_stack(
-        (
-            mean,
-            cov[:, 0, 0],
-            cov[:, 1, 1],
-            0.5 * (cov[:, 0, 1] + cov[:, 1, 0]),
-        )
+def _checked_grid(grid, integrated=False) -> np.ndarray:
+    """``grid`` as a float array.  An empty grid, a non-finite time, and
+    for a run that integrates from 0 (``integrated``) a grid that does
+    not start at 0 or that decreases, raise ``ValueError`` naming it."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise ValueError(f"grid time {bad[0]} is not finite: {float(grid[bad[0]])!r}")
+    if integrated:
+        if grid[0] != 0.0:
+            raise ValueError(f"grid must start at 0, not {float(grid[0])!r}")
+        down = np.flatnonzero(np.diff(grid) < 0.0)
+        if down.size:
+            i = down[0]
+            raise ValueError(
+                f"grid must not decrease: time {i + 1} is {float(grid[i + 1])!r} "
+                f"after {float(grid[i])!r}"
+            )
+    return grid
+
+
+def _state_columns(state, parts):
+    """``parts(mean, cov)`` of one initial state, as floats, or of a
+    sequence of V states, as (V, 1) columns that broadcast over entries
+    with a leading value axis."""
+    if isinstance(state, GaussianState):
+        return [float(p) for p in parts(state.mean, state.cov)]
+    mean = np.array([s.mean for s in state])
+    cov = np.array([s.cov for s in state])
+    return [p[:, None] for p in parts(mean, cov)]
+
+
+def _moment_parts(mean, cov):
+    """mean_x, mean_p and the covariance entries xx, xp, pp, xp the
+    symmetric part of the two off-diagonal entries."""
+    return (
+        mean[..., 0],
+        mean[..., 1],
+        cov[..., 0, 0],
+        0.5 * (cov[..., 0, 1] + cov[..., 1, 0]),
+        cov[..., 1, 1],
     )
 
 
-def _reduced_area(
-    modes: NormalModes,
-    rows,
-    cs: np.ndarray,
-    ce: np.ndarray,
-    det_s: float,
-    det_e: float,
-) -> np.ndarray:
+def _factor_parts(mean, cov):
+    """The entries xx, px, pp of the lower Cholesky factor of the
+    covariance, and its determinant.  The validated states are positive
+    definite; a covariance that is not raises ``LinAlgError``, a
+    numerical failure."""
+    chol = np.linalg.cholesky(cov)
+    return chol[..., 0, 0], chol[..., 1, 0], chol[..., 1, 1], np.linalg.det(cov)
+
+
+def _block_moments(block, state):
+    """The mean M mu and the entries xx, pp, xp of M V M^T, for one 2x2
+    block M of :func:`system_rows` and one state (mu, V), written out on
+    the block's entries."""
+    (a, b), (c, d) = block
+    mx, mp, vxx, vxp, vpp = _state_columns(state, _moment_parts)
+    # the rows of M V
+    xx, xp = a * vxx + b * vxp, a * vxp + b * vpp
+    px, pp = c * vxx + d * vxp, c * vxp + d * vpp
+    return (
+        a * mx + b * mp,
+        c * mx + d * mp,
+        xx * a + xp * b,
+        px * c + pp * d,
+        xx * c + xp * d,
+    )
+
+
+def _exact_moments(rows, sys0, env0) -> np.ndarray:
+    """Reduced moments (mean_x, mean_p, dx2, dp2, dxp) of the product
+    state sys0 x env0 at the times of ``rows``, a :func:`system_rows`
+    result, on a last axis: shape (n, 5), or (V, n, 5) over V values.
+    Only the system rows [M_0 | M_1] of the transition matrix act on it:
+    the mean is M_0 mu_s + M_1 mu_e and the covariance
+    M_0 Vs M_0^T + M_1 Ve M_1^T.  sys0 and env0 are each one state, or
+    a sequence of V."""
+    return np.stack(
+        [
+            s + e
+            for s, e in zip(
+                _block_moments(rows[0], sys0), _block_moments(rows[1], env0)
+            )
+        ],
+        axis=-1,
+    )
+
+
+def _reduced_area(rows, sys0, env0, hbar) -> np.ndarray:
     """Scaled area at the times of ``rows`` (a :func:`system_rows`
     result) of the reduced state of an initially uncorrelated two-mode
     state, evaluated without catastrophic cancellation.
 
-    The reduced covariance is L L^T with L = [M0 Cs | M1 Ce] (Cs, Ce
-    factors of the initial covariances Vs, Ve, whose determinants are
-    det_s, det_e), so by the Cauchy-Binet formula
-    its determinant is the sum of squared 2-column minors of L:
+    The reduced covariance is L L^T with L = [M0 Cs | M1 Ce] (Cs, Ce the
+    lower Cholesky factors of the initial covariances Vs, Ve), so by the
+    Cauchy-Binet formula its determinant is the sum of squared 2-column
+    minors of L:
 
         Dtilde^2 det(Vs) + det(M1)^2 det(Ve) + ||Cs^T X Ce||_F^2
 
@@ -123,12 +198,37 @@ def _reduced_area(
     loses all precision once the entries exceed the area by more than
     half the working precision.
     """
-    _, _, dt_, det_m1, cross = rows
+    _, _, dt_, det_m1, ((x_dd, x_dc), (x_cd, x_cc)) = rows
+    s_xx, s_px, s_pp, det_s = _state_columns(sys0, _factor_parts)
+    e_xx, e_px, e_pp, det_e = _state_columns(env0, _factor_parts)
+    # Cs^T X, then the cross minors W = Cs^T X Ce
+    t_dd, t_dc = s_xx * x_dd + s_px * x_cd, s_xx * x_dc + s_px * x_cc
+    t_cd, t_cc = s_pp * x_cd, s_pp * x_cc
+    w_dd, w_dc = t_dd * e_xx + t_dc * e_px, t_dc * e_pp
+    w_cd, w_cc = t_cd * e_xx + t_cc * e_px, t_cc * e_pp
     det_a = dt_**2 * det_s
     det_b = det_m1**2 * det_e
-    minors = cs.T @ np.moveaxis(cross, -1, 0) @ ce
-    rad = det_a + det_b + np.sum(minors * minors, axis=(1, 2))
-    return np.sqrt(np.maximum(rad, 0.0)) / (modes.hbar / 2.0)
+    rad = det_a + det_b + (w_dd * w_dd + w_dc * w_dc + w_cd * w_cd + w_cc * w_cc)
+    return np.sqrt(np.maximum(rad, 0.0)) / (hbar / 2.0)
+
+
+def _exact_run(modes, sys0, env0, grid: np.ndarray) -> Trajectory:
+    """The exact trajectory of :func:`run_exact` on a checked grid, for
+    one value or for V: ``modes``, ``sys0`` and ``env0`` are each one,
+    or a sequence of V, and over V values the moments have shape
+    (V, n, 5) and each diagnostic (V, n).  Every value's rows are the
+    bits of its own one-value run."""
+    rows = system_rows(modes, grid)
+    moments = _exact_moments(rows, sys0, env0)
+    m_s, omega, hbar = _columns(modes, lambda m: (m.m_s, m.omega, m.hbar))
+    A = _reduced_area(rows, sys0, env0, hbar)
+    return Trajectory(
+        times=grid,
+        moments=moments,
+        diags=diagnostics_from_area(A, moments, m_s, omega),
+        bridged=np.zeros(grid.size, dtype=bool),
+        bridges=[],
+    )
 
 
 def run_exact(
@@ -136,27 +236,8 @@ def run_exact(
 ) -> Trajectory:
     """Exact trajectory of the product state sys0 x env0: every grid
     point evaluated independently, all of them in one pass over the
-    grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    # per-run invariants of the area expansion
-    # the validated states are positive definite; a covariance that is
-    # not raises LinAlgError, a numerical failure
-    cs, ce = np.linalg.cholesky(sys0.cov), np.linalg.cholesky(env0.cov)
-    det_s = float(np.linalg.det(sys0.cov))
-    det_e = float(np.linalg.det(env0.cov))
-
-    rows = system_rows(modes, grid)
-    moments = _exact_moments(rows, sys0, env0)
-    A = _reduced_area(modes, rows, cs, ce, det_s, det_e)
-    return Trajectory(
-        times=grid,
-        moments=moments,
-        diags=diagnostics_from_area(A, moments, modes.m_s, modes.omega),
-        bridged=np.zeros(grid.size, dtype=bool),
-        bridges=[],
-    )
+    grid.  An empty grid or a non-finite time raises ``ValueError``."""
+    return _exact_run(modes, sys0, env0, _checked_grid(grid))
 
 
 def _blocked_window(modes, root, guard, t_end):
@@ -191,12 +272,11 @@ def run_me(
     filled from the exact propagator and the integrator restarts from
     the exact state at the window's far edge.  Each segment between
     windows is integrated once, and only if it holds a grid point; a
-    segment that fails raises ``FloatingPointError`` naming it.
+    segment that fails raises ``FloatingPointError`` naming it.  The
+    grid runs from 0 and does not decrease; any other grid, or a
+    non-finite time, raises ``ValueError``.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid[0] != 0.0:
-        raise ValueError("grid must be nonempty and start at 0")
-
+    grid = _checked_grid(grid, integrated=True)
     m_s = modes.m_s
     hbar = modes.hbar
     coefficients = coeffs_general(modes)

@@ -97,12 +97,14 @@ def squeezed_pure(
 
 
 def _check_area(A):
-    """A sub-unit area is a numerical failure, a ``FloatingPointError``
-    whose message names the smallest area that is not NaN.  The tolerance
-    of 1e-9 absorbs the rounding of an area computed from a stored
-    covariance."""
+    """A sub-unit or NaN area is a numerical failure, a
+    ``FloatingPointError`` whose message names the smallest area that is
+    not NaN, or the NaN.  The tolerance of 1e-9 absorbs the rounding of
+    an area computed from a stored covariance."""
     if np.any(A < 1.0 - 1e-9):
         raise FloatingPointError(f"scaled area A = {np.nanmin(A)} < 1")
+    if np.isnan(A).any():
+        raise FloatingPointError("scaled area A is NaN")
 
 
 def diagnostics_from_area(A, moments, m_s: float, omega: float) -> Diagnostics:
@@ -113,7 +115,9 @@ def diagnostics_from_area(A, moments, m_s: float, omega: float) -> Diagnostics:
     accurately than the determinant of the stored covariance allows (the
     determinant loses all precision once the covariance entries dwarf the
     area).  The area is checked once; areas a hair below 1 from rounding
-    are clamped to the pure state.
+    are clamped to the pure state.  The area is checked only on the rows
+    whose moments are finite: a row whose moments are not carries NaN
+    into its diagnostics, for the caller to name.
 
     - ``S``, the von Neumann entropy: with the mean occupation
       n = (A - 1)/2 it is (n + 1) ln(n + 1) - n ln n
@@ -124,16 +128,16 @@ def diagnostics_from_area(A, moments, m_s: float, omega: float) -> Diagnostics:
     - ``varsigma``, the linear entropy 1 - Tr rho^2 = 1 - 1/A.
     - ``E``, the mean oscillator energy, means included.
     """
-    _check_area(A)
+    _check_area(np.where(np.isfinite(moments).all(axis=-1), A, 1.0))
     n = np.maximum(0.5 * (A - 1.0), 0.0)
-    pos = n > 0.0
-    inv = 1.0 / np.where(pos, n, 1.0)
+    pure = n == 0.0
+    inv = 1.0 / np.where(pure, 1.0, n)
     clamped = np.maximum(A, 1.0)
     dx2 = moments[..., 2] + moments[..., 0] ** 2
     dp2 = moments[..., 3] + moments[..., 1] ** 2
     return Diagnostics(
         A=A,
-        S=np.where(pos, np.log1p(n) + n * np.log1p(inv), 0.0)[()],
+        S=np.where(pure, 0.0, np.log1p(n) + n * np.log1p(inv))[()],
         S_approx=np.log(clamped),
         varsigma=1.0 - 1.0 / clamped,
         E=0.5 * (m_s * omega**2 * dx2 + dp2 / m_s),

@@ -12,7 +12,9 @@ written once.
 Phase-space ordering is [x, p, y, q] throughout: system position/momentum
 first, environment second.  ``system_rows`` and the function ``dtilde``
 returns take a float time or an array of times; a 2x2 block has shape
-(2, 2) for a float and (2, 2, n) for n times.
+(2, 2) for a float and (2, 2, n) for n times.  ``system_rows`` also
+takes a sequence of V modes, which gives every entry a leading value
+axis: one exact pass serves a whole scan.
 """
 
 from __future__ import annotations
@@ -100,7 +102,18 @@ def dtilde(modes: NormalModes):
     return at
 
 
-def system_rows(modes: NormalModes, t):
+def _columns(modes, parts, ndim=1):
+    """The per-run constants ``parts(m)`` of one modes m, as floats, or
+    of a sequence of V modes, as arrays of shape (V, 1, ...) with
+    ``ndim`` unit axes, which broadcast over entries with a leading
+    value axis."""
+    if isinstance(modes, NormalModes):
+        return parts(modes)
+    shape = (-1,) + (1,) * ndim
+    return [col.reshape(shape) for col in np.array([parts(m) for m in modes]).T]
+
+
+def system_rows(modes, t):
     """The system rows of the transition matrix and their minors, from
     one evaluation of the kernels: the tuple (M_0, M_1, Dtilde, det M_1, X).
 
@@ -118,9 +131,23 @@ def system_rows(modes: NormalModes, t):
     scale of the result appear.  Together these give every 2-column
     minor of [M_0 | M_1], and hence a cancellation-free reduced-state
     area.
+
+    ``modes`` may also be a sequence of V modes: each value's kernels
+    come from its own per-run evaluation, its constants are one (V, 1)
+    column per name, and every entry gains a leading value axis, of
+    shape (V, n) over n times.  Each value's entries are the bits of its
+    own one-value call.
     """
-    c1, s1, c2, s2, dt_, phi1, dphi1, d2phi1 = _kernels_at(modes)(t)
-    k1, k2, cw, sw, x, m_s = modes.k1, modes.k2, modes.cw, modes.sw, modes.x, modes.m_s
+    if isinstance(modes, NormalModes):
+        terms = _kernels_at(modes)(t)
+    else:
+        terms = np.array([_kernels_at(m)(t) for m in modes]).swapaxes(0, 1)
+    c1, s1, c2, s2, dt_, phi1, dphi1, d2phi1 = terms
+    k1, k2, cw, sw, x, m_s, root_prod, root_se, root_es = _columns(
+        modes,
+        lambda m: (m.k1, m.k2, m.cw, m.sw, m.x, m.m_s, m.root_prod, m.root_se, m.root_es),
+        np.ndim(t),
+    )
     dphi0 = cw * c1 + sw * c2
     m0 = np.array(
         [
@@ -130,8 +157,8 @@ def system_rows(modes: NormalModes, t):
     )
     m1 = np.array(
         [
-            [modes.root_es * dphi1, phi1 / modes.root_prod],
-            [modes.root_prod * d2phi1, modes.root_se * dphi1],
+            [root_es * dphi1, phi1 / root_prod],
+            [root_prod * d2phi1, root_se * dphi1],
         ]
     )
     det_m1 = x * x * (2.0 - 2.0 * c1 * c2 + (k1 + k2) * s1 * s2)
@@ -149,8 +176,8 @@ def system_rows(modes: NormalModes, t):
     w_cc = x * (c1 * s2 - s1 * c2)
     cross = np.array(
         [
-            [modes.root_prod * w_dd, modes.root_se * w_dc],
-            [modes.root_es * w_cd, w_cc / modes.root_prod],
+            [root_prod * w_dd, root_se * w_dc],
+            [root_es * w_cd, w_cc / root_prod],
         ]
     )
     return m0, m1, dt_, det_m1, cross

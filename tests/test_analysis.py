@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from invharm import (
     coeffs_general,
     contract,
     critical_time_derived,
-    critical_time_paper,
     dtilde,
     find_divergences,
     fit_entropy_line,
@@ -44,12 +44,6 @@ def synthetic_trajectory(times, S):
 
 
 class TestCriticalTime:
-    def test_paper_base_value(self):
-        # -2 ln(pi/64) + ln(1/2) with omega = lam = 1
-        t = critical_time_paper(1.0, 1.0, math.pi / 64)
-        assert t == pytest.approx(-2.0 * math.log(math.pi / 64) + math.log(0.5), rel=1e-12)
-        assert t == pytest.approx(5.3352, abs=5e-4)
-
     def test_derived_base_value(self):
         # -2 ln(pi/64) + ln(1) with omega = lam = 1
         t = critical_time_derived(1.0, 1.0, math.pi / 64)
@@ -61,22 +55,17 @@ class TestCriticalTime:
             base = critical_time_derived(1.0, lam, 0.1)
             weaker = critical_time_derived(1.0, lam, 0.1 / math.e**2)
             assert weaker - base == pytest.approx(4.0 / lam, rel=1e-12)
-            basep = critical_time_paper(1.0, lam, 0.1)
-            weakerp = critical_time_paper(1.0, lam, 0.1 / math.e**2)
-            assert weakerp - basep == pytest.approx(4.0 / lam, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match=r"^critical time requires lambda > 0$"):
-            critical_time_paper(1.0, 0.0, 0.1)
+            critical_time_derived(1.0, 0.0, 0.1)
         with pytest.raises(ValueError, match=r"^critical time requires lambda > 0$"):
-            critical_time_paper(1.0, -1.0, 0.1)
+            critical_time_derived(1.0, -1.0, 0.1)
         with pytest.raises(ValueError, match=r"^critical time requires 0 < \|theta_c\| < 1$"):
             critical_time_derived(1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match=r"^critical time requires 0 < \|theta_c\| < 1$"):
             critical_time_derived(1.0, 1.0, 1.5)
         # omega = 0 would take log(0)
-        with pytest.raises(ValueError, match=r"^critical time requires omega > 0$"):
-            critical_time_paper(0.0, 1.0, 0.1)
         with pytest.raises(ValueError, match=r"^critical time requires omega > 0$"):
             critical_time_derived(0.0, 1.0, 0.1)
 
@@ -129,6 +118,16 @@ class TestFindDivergences:
     def test_rejects_nonpositive_horizon(self, base_modes):
         with pytest.raises(ValueError):
             find_divergences(base_modes, 0.0)
+
+    def test_a_long_scan_compares_signs_without_overflow(self):
+        # at lambda^2 = 4 and t = 200, Dtilde reaches ~1e173, and the
+        # product of two neighbours overflows; the root scan warns of nothing
+        modes = NormalModes(omega=1.0, lambda_sq=4.0, theta_c=0.2, m_s=1.0, m_e=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = find_divergences(modes, 200.0)
+        early = find_divergences(modes, 20.0)
+        assert roots[: len(early)] == pytest.approx(early, abs=1e-9)
 
     def test_terminates_where_an_ulp_exceeds_the_tolerance(self):
         # past t = 2**19 adjacent floats lie more than 1e-10 apart, so

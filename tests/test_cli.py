@@ -801,7 +801,8 @@ class TestDivergencesCommand:
         assert report["t_c_derived"] == pytest.approx(
             -2.0 * math.log(math.pi / 64), rel=1e-12
         )
-        assert report["t_c_paper"] < report["t_c_derived"]
+        # the critical time is the derived estimate alone
+        assert "t_c_paper" not in report
 
     def test_decoupled_reports_no_roots(self, tmp_path, capsys):
         cfg = write_config(
@@ -815,7 +816,7 @@ class TestDivergencesCommand:
         capsys.readouterr()
         report = json.loads((tmp_path / "divergences.json").read_text())
         assert report["divergence_times"] == []
-        assert report["t_c_paper"] is None
+        assert report["t_c_derived"] is None
 
     @pytest.mark.parametrize(
         "modes",
@@ -833,7 +834,6 @@ class TestDivergencesCommand:
         ) == EXIT_OK
         capsys.readouterr()
         report = json.loads((tmp_path / "divergences.json").read_text())
-        assert report["t_c_paper"] is None
         assert report["t_c_derived"] is None
 
     def test_estimates_are_null_where_their_log_underflows(self, tmp_path, capsys):
@@ -848,7 +848,6 @@ class TestDivergencesCommand:
         ) == EXIT_OK
         assert capsys.readouterr().err == ""
         report = json.loads((tmp_path / "divergences.json").read_text())
-        assert report["t_c_paper"] is None
         assert report["t_c_derived"] is None
 
     def test_late_roots_return(self, tmp_path, capsys):
@@ -939,9 +938,10 @@ class TestScanCommand:
         for fn in ("scan_000.csv", "scan_001.csv", "scan_002.csv", "scan_index.json"):
             assert (outs[0] / fn).read_bytes() == (outs[1] / fn).read_bytes()
 
-    def test_builds_each_state_once(self, tmp_path, capsys, monkeypatch):
-        # the config is parsed once and each value's config is varied from
-        # it: two states for the base config, then two per value
+    @staticmethod
+    def count_builds(tmp_path, capsys, monkeypatch, vary):
+        """The squeezed_pure and parse_config calls of a three-value scan
+        of ``vary``."""
         calls = {"squeezed_pure": 0, "parse_config": 0}
 
         def counted(name):
@@ -958,10 +958,77 @@ class TestScanCommand:
         cfg = write_config(
             tmp_path / "c.json", extra={"grid": {"t_max": 2.0, "samples": 11}}
         )
-        args = ["--vary", "r_s", "--values=1.0,2.0,3.0"]
+        args = ["--vary", vary, "--values=1.0,2.0,3.0"]
         assert run_cli(["scan", "--config", cfg, "--out", str(tmp_path), *args]) == EXIT_OK
         capsys.readouterr()
-        assert calls == {"squeezed_pure": 8, "parse_config": 1}
+        return calls
+
+    def test_builds_each_state_once(self, tmp_path, capsys, monkeypatch):
+        # the config is parsed once and builds its two states; a scan of
+        # a squeezing then builds one varied state per value
+        calls = self.count_builds(tmp_path, capsys, monkeypatch, "r_s")
+        assert calls == {"squeezed_pure": 5, "parse_config": 1}
+
+    def test_a_modes_scan_builds_no_state_per_value(self, tmp_path, capsys, monkeypatch):
+        calls = self.count_builds(tmp_path, capsys, monkeypatch, "omega")
+        assert calls == {"squeezed_pure": 2, "parse_config": 1}
+
+    @pytest.mark.parametrize(
+        "raw, vary, values",
+        [
+            ({"modes": {}}, "theta_c", "0.01,-0.05,0.3"),
+            (
+                {
+                    "modes": {"lambda_sq": 2.5, "m_s": 1.7},
+                    "system": {"angle": 0.4, "mean": [0.3, -0.2]},
+                    "environment": {"angle": 1.1, "mean": [0.5, 0.1]},
+                },
+                "r_s",
+                "0.5,1.0,7.0",
+            ),
+            (
+                {
+                    "bare": {"omega_bare": 1.2, "lambda_sq_bare": 0.8, "g": 0.3},
+                    "environment": {"r": 0.7, "angle": 0.3},
+                },
+                "m_e",
+                "0.6,1.0,2.5",
+            ),
+        ],
+        ids=["modes", "r_s", "bare"],
+    )
+    def test_each_scan_file_is_the_evolve_output_of_its_value(
+        self, tmp_path, capsys, raw, vary, values
+    ):
+        # the one exact pass over every value writes, for each, the bytes
+        # that evolve writes for the config with that value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**raw, "grid": {"t_max": 12.0, "samples": 301}}))
+        args = ["--vary", vary, f"--values={values}"]
+        scan = tmp_path / "scan"
+        assert run_cli(["scan", "--config", str(path), "--out", str(scan), *args]) == EXIT_OK
+        section, key = invharm.cli.SCAN_PARAMETERS[vary]
+        for i, value in enumerate(values.split(",")):
+            # the echo re-parses to the config, with the modes a bare one derives
+            one = load_config(str(path)).echo()
+            one[section][key] = float(value)
+            one_path = tmp_path / f"c{i}.json"
+            one_path.write_text(json.dumps(one))
+            out = tmp_path / f"evolve{i}"
+            assert run_cli(["evolve", "--config", str(one_path), "--out", str(out)]) == EXIT_OK
+            assert (scan / f"scan_{i:03d}.csv").read_bytes() == (out / "evolve.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_a_numerical_failure_writes_no_scan_file(self, tmp_path, capsys):
+        # the third value's kernels overflow: the scan exits 3 naming the
+        # column and time of its first non-finite value, before any file
+        cfg = write_config(tmp_path / "c.json", extra={"grid": {"t_max": 100.0}})
+        args = ["--vary", "lambda_sq", "--values=1.0,2.0,1e6"]
+        code = run_cli(["scan", "--config", cfg, "--out", str(tmp_path), *args])
+        assert code == EXIT_NUMERIC
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "numerical", "message": "non-finite dx2 at t = 0.375"}
+        assert not list(tmp_path.glob("scan_*"))
 
     def test_rejects_a_varied_state_that_cannot_hold_its_area(self, tmp_path, capsys):
         cfg = write_config(

@@ -623,6 +623,23 @@ class TestValidationAndComparison:
         with pytest.raises(ValueError):
             run_exact(base_modes, SYS0, ENV0, [])
 
+    def test_exact_rejects_a_non_finite_time(self, base_modes):
+        # a NaN time gave NaN moments with S = 0 on its row
+        with pytest.raises(ValueError, match=r"^grid time 1 is not finite: nan$"):
+            run_exact(base_modes, SYS0, ENV0, [0.0, math.nan, 1.0])
+
+    def test_me_rejects_a_non_finite_time(self, base_modes):
+        # an infinite end raised a bare OverflowError from the root scan
+        with pytest.raises(ValueError, match=r"^grid time 2 is not finite: inf$"):
+            run_me(base_modes, SYS0, ENV0, [0.0, 1.0, math.inf])
+
+    def test_me_rejects_a_decreasing_grid(self, base_modes):
+        # it took grid[-1] as the end of the run, and left NaN rows past it
+        with pytest.raises(
+            ValueError, match=r"^grid must not decrease: time 2 is 1\.0 after 2\.0$"
+        ):
+            run_me(base_modes, SYS0, ENV0, [0.0, 2.0, 1.0])
+
     def test_compare_identical_is_zero(self, base_modes):
         grid = grid_to(3.0, 31)
         a = run_exact(base_modes, SYS0, ENV0, grid)

@@ -368,3 +368,15 @@ class TestDiagnostics:
     def test_column_rejects_area_below_one(self):
         with pytest.raises(FloatingPointError, match=r"^scaled area A = 0\.9 < 1$"):
             diagnostics_from_area(np.array([1.0, 0.9]), np.zeros((2, 5)), 1.0, 1.0)
+
+    def test_a_nan_area_beside_finite_moments_is_numerical(self):
+        # a NaN area is not a pure state: n > 0 is false for NaN
+        with pytest.raises(FloatingPointError, match=r"^scaled area A is NaN$"):
+            diagnostics_from_area(np.array([1.0, math.nan]), np.ones((2, 5)), 1.0, 1.0)
+
+    def test_a_row_with_non_finite_moments_carries_nan(self):
+        # such a row is the caller's to name, by its first non-finite column
+        moments = np.ones((2, 5))
+        moments[1, 2] = math.inf
+        d = diagnostics_from_area(np.array([1.0, math.nan]), moments, 1.0, 1.0)
+        assert d.S[0] == 0.0 and math.isnan(d.S[1])
