@@ -41,7 +41,6 @@ from .analysis import (
 from .coefficients import coeffs_general, contract
 from .evolution import (
     _DIVERGENCE_GUARD,
-    _exact_run,
     moment_deviation,
     run_exact,
     run_me,
@@ -503,7 +502,7 @@ def cmd_scan(cfg: RunConfig, out_dir: str, vary: str, values) -> dict:
         raise ConfigError("scan requires --vary and --values")
     modes, sys0, env0 = _scan_inputs(cfg, vary, values)
     grid = cfg.grid()
-    runs = _exact_run(modes, sys0, env0, grid)
+    runs = run_exact(modes, sys0, env0, grid)
     table = _evolve_table(runs).reshape(-1, len(EVOLVE_COLUMNS))
     _check_finite(EVOLVE_COLUMNS, table)
     text = csv_bytes(table)

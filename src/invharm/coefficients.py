@@ -12,9 +12,9 @@ run once and return a function.  The master-equation right-hand side
 builds both once per run and calls them at each evaluation; the
 ``coeffs`` command calls them once over its whole grid.  At a float time
 every coefficient is a Python float computed without numpy temporaries;
-over an array of times every entry is an array of its shape.  The
-diffusion sub-tensors are returned as their entries in yy, yq, qy, qq
-order.
+over an array of times every entry is an array of its shape.  A
+diffusion sub-tensor is (Fy, Fq) times a row of M_1 over hbar^2,
+returned as its entries in yy, yq, qy, qq order.
 """
 
 from __future__ import annotations
@@ -54,18 +54,19 @@ def coeffs_general(modes: NormalModes):
     Near a zero of Dtilde the drift-derived entries are large but finite;
     the caller decides, with its own guard, where not to use them.
 
-    The kernels, Dtilde and the phi_1 ladder come from one evaluation of
-    ``propagator._kernels_at``.  Constant leading factors are bound here
+    The kernels, Dtilde, the Wronskian w = c1 s2 - s1 c2 and the entries
+    of M_1 come from one evaluation of ``propagator._kernels_at``, the
+    one the exact path reads.  Constant leading factors are bound here
     once, each evaluated as the product it leads, so every coefficient
     keeps its operation order.  Each mode-function ratio is reduced with
     c^2 - k s^2 = 1, so no term outgrows the result and dividing by
-    Dtilde loses no precision.  The diffusion sub-tensors are built from
-    the force couplings and the phi_1 derivative ladder, with the per-run
-    prefactors root_se / hbar^2 and that over m_s.
+    Dtilde loses no precision.  The diffusion sub-tensors are
+    f1_ab = F_a M_1[p, b] / hbar^2 and f2_ab = F_a M_1[x, b] / hbar^2,
+    with F = (Fy, Fq).
     """
     kernels = _kernels_at(modes)
-    k1, k2, cw, sw, x, m_e = modes.k1, modes.k2, modes.cw, modes.sw, modes.x, modes.m_e
-    pref, pref2 = modes.pref, modes.pref2
+    k1, k2, cw, sw, x = modes.k1, modes.k2, modes.cw, modes.sw, modes.x
+    inv_hbar_sq = modes.inv_hbar_sq
     dk = k1 - k2
     cwsw = cw * sw
     two_k1k2 = 2.0 * k1 * k2
@@ -77,10 +78,10 @@ def coeffs_general(modes: NormalModes):
     fq0 = modes.root_se * x * dk
 
     def at(t):
-        c1, s1, c2, s2, dt_, phi1, dphi1, d2phi1 = kernels(t)
+        c1, s1, c2, s2, dt_, w, m1_xy, m1_xq, m1_py, m1_pq = kernels(t)
         mixed = cwsw * (two_k1k2 * s1 * s2 - ksum * c1 * c2)
         om2 = (mixed - cw_k1 - sw_k2) / dt_
-        gam = gam0 * (c1 * s2 - s1 * c2) / dt_
+        gam = gam0 * w / dt_
         fy = fy0 * (cw * c2 + sw * c1) / dt_
         fq = fq0 * (cw * s2 + sw * s1) / dt_
         # the entries of each sub-tensor in yy, yq, qy, qq order
@@ -90,15 +91,14 @@ def coeffs_general(modes: NormalModes):
             gam,
             fy,
             fq,
-            pref * (m_e * fy * d2phi1),
-            pref * (fy * dphi1),
-            pref * (m_e * fq * d2phi1),
-            pref * (fq * dphi1),
-            pref2 * (m_e * fy * dphi1),
-            pref2 * (fy * phi1),
-            pref2 * (m_e * fq * dphi1),
-            pref2 * (fq * phi1),
+            fy * m1_py * inv_hbar_sq,
+            fy * m1_pq * inv_hbar_sq,
+            fq * m1_py * inv_hbar_sq,
+            fq * m1_pq * inv_hbar_sq,
+            fy * m1_xy * inv_hbar_sq,
+            fy * m1_xq * inv_hbar_sq,
+            fq * m1_xy * inv_hbar_sq,
+            fq * m1_xq * inv_hbar_sq,
         )
 
     return at
-

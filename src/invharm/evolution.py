@@ -6,10 +6,13 @@ initial product state: a system and an environment
 [M_0 | M_1] of the exact transition matrix and their minors, all read
 from one ``system_rows`` call over the whole time grid, which involves
 no time-stepping error.  The moments and the area are 2x2 algebra
-written out on the block entries, so the same code takes a leading value
-axis: ``_exact_run`` evaluates V runs (V modes, or V system or
-environment states) in one pass, each value's rows the bits of its own
-``run_exact``, and the ``scan`` command makes one such call per scan.
+written out on the block entries and on each initial state's entries
+(``_state_parts``: its moments, Cholesky factor and determinant), so the
+same code takes a leading value axis: ``run_exact`` also evaluates V runs
+(a list of V modes, or of V system or environment states) in one pass,
+each value's rows the bits of its own one-value run, and the ``scan``
+command makes one such call per scan.  ``run_me`` reads the same state
+entries for its first row and its bridges.
 ``run_exact`` and ``run_me`` share one grid check: a non-finite time, and
 for ``run_me`` a grid that does not start at 0 or that decreases, raise
 ``ValueError``.
@@ -109,44 +112,26 @@ def _checked_grid(grid, integrated=False) -> np.ndarray:
     return grid
 
 
-def _state_columns(state, parts):
-    """``parts(mean, cov)`` of one initial state, as floats, or of a
-    sequence of V states, as (V, 1) columns that broadcast over entries
-    with a leading value axis."""
-    if isinstance(state, GaussianState):
-        return [float(p) for p in parts(state.mean, state.cov)]
-    mean = np.array([s.mean for s in state])
-    cov = np.array([s.cov for s in state])
-    return [p[:, None] for p in parts(mean, cov)]
+def _state_parts(state: GaussianState) -> tuple:
+    """One initial state's entries, as floats: its moments mean_x,
+    mean_p, dx2, dp2, dxp in the order of :class:`Trajectory`, dxp the
+    symmetric part of the two off-diagonal covariance entries; then the
+    entries xx, px, pp of the lower Cholesky factor of the covariance,
+    and its determinant.  The validated states are positive definite; a
+    covariance that is not raises ``LinAlgError``, a numerical failure."""
+    cov = state.cov
+    (c_xx, _), (c_px, c_pp) = np.linalg.cholesky(cov).tolist()
+    (v_xx, v_xp), (v_px, v_pp) = cov.tolist()
+    moments = (*state.mean.tolist(), v_xx, v_pp, 0.5 * (v_xp + v_px))
+    return (*moments, c_xx, c_px, c_pp, float(np.linalg.det(cov)))
 
 
-def _moment_parts(mean, cov):
-    """mean_x, mean_p and the covariance entries xx, xp, pp, xp the
-    symmetric part of the two off-diagonal entries."""
-    return (
-        mean[..., 0],
-        mean[..., 1],
-        cov[..., 0, 0],
-        0.5 * (cov[..., 0, 1] + cov[..., 1, 0]),
-        cov[..., 1, 1],
-    )
-
-
-def _factor_parts(mean, cov):
-    """The entries xx, px, pp of the lower Cholesky factor of the
-    covariance, and its determinant.  The validated states are positive
-    definite; a covariance that is not raises ``LinAlgError``, a
-    numerical failure."""
-    chol = np.linalg.cholesky(cov)
-    return chol[..., 0, 0], chol[..., 1, 0], chol[..., 1, 1], np.linalg.det(cov)
-
-
-def _block_moments(block, state):
+def _block_moments(block, parts):
     """The mean M mu and the entries xx, pp, xp of M V M^T, for one 2x2
-    block M of :func:`system_rows` and one state (mu, V), written out on
-    the block's entries."""
+    block M of :func:`system_rows` and the ``_state_parts`` of one state
+    (mu, V), written out on the block's entries."""
     (a, b), (c, d) = block
-    mx, mp, vxx, vxp, vpp = _state_columns(state, _moment_parts)
+    mx, mp, vxx, vpp, vxp = parts[:5]
     # the rows of M V
     xx, xp = a * vxx + b * vxp, a * vxp + b * vpp
     px, pp = c * vxx + d * vxp, c * vxp + d * vpp
@@ -159,34 +144,34 @@ def _block_moments(block, state):
     )
 
 
-def _exact_moments(rows, sys0, env0) -> np.ndarray:
+def _exact_moments(rows, sys_parts, env_parts) -> np.ndarray:
     """Reduced moments (mean_x, mean_p, dx2, dp2, dxp) of the product
     state sys0 x env0 at the times of ``rows``, a :func:`system_rows`
     result, on a last axis: shape (n, 5), or (V, n, 5) over V values.
     Only the system rows [M_0 | M_1] of the transition matrix act on it:
     the mean is M_0 mu_s + M_1 mu_e and the covariance
-    M_0 Vs M_0^T + M_1 Ve M_1^T.  sys0 and env0 are each one state, or
-    a sequence of V."""
+    M_0 Vs M_0^T + M_1 Ve M_1^T.  ``sys_parts`` and ``env_parts`` are the
+    ``_state_parts`` of sys0 and env0, as floats or as (V, 1) columns."""
     return np.stack(
         [
             s + e
             for s, e in zip(
-                _block_moments(rows[0], sys0), _block_moments(rows[1], env0)
+                _block_moments(rows[0], sys_parts), _block_moments(rows[1], env_parts)
             )
         ],
         axis=-1,
     )
 
 
-def _reduced_area(rows, sys0, env0, hbar) -> np.ndarray:
+def _reduced_area(rows, sys_parts, env_parts, hbar) -> np.ndarray:
     """Scaled area at the times of ``rows`` (a :func:`system_rows`
     result) of the reduced state of an initially uncorrelated two-mode
     state, evaluated without catastrophic cancellation.
 
     The reduced covariance is L L^T with L = [M0 Cs | M1 Ce] (Cs, Ce the
-    lower Cholesky factors of the initial covariances Vs, Ve), so by the
-    Cauchy-Binet formula its determinant is the sum of squared 2-column
-    minors of L:
+    lower Cholesky factors of the initial covariances Vs, Ve, read from
+    their ``_state_parts``), so by the Cauchy-Binet formula its
+    determinant is the sum of squared 2-column minors of L:
 
         Dtilde^2 det(Vs) + det(M1)^2 det(Ve) + ||Cs^T X Ce||_F^2
 
@@ -199,8 +184,8 @@ def _reduced_area(rows, sys0, env0, hbar) -> np.ndarray:
     half the working precision.
     """
     _, _, dt_, det_m1, ((x_dd, x_dc), (x_cd, x_cc)) = rows
-    s_xx, s_px, s_pp, det_s = _state_columns(sys0, _factor_parts)
-    e_xx, e_px, e_pp, det_e = _state_columns(env0, _factor_parts)
+    s_xx, s_px, s_pp, det_s = sys_parts[5:]
+    e_xx, e_px, e_pp, det_e = env_parts[5:]
     # Cs^T X, then the cross minors W = Cs^T X Ce
     t_dd, t_dc = s_xx * x_dd + s_px * x_cd, s_xx * x_dc + s_px * x_cc
     t_cd, t_cc = s_pp * x_cd, s_pp * x_cc
@@ -212,16 +197,22 @@ def _reduced_area(rows, sys0, env0, hbar) -> np.ndarray:
     return np.sqrt(np.maximum(rad, 0.0)) / (hbar / 2.0)
 
 
-def _exact_run(modes, sys0, env0, grid: np.ndarray) -> Trajectory:
-    """The exact trajectory of :func:`run_exact` on a checked grid, for
-    one value or for V: ``modes``, ``sys0`` and ``env0`` are each one,
-    or a sequence of V, and over V values the moments have shape
-    (V, n, 5) and each diagnostic (V, n).  Every value's rows are the
-    bits of its own one-value run."""
+def run_exact(modes, sys0, env0, grid) -> Trajectory:
+    """Exact trajectory of the product state sys0 x env0: every grid
+    point evaluated independently, all of them in one pass over the
+    grid.  An empty grid or a non-finite time raises ``ValueError``.
+
+    ``modes``, ``sys0`` and ``env0`` are each one value, or a list or
+    tuple of V: over V values the moments have shape (V, n, 5) and each
+    diagnostic (V, n), and every value's rows are the bits of its own
+    one-value run."""
+    grid = _checked_grid(grid)
     rows = system_rows(modes, grid)
-    moments = _exact_moments(rows, sys0, env0)
+    sys_parts = _columns(sys0, _state_parts)
+    env_parts = _columns(env0, _state_parts)
+    moments = _exact_moments(rows, sys_parts, env_parts)
     m_s, omega, hbar = _columns(modes, lambda m: (m.m_s, m.omega, m.hbar))
-    A = _reduced_area(rows, sys0, env0, hbar)
+    A = _reduced_area(rows, sys_parts, env_parts, hbar)
     return Trajectory(
         times=grid,
         moments=moments,
@@ -229,15 +220,6 @@ def _exact_run(modes, sys0, env0, grid: np.ndarray) -> Trajectory:
         bridged=np.zeros(grid.size, dtype=bool),
         bridges=[],
     )
-
-
-def run_exact(
-    modes: NormalModes, sys0: GaussianState, env0: GaussianState, grid
-) -> Trajectory:
-    """Exact trajectory of the product state sys0 x env0: every grid
-    point evaluated independently, all of them in one pass over the
-    grid.  An empty grid or a non-finite time raises ``ValueError``."""
-    return _exact_run(modes, sys0, env0, _checked_grid(grid))
 
 
 def _blocked_window(modes, root, guard, t_end):
@@ -286,8 +268,10 @@ def run_me(
     neg_two_m_s = -2.0 * m_s
     hbar_sq = hbar**2
     two_hbar_sq = 2.0 * hbar_sq
-    # the environment's initial mean and covariance, bound once
-    mean_y, mean_q = env0.mean.tolist()
+    # both initial states' entries, bound once
+    sys_parts = _state_parts(sys0)
+    env_parts = _state_parts(env0)
+    mean_y, mean_q = env_parts[:2]
     weigh = contract(env0.cov.tolist())
 
     def rhs(t, y):
@@ -318,7 +302,7 @@ def run_me(
 
     moments = np.full((grid.size, 5), np.nan)
     bridged = np.zeros(grid.size, dtype=bool)
-    y = np.array([*sys0.mean, sys0.cov[0, 0], sys0.cov[1, 1], sys0.cov[0, 1]])
+    y = np.array(sys_parts[:5])
     moments[0] = y
     t_cur = 0.0
     rhs_evals = 0
@@ -343,7 +327,7 @@ def run_me(
         if b > a:
             sel = np.where((grid > a) & (grid <= b))[0]
             exact = _exact_moments(
-                system_rows(modes, np.append(grid[sel], b)), sys0, env0
+                system_rows(modes, np.append(grid[sel], b)), sys_parts, env_parts
             )
             moments[sel] = exact[:-1]
             bridged[sel] = True

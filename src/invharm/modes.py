@@ -77,11 +77,11 @@ class NormalModes:
     The per-run constants every formula reads are computed here once:
     the stiffnesses ``k1 = -omega^2`` and ``k2 = lambda_sq`` of the two
     modes, the mixing weights ``cw, sw, x`` (cos^2, sin^2 and
-    sin(2 theta)/2), and the mass roots ``root_prod = sqrt(m_s m_e)``,
-    ``root_se = sqrt(m_s / m_e)``, ``root_es = sqrt(m_e / m_s)``, and the
-    diffusion prefactors ``pref = root_se / hbar^2`` and
-    ``pref2 = pref / m_s``.  Float fields give Python float constants;
-    fields for which one is not finite raise a ``ValueError`` naming them.
+    sin(2 theta)/2), the mass roots ``root_prod = sqrt(m_s m_e)``,
+    ``root_se = sqrt(m_s / m_e)`` and ``root_es = sqrt(m_e / m_s)``, which
+    scale M_1, and ``inv_hbar_sq = 1 / hbar^2``, which scales the
+    diffusion.  Float fields give Python float constants; fields for which
+    one is not finite raise a ``ValueError`` naming them.
     """
 
     omega: float
@@ -98,8 +98,7 @@ class NormalModes:
     root_prod: float = field(init=False, repr=False, compare=False)
     root_se: float = field(init=False, repr=False, compare=False)
     root_es: float = field(init=False, repr=False, compare=False)
-    pref: float = field(init=False, repr=False, compare=False)
-    pref2: float = field(init=False, repr=False, compare=False)
+    inv_hbar_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         omega, lambda_sq, theta_c, m_s, m_e, hbar = (
@@ -120,8 +119,7 @@ class NormalModes:
             ("root_prod", "m_s, m_e", lambda: math.sqrt(m_s * m_e)),
             ("root_se", "m_s, m_e", lambda: math.sqrt(m_s / m_e)),
             ("root_es", "m_s, m_e", lambda: math.sqrt(m_e / m_s)),
-            ("pref", "m_s, m_e, hbar", lambda: self.root_se / hbar**2),
-            ("pref2", "m_s, m_e, hbar", lambda: self.pref / m_s),
+            ("inv_hbar_sq", "hbar", lambda: 1.0 / hbar**2),
         ):
             object.__setattr__(self, name, _finite(fields, name, form))
 

@@ -10,7 +10,10 @@ pair of arrays, ordered [x, p, y, q]; a one-mode state is a
 ``GaussianState``.  ``coeffs_closed`` evaluates the master-equation
 coefficients from their trigonometric/hyperbolic closed forms for an
 unstable environment, a second route to the values the function of
-``coeffs_general`` builds from the kernels, returned in the same order.
+``coeffs_general`` builds from the kernels, returned in the same order;
+``coeffs_reference`` evaluates them for every sign of the environment
+stiffness from their definitions on the reduced dynamics, on the
+transition matrix and its time derivative.
 ``fit_entropy_log`` fits the logarithmic entropy growth of a
 free-particle environment.
 """
@@ -56,23 +59,71 @@ def full_transition(modes: NormalModes, t: float) -> np.ndarray:
     return _transition(modes, float(t)).copy()
 
 
+def _generator(modes: NormalModes):
+    """The generator G of Hamilton's equations for [x, p, y, q], so that
+    T = exp(G t) and T' = G T, as an mpmath matrix at the working
+    precision of the caller."""
+    mp = mpmath.mp
+    ct, st = mp.cos(modes.theta_c), mp.sin(modes.theta_c)
+    rot = mp.matrix([[ct, -st], [st, ct]])
+    scale = mp.diag([mp.sqrt(modes.m_s), mp.sqrt(modes.m_e)])
+    normal = mp.diag([mp.mpf(modes.omega) ** 2, -mp.mpf(modes.lambda_sq)])
+    stiffness = scale * rot * normal * rot.T * scale
+    gen = mp.zeros(4, 4)
+    gen[0, 1] = 1 / mp.mpf(modes.m_s)
+    gen[2, 3] = 1 / mp.mpf(modes.m_e)
+    for row, k in ((1, 0), (3, 1)):
+        # dp/dt = -dV/dx, dq/dt = -dV/dy
+        gen[row, 0], gen[row, 2] = -stiffness[k, 0], -stiffness[k, 1]
+    return gen
+
+
 @functools.lru_cache(maxsize=None)
 def _transition(modes: NormalModes, t: float) -> np.ndarray:
+    with mpmath.workdps(REFERENCE_DPS):
+        T = mpmath.mp.expm(_generator(modes) * mpmath.mpf(t))
+        return np.array(T.tolist(), dtype=float)
+
+
+def coeffs_reference(modes: NormalModes, t: float) -> tuple:
+    """The coefficients at a float time from their definitions on the
+    exact reduced dynamics, for every sign of lambda_sq: the tuple
+    ``coeffs_general``'s function returns.
+
+    From T = exp(G t) and T' = G T at REFERENCE_DPS digits, with M0, M1
+    the system rows of T (system and environment columns): Dtilde =
+    det M0, the drift D = M0' adj(M0) / Dtilde = [[0, 1/m_s],
+    [-m_s omega_eff_sq, -gamma_eff]], the forces (Fy, Fq) = F the
+    momentum row of M1' - D M1, and the sub-tensors f1_ab = F_a M1[1, b]
+    / hbar^2 and f2_ab = F_a M1[0, b] / hbar^2.  Only the results are
+    rounded to float64.
+    """
     mp = mpmath.mp
     with mpmath.workdps(REFERENCE_DPS):
-        ct, st = mp.cos(modes.theta_c), mp.sin(modes.theta_c)
-        rot = mp.matrix([[ct, -st], [st, ct]])
-        scale = mp.diag([mp.sqrt(modes.m_s), mp.sqrt(modes.m_e)])
-        normal = mp.diag([mp.mpf(modes.omega) ** 2, -mp.mpf(modes.lambda_sq)])
-        stiffness = scale * rot * normal * rot.T * scale
-        gen = mp.zeros(4, 4)
-        gen[0, 1] = 1 / mp.mpf(modes.m_s)
-        gen[2, 3] = 1 / mp.mpf(modes.m_e)
-        for row, k in ((1, 0), (3, 1)):
-            # dp/dt = -dV/dx, dq/dt = -dV/dy
-            gen[row, 0], gen[row, 2] = -stiffness[k, 0], -stiffness[k, 1]
+        gen = _generator(modes)
         T = mp.expm(gen * mp.mpf(t))
-        return np.array(T.tolist(), dtype=float)
+        dT = gen * T
+        m0, m1 = T[0:2, 0:2], T[0:2, 2:4]
+        det = m0[0, 0] * m0[1, 1] - m0[0, 1] * m0[1, 0]
+        adj = mp.matrix([[m0[1, 1], -m0[0, 1]], [-m0[1, 0], m0[0, 0]]])
+        drift = dT[0:2, 0:2] * adj / det
+        force = dT[0:2, 2:4] - drift * m1
+        hbar_sq = mp.mpf(modes.hbar) ** 2
+        tensors = [
+            force[1, a] * m1[row, b] / hbar_sq
+            for row in (1, 0)
+            for a in (0, 1)
+            for b in (0, 1)
+        ]
+        values = (
+            det,
+            -drift[1, 0] / modes.m_s,
+            -drift[1, 1],
+            force[1, 0],
+            force[1, 1],
+            *tensors,
+        )
+        return tuple(float(v) for v in values)
 
 
 def coeffs_closed(modes: NormalModes, t) -> tuple:

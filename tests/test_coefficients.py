@@ -16,7 +16,7 @@ from invharm import (
 )
 
 from conftest import rel_err
-from reference import coeffs_closed
+from reference import coeffs_closed, coeffs_reference
 
 
 ENV = GaussianState(np.zeros(2), np.array([[1.0, 0.1], [0.1, 0.25]]))
@@ -137,6 +137,36 @@ class TestDualFormulas:
         modes = NormalModes(omega=1.0, lambda_sq=-1.0, theta_c=0.1, m_s=1.0, m_e=1.0)
         with pytest.raises(ValueError, match=r"^closed forms require lambda_sq > 0"):
             coeffs_closed(modes, 1.0)
+
+
+class TestReferenceDefinitions:
+    # every coefficient against its definition on the exact reduced
+    # dynamics (tests/reference.py), on each sign of the environment
+    # stiffness: the stable and free environments have no closed form
+    CONFIGS = {
+        "stable": dict(omega=1.0, lambda_sq=-2.0, theta_c=0.3, m_s=0.8, m_e=1.3, hbar=0.7),
+        "free": dict(omega=1.2, lambda_sq=0.0, theta_c=-0.2, m_s=1.7, m_e=0.6),
+        "unstable": dict(omega=1.0, lambda_sq=2.5, theta_c=0.2, m_s=1.7, m_e=0.6, hbar=0.5),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_float_and_array_times_match_the_reference(self, name):
+        modes = NormalModes(**self.CONFIGS[name])
+        times = np.linspace(0.05, 12.0, 20).tolist()
+        refs = [(t, np.array(coeffs_reference(modes, t))) for t in times]
+        refs = [(t, want) for t, want in refs if abs(want[0]) > 1e-3]
+        assert len(refs) >= 15, name
+        at = coeffs_general(modes)
+        cols = np.array(at(np.array([t for t, _ in refs])))
+        for i, (t, want) in enumerate(refs):
+            for got in (np.array(at(t)), cols[:, i]):
+                err = np.abs(got - want)
+                # each scalar to its magnitude, each sub-tensor entry to
+                # its tensor's largest entry
+                scale = np.abs(want)
+                for entries in ENTRIES.values():
+                    scale[entries] = scale[entries].max()
+                assert np.all(err <= 1e-12 * scale), (name, t, (err / scale).max())
 
 
 class TestDiffusionStructure:

@@ -530,6 +530,45 @@ class TestOneKernelEvaluation:
         assert 0 < len(calls) <= 2 + 2 * len(roots)
 
 
+class TestSharedStateEntries:
+    MODES = NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.1, m_s=1.0, m_e=1.0)
+
+    def test_run_me_starts_from_the_symmetrised_moments(self):
+        # a rotated squeezed state whose two off-diagonal covariance
+        # entries differ in the last bit: both runs start from the mean
+        # of the two
+        sys0 = squeezed_pure(SqueezeSpec(3.0, 0.65))
+        (v_xx, v_xp), (v_px, v_pp) = sys0.cov.tolist()
+        assert v_xp != v_px
+        want = [*sys0.mean.tolist(), v_xx, v_pp, 0.5 * (v_xp + v_px)]
+        grid = grid_to(1.0, 11)
+        assert run_me(self.MODES, sys0, ENV0, grid).moments[0].tolist() == want
+        assert run_exact(self.MODES, sys0, ENV0, grid).moments[0].tolist() == want
+
+    @pytest.mark.parametrize("axis", ["modes", "sys0", "env0"])
+    def test_run_exact_over_v_values_is_v_one_value_calls(self, axis):
+        values = {
+            "modes": [
+                NormalModes(omega=1.0, lambda_sq=k, theta_c=0.2, m_s=0.8, m_e=1.3, hbar=0.7)
+                for k in (-1.5, 0.0, 2.0)
+            ],
+            "sys0": [
+                squeezed_pure(SqueezeSpec(r, a), mean=(0.3, -0.2))
+                for r, a in ((4.0, 0.0), (0.5, 0.4), (3.0, 0.65))
+            ],
+            "env0": [squeezed_pure(SqueezeSpec(r, 0.3)) for r in (2.0, 1.0, 0.7)],
+        }[axis]
+        args = {"modes": self.MODES, "sys0": SYS0, "env0": ENV0}
+        grid = grid_to(6.0, 61)
+        runs = run_exact(**{**args, axis: values}, grid=grid)
+        assert runs.moments.shape == (3, grid.size, 5)
+        for i, value in enumerate(values):
+            one = run_exact(**{**args, axis: value}, grid=grid)
+            assert np.array_equal(runs.moments[i], one.moments), i
+            for name, col in vars(runs.diags).items():
+                assert np.array_equal(col[i], getattr(one.diags, name)), (i, name)
+
+
 class TestFreeParticleEnvironment:
     MODES = NormalModes(
         omega=1.0, lambda_sq=0.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0

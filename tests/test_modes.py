@@ -44,10 +44,13 @@ class TestNormalModesType:
         with pytest.raises(ValueError):
             NormalModes(omega=1.0, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0, hbar=-1.0)
 
-    def test_diffusion_prefactors(self):
-        m = NormalModes(omega=1.0, lambda_sq=1.5, theta_c=0.1, m_s=0.8, m_e=1.7, hbar=0.6)
-        assert m.pref == pytest.approx(math.sqrt(0.8 / 1.7) / 0.36, rel=1e-15)
-        assert m.pref2 == pytest.approx(math.sqrt(0.8 / 1.7) / (0.36 * 0.8), rel=1e-15)
+    @pytest.mark.parametrize("hbar", [1e-300, 1e160])
+    def test_hbar_whose_square_is_not_a_finite_float_is_named(self, hbar):
+        # 1/hbar^2 scales the diffusion; an hbar for which it cannot be
+        # formed is rejected here, not by the first diffusion entry
+        with pytest.raises(ValueError, match="out of range") as info:
+            NormalModes(omega=1.0, lambda_sq=1.5, theta_c=0.1, m_s=0.8, m_e=1.7, hbar=hbar)
+        assert "hbar" in str(info.value)
 
 
 class TestDeriveModes:
