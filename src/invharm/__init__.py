@@ -6,10 +6,11 @@ time-dependent master-equation coefficients of the reduced system, and
 provides entropy/energy/decoherence analysis plus a deterministic CLI.
 Every run starts from a system and an environment ``GaussianState``
 (``squeezed_pure`` builds one from a ``SqueezeSpec`` and a mean);
-``run_exact`` and ``run_me`` take the same states.  ``dtilde``,
-``coeffs_general`` and ``contract`` bind the constants of a run once and
-return the function the root search and the master equation call; the
-coefficients depend on the modes and the time alone.  Every name
+``run_exact`` and ``run_me`` take the same states.  ``dtilde`` and
+``coeffs_general`` bind the constants of a run once and return the
+function the root search and the master equation call; the coefficients
+depend on the modes and the time, and f1 and f2 also on the environment
+state, with whose covariance they are contracted.  Every name
 exported here is used by the program itself; the independent references
 the tests check it against, among them a second closed form of the
 coefficients, live in the tests.
@@ -20,7 +21,7 @@ from .analysis import (
     find_divergences,
     fit_entropy_line,
 )
-from .coefficients import coeffs_general, contract
+from .coefficients import coeffs_general
 from .evolution import (
     Trajectory,
     moment_deviation,
@@ -58,7 +59,6 @@ __all__ = [
     "system_rows",
     # coefficients
     "coeffs_general",
-    "contract",
     # gaussian
     "SqueezeSpec",
     "GaussianState",

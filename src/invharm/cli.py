@@ -38,7 +38,7 @@ from .analysis import (
     find_divergences,
     fit_entropy_line,
 )
-from .coefficients import coeffs_general, contract
+from .coefficients import coeffs_general
 from .evolution import (
     _DIVERGENCE_GUARD,
     moment_deviation,
@@ -376,11 +376,9 @@ def cmd_modes(cfg: RunConfig, out_dir: str) -> dict:
 
 def cmd_coeffs(cfg: RunConfig, out_dir: str) -> dict:
     grid = cfg.grid()
-    _, env0 = cfg.states
-    # dtilde, omega_eff_sq, gamma_eff, Fy, Fq, then the entries of f1, f2
-    c = coeffs_general(cfg.modes)(grid)
-    weigh = contract(env0.cov)
-    table = np.column_stack((grid, *c[:5], weigh(*c[5:9]), weigh(*c[9:]), *c[5:]))
+    # every COEFF_COLUMNS column after t, in order
+    c = coeffs_general(cfg.modes, cfg.states[1])(grid)
+    table = np.column_stack((grid, *c))
     valid = np.abs(c[0]) > _DIVERGENCE_GUARD
     path = os.path.join(out_dir, "coeffs.csv")
     _write_csv(path, COEFF_COLUMNS, table, valid=valid)
@@ -459,13 +457,20 @@ def _scan_inputs(cfg: RunConfig, name: str, values):
     ``name`` over ``values``: the varied one a list with one entry per
     value, the others cfg's own.  Each varied section validates itself,
     and only a varied squeezing builds states, one per value, so nothing
-    is parsed again."""
+    is parsed again.  A value its section rejects is a ``ConfigError``
+    naming its entry, counted from 0, and the value; a state that cannot
+    be built names its section, as in a config."""
     if name not in SCAN_PARAMETERS:
         raise ConfigError(
             f"cannot vary '{name}'; choose one of {', '.join(SCAN_PARAMETERS)}"
         )
     section, key = SCAN_PARAMETERS[name]
-    varied = [dataclasses.replace(getattr(cfg, section), **{key: v}) for v in values]
+    varied = []
+    for i, v in enumerate(values):
+        try:
+            varied.append(dataclasses.replace(getattr(cfg, section), **{key: v}))
+        except ValueError as exc:
+            raise ConfigError(f"--values entry {i} ({name} = {v!r}): {exc}") from exc
     sys0, env0 = cfg.states
     if section == "modes":
         return varied, sys0, env0

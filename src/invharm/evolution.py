@@ -7,11 +7,11 @@ initial product state: a system and an environment
 from one ``system_rows`` call over the whole time grid, which involves
 no time-stepping error.  The moments and the area are 2x2 algebra
 written out on the block entries and on each initial state's entries
-(``_state_parts``: its moments, Cholesky factor and determinant), so the
-same code takes a leading value axis: ``run_exact`` also evaluates V runs
-(a list of V modes, or of V system or environment states) in one pass,
-each value's rows the bits of its own one-value run, and the ``scan``
-command makes one such call per scan.  ``run_me`` reads the same state
+(``gaussian._state_parts``: its moments, Cholesky factor and
+determinant), so the same code takes a leading value axis: ``run_exact``
+also evaluates V runs (a list of V modes, or of V system or environment
+states) in one pass, each value's rows the bits of its own one-value
+run, and the ``scan`` command makes one such call per scan.  ``run_me`` reads the same state
 entries for its first row and its bridges.
 ``run_exact`` and ``run_me`` share one grid check: a non-finite time, and
 for ``run_me`` a grid that does not start at 0 or that decreases, raise
@@ -20,11 +20,12 @@ for ``run_me`` a grid that does not start at 0 or that decreases, raise
 the package's adaptive DOP853 stepper (:mod:`invharm.dop853`, on Python
 floats), reached through the module global ``solve_ivp`` once per
 segment.  It builds the per-run coefficient function once
-(``coeffs_general(modes)``, through the module global of that name), and
-each right-hand-side evaluation calls it at a float time and weights its
-forces and diffusion entries with the environment's initial mean and
-covariance, bound once too (``contract(cov)``).  The root search and
-each root's guard window bind ``dtilde(modes)`` once.  Across windows
+(``coeffs_general(modes, env0)``, through the module global of that
+name), whose f1 and f2 are already contracted with the environment's
+initial covariance; each right-hand-side evaluation calls it once at a
+float time and weights its forces with the environment's initial mean,
+bound once too.  The root search and each root's guard window bind
+``dtilde(modes)`` once.  Across windows
 where |Dtilde| < ``_DIVERGENCE_GUARD`` (master-equation breakdown
 instants) it bridges with the exact propagator, one ``system_rows`` call
 per window, and resumes where |Dtilde| >= guard: each window side
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import find_divergences
-from .coefficients import coeffs_general, contract
+from .coefficients import coeffs_general
 from .dop853 import solve_ivp
-from .gaussian import Diagnostics, GaussianState, diagnostics_from_area
+from .gaussian import Diagnostics, GaussianState, _state_parts, diagnostics_from_area
 from .modes import NormalModes
 from .propagator import _columns, dtilde, system_rows
 
@@ -110,20 +111,6 @@ def _checked_grid(grid, integrated=False) -> np.ndarray:
                 f"after {float(grid[i])!r}"
             )
     return grid
-
-
-def _state_parts(state: GaussianState) -> tuple:
-    """One initial state's entries, as floats: its moments mean_x,
-    mean_p, dx2, dp2, dxp in the order of :class:`Trajectory`, dxp the
-    symmetric part of the two off-diagonal covariance entries; then the
-    entries xx, px, pp of the lower Cholesky factor of the covariance,
-    and its determinant.  The validated states are positive definite; a
-    covariance that is not raises ``LinAlgError``, a numerical failure."""
-    cov = state.cov
-    (c_xx, _), (c_px, c_pp) = np.linalg.cholesky(cov).tolist()
-    (v_xx, v_xp), (v_px, v_pp) = cov.tolist()
-    moments = (*state.mean.tolist(), v_xx, v_pp, 0.5 * (v_xp + v_px))
-    return (*moments, c_xx, c_px, c_pp, float(np.linalg.det(cov)))
 
 
 def _block_moments(block, parts):
@@ -261,7 +248,7 @@ def run_me(
     grid = _checked_grid(grid, integrated=True)
     m_s = modes.m_s
     hbar = modes.hbar
-    coefficients = coeffs_general(modes)
+    coefficients = coeffs_general(modes, env0)
     # per-run constants of the right-hand side, each the leading factor
     # of its product, so every product is evaluated in the same order
     neg_m_s = -m_s
@@ -272,13 +259,10 @@ def run_me(
     sys_parts = _state_parts(sys0)
     env_parts = _state_parts(env0)
     mean_y, mean_q = env_parts[:2]
-    weigh = contract(env0.cov.tolist())
 
     def rhs(t, y):
-        _, om2, gam, fy, fq, yy1, yq1, qy1, qq1, yy2, yq2, qy2, qq2 = coefficients(t)
+        _, om2, gam, fy, fq, f1, f2 = coefficients(t)[:7]
         force = fy * mean_y + fq * mean_q
-        f1 = weigh(yy1, yq1, qy1, qq1)
-        f2 = weigh(yy2, yq2, qy2, qq2)
         mx, mp, dx2, dp2, dxp = y
         return [
             mp / m_s,

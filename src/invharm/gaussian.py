@@ -60,6 +60,21 @@ class GaussianState:
             raise ValueError("covariance matrix not symmetric")
 
 
+def _state_parts(state: GaussianState) -> tuple:
+    """One state's entries, as floats: its moments mean_x, mean_p, dx2,
+    dp2, dxp in the order of :class:`~invharm.evolution.Trajectory`, dxp
+    the symmetric part of the two off-diagonal covariance entries; then
+    the entries xx, px, pp of the lower Cholesky factor of the
+    covariance, and its determinant.  The validated states are positive
+    definite; a covariance that is not raises ``LinAlgError``, a
+    numerical failure."""
+    cov = state.cov
+    (c_xx, _), (c_px, c_pp) = np.linalg.cholesky(cov).tolist()
+    (v_xx, v_xp), (v_px, v_pp) = cov.tolist()
+    moments = (*state.mean.tolist(), v_xx, v_pp, 0.5 * (v_xp + v_px))
+    return (*moments, c_xx, c_px, c_pp, float(np.linalg.det(cov)))
+
+
 @dataclass(frozen=True)
 class Diagnostics:
     """Diagnostics of a reduced 1-mode state: one float per field, or

@@ -13,7 +13,9 @@ unstable environment, a second route to the values the function of
 ``coeffs_general`` builds from the kernels, returned in the same order;
 ``coeffs_reference`` evaluates them for every sign of the environment
 stiffness from their definitions on the reduced dynamics, on the
-transition matrix and its time derivative.
+transition matrix and its time derivative.  Both contract each
+diffusion sub-tensor with the environment covariance entry by entry,
+sum_ab t_ab V_ab, reading both off-diagonal entries as stored.
 ``fit_entropy_log`` fits the logarithmic entropy growth of a
 free-particle environment.
 """
@@ -85,18 +87,20 @@ def _transition(modes: NormalModes, t: float) -> np.ndarray:
         return np.array(T.tolist(), dtype=float)
 
 
-def coeffs_reference(modes: NormalModes, t: float) -> tuple:
+def coeffs_reference(modes: NormalModes, env0: GaussianState, t: float) -> tuple:
     """The coefficients at a float time from their definitions on the
     exact reduced dynamics, for every sign of lambda_sq: the tuple
-    ``coeffs_general``'s function returns.
+    ``coeffs_general(modes, env0)``'s function returns.
 
     From T = exp(G t) and T' = G T at REFERENCE_DPS digits, with M0, M1
     the system rows of T (system and environment columns): Dtilde =
     det M0, the drift D = M0' adj(M0) / Dtilde = [[0, 1/m_s],
     [-m_s omega_eff_sq, -gamma_eff]], the forces (Fy, Fq) = F the
-    momentum row of M1' - D M1, and the sub-tensors f1_ab = F_a M1[1, b]
-    / hbar^2 and f2_ab = F_a M1[0, b] / hbar^2.  Only the results are
-    rounded to float64.
+    momentum row of M1' - D M1, the sub-tensors f1_ab = F_a M1[1, b]
+    / hbar^2 and f2_ab = F_a M1[0, b] / hbar^2, and f1, f2 their
+    contractions with the covariance V of env0, hbar^2 f1 = F V M1[1]^T
+    and hbar^2 f2 = F V M1[0]^T.  Only the results are rounded to
+    float64.
     """
     mp = mpmath.mp
     with mpmath.workdps(REFERENCE_DPS):
@@ -115,23 +119,30 @@ def coeffs_reference(modes: NormalModes, t: float) -> tuple:
             for a in (0, 1)
             for b in (0, 1)
         ]
+        cov = env0.cov.tolist()
+        contracted = [
+            sum(force[1, a] * cov[a][b] * m1[row, b] for a in (0, 1) for b in (0, 1))
+            / hbar_sq
+            for row in (1, 0)
+        ]
         values = (
             det,
             -drift[1, 0] / modes.m_s,
             -drift[1, 1],
             force[1, 0],
             force[1, 1],
+            *contracted,
             *tensors,
         )
         return tuple(float(v) for v in values)
 
 
-def coeffs_closed(modes: NormalModes, t) -> tuple:
+def coeffs_closed(modes: NormalModes, env0: GaussianState, t) -> tuple:
     """Coefficients from the closed forms for an unstable environment
     (lambda_sq > 0, omega > 0), at a time or over an array of times: the
-    tuple (dtilde, omega_eff_sq, gamma_eff, Fy, Fq, f1_yy, f1_yq, f1_qy,
-    f1_qq, f2_yy, f2_yq, f2_qy, f2_qq) that ``coeffs_general``'s function
-    returns."""
+    tuple (dtilde, omega_eff_sq, gamma_eff, Fy, Fq, f1, f2, f1_yy, f1_yq,
+    f1_qy, f1_qq, f2_yy, f2_yq, f2_qy, f2_qq) that
+    ``coeffs_general(modes, env0)``'s function returns."""
     if modes.lambda_sq <= 0 or modes.omega <= 0:
         raise ValueError(
             "closed forms require lambda_sq > 0 and omega > 0; "
@@ -178,12 +189,7 @@ def coeffs_closed(modes: NormalModes, t) -> tuple:
     diff_s = w * shl - lam * swt
 
     beta2 = beta / m_s
-    return (
-        dt_,
-        om2,
-        gam,
-        fy,
-        fq,
+    tensors = (
         beta * (m_e * w * lam * p_fac * sum_fac),
         beta * (w * lam * p_fac * diff_c),
         beta * (q_fac * sum_fac),
@@ -193,6 +199,11 @@ def coeffs_closed(modes: NormalModes, t) -> tuple:
         beta2 * (q_fac * diff_c),
         beta2 * (q_fac * diff_s / (m_e * w * lam)),
     )
+    cov = env0.cov.ravel().tolist()
+    f1, f2 = (
+        sum(e * v for e, v in zip(tensors[k : k + 4], cov)) for k in (0, 4)
+    )
+    return (dt_, om2, gam, fy, fq, f1, f2, *tensors)
 
 
 def product_state(sys: GaussianState, env: GaussianState):

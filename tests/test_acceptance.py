@@ -15,7 +15,6 @@ from invharm import (
     NormalModes,
     SqueezeSpec,
     coeffs_general,
-    contract,
     critical_time_derived,
     dtilde,
     find_divergences,
@@ -76,17 +75,12 @@ def test_criterion_2_dual_formula_coefficients():
         env0 = GaussianState(
             np.zeros(2), np.diag([rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)])
         )
-        cg = coeffs_general(modes)(t)
+        cg = coeffs_general(modes, env0)(t)
         if abs(cg[0]) <= 1e-3:
             continue
-        cc = coeffs_closed(modes, t)
-        weigh = contract(env0.cov)
+        cc = coeffs_closed(modes, env0, t)
         # dtilde, omega_eff_sq, gamma_eff, Fy, Fq, and the contracted f1, f2
-        for a, b in (
-            *zip(cg[:5], cc[:5]),
-            (weigh(*cg[5:9]), weigh(*cc[5:9])),
-            (weigh(*cg[9:]), weigh(*cc[9:])),
-        ):
+        for a, b in zip(cg[:7], cc[:7]):
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
         trials += 1
     ok = worst < 1e-9
@@ -283,7 +277,7 @@ def test_criterion_9_coefficient_boundary_values():
         except ValueError:
             continue  # no real bare frequency for these modes
         n += 1
-        at = coeffs_general(modes)
+        at = coeffs_general(modes, squeezed_pure(SqueezeSpec()))
         gam_worst = max(gam_worst, abs(at(0.0)[2]))  # gamma_eff
         om2 = at(1e-6)[1]  # omega_eff_sq
         om_worst = max(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import invharm.cli
 import invharm.evolution
-from invharm import NormalModes, contract, find_divergences
+from invharm import NormalModes, find_divergences
 from invharm.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -484,7 +484,33 @@ class TestExitCodesAndErrors:
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "validation"
-        assert err["message"] == "masses must be strictly positive"
+        assert err["message"] == (
+            "--values entry 2 (m_s = -1.0): masses must be strictly positive"
+        )
+        assert not list(tmp_path.glob("scan_*"))
+
+    @pytest.mark.parametrize(
+        "vary, values, message",
+        [
+            # a squeezing value fails its spec before any state is built
+            ("r_s", "0,1", "--values entry 0 (r_s = 0.0): squeezing ratio r must be > 0"),
+            ("omega", "-1,1", "--values entry 0 (omega = -1.0): omega must be >= 0"),
+            (
+                "r_e",
+                "2,-0.5",
+                "--values entry 1 (r_e = -0.5): squeezing ratio r must be > 0",
+            ),
+        ],
+    )
+    def test_scan_error_names_the_rejected_value(
+        self, tmp_path, capsys, vary, values, message
+    ):
+        cfg = write_config(tmp_path / "c.json")
+        args = ["--vary", vary, f"--values={values}"]
+        code = run_cli(["scan", "--config", cfg, "--out", str(tmp_path), *args])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "validation", "message": message}
         assert not list(tmp_path.glob("scan_*"))
 
     @pytest.mark.parametrize(
@@ -648,21 +674,25 @@ class TestCoeffsCommand:
         assert abs(dt[400]) < 1e-6
 
     def test_f_columns_contract_the_sub_tensors(self, tmp_path, capsys):
-        # a rotated environment: every covariance entry reaches f1 and f2
+        # a rotated environment whose two off-diagonal covariance entries
+        # differ in the last bit: f1 and f2 are contracted with their mean
         cfg = write_config(
             tmp_path / "c.json",
             extra={
                 "grid": {"t_max": 12.0, "samples": 97},
-                "environment": {"angle": 0.3},
+                "environment": {"r": 3.0, "angle": 0.65},
             },
         )
         assert run_cli(["coeffs", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
         table = np.genfromtxt(tmp_path / "coeffs.csv", delimiter=",", names=True)
-        cov = load_config(cfg).states[1].cov
+        (v_yy, v_yq), (v_qy, v_qq) = load_config(cfg).states[1].cov.tolist()
+        assert v_yq != v_qy
+        v_sym = 0.5 * (v_yq + v_qy)
         for f in ("f1", "f2"):
-            entries = [table[f"{f}_{a}{b}"] for a in "yq" for b in "yq"]
-            assert np.array_equal(table[f], contract(cov)(*entries)), f
+            yy, yq, qy, qq = (table[f"{f}_{a}{b}"] for a in "yq" for b in "yq")
+            want = yy * v_yy + (yq + qy) * v_sym + qq * v_qq
+            assert np.array_equal(table[f], want), f
 
     def test_meta_written(self, tmp_path, capsys):
         cfg = write_config(

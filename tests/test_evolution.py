@@ -608,8 +608,8 @@ class TestSegmentFailure:
 
         real = evolution.coeffs_general
 
-        def faulty(modes):
-            at = real(modes)
+        def faulty(modes, env0):
+            at = real(modes, env0)
             return lambda t: fault(at, t)
 
         monkeypatch.setattr(evolution, "coeffs_general", faulty)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invharm import NormalModes, dtilde, gkernels, system_rows
+from invharm import GaussianState, NormalModes, dtilde, gkernels, system_rows
 from invharm.propagator import _kernels_at
 
 from conftest import BASE, rel_err
@@ -161,7 +161,8 @@ class TestDtilde:
                 assert dt_ == dt(t)
 
     def test_matches_closed_form_denominator(self, base_modes):
-        closed = coeffs_closed(base_modes, 2.0)[0]  # its dtilde
+        env0 = GaussianState(np.zeros(2), np.eye(2))
+        closed = coeffs_closed(base_modes, env0, 2.0)[0]  # its dtilde
         assert closed == pytest.approx(dtilde(base_modes)(2.0), rel=1e-12)
 
     def test_near_unity_before_critical_time(self):
