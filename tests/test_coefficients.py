@@ -50,7 +50,7 @@ def contracted(c, v_yy, v_yq, v_qq):
     )
 
 
-class TestContraction:
+class TestContract:
     # a rotated squeezed environment whose two off-diagonal covariance
     # entries differ in the last bit (TestSharedStateEntries asserts it)
     ENV0 = squeezed_pure(SqueezeSpec(3.0, 0.65))
@@ -100,20 +100,31 @@ class TestContraction:
                 assert step == pytest.approx((yq + qy) * 1.5, rel=1e-12), (t, k)
                 assert step != pytest.approx(3.0 * yq, rel=1e-3), (t, k)
 
+    def test_zero_tensor(self):
+        # decoupled modes have zero sub-tensors, which contract to zero
+        # against a full covariance, at float times and over an array
+        modes = NormalModes(omega=1.3, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
+        at = coeffs_general(modes, self.ENV0)
+        for t in (0.5, 2.0, 9.0):
+            c = at(t)
+            assert not any(c[7:])
+            assert c[5:7] == (0.0, 0.0)
+        c = at(np.linspace(0.0, 9.0, 31))
+        assert not np.any(c[7:])
+        assert not np.any(c[5]) and not np.any(c[6])
+
 
 class TestDecoupledLimit:
     def test_all_coupling_terms_vanish(self):
         modes = NormalModes(omega=1.3, lambda_sq=1.0, theta_c=0.0, m_s=1.0, m_e=1.0)
         at = coeffs_general(modes, ENV)
         for t in (0.5, 2.0, 9.0):
-            dt_, om2, gam, fy, fq, f1, f2, *entries = at(t)
+            dt_, om2, gam, fy, fq, _, _, *entries = at(t)
             assert dt_ == pytest.approx(1.0, abs=1e-12)
             assert om2 == pytest.approx(1.3**2, rel=1e-10)
             assert abs(gam) < 1e-12
             assert fy == 0.0 and fq == 0.0
-            # zero sub-tensors contract to zero
             assert not any(entries)
-            assert f1 == 0.0 and f2 == 0.0
 
 
 class TestShortTimeLimits:
