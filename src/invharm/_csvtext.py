@@ -126,12 +126,15 @@ def _text_slots(x: np.ndarray) -> np.ndarray:
     slot left 0."""
     n, k = _digits_exponent(x)
     u8 = np.uint8
-    # digit j is the last digit of the quotient q_j = n // 10**(16 - j),
+    # n's first 8 digits and its last 9, each half a uint32; digit j of a
+    # half is the last digit of its quotient q_j by a power of ten,
     # q_j - 10 q_(j-1), computed modulo 256
+    high, low = (half.astype(np.uint32) for half in np.divmod(n, 10**9))
     digits = np.empty((17, x.size), u8)
     for j in range(17):
-        digits[j] = n // 10 ** (16 - j)
-    digits[1:] -= u8(10) * digits[:-1]
+        digits[j] = high // 10 ** (7 - j) if j < 8 else low // 10 ** (16 - j)
+    digits[1:8] -= u8(10) * digits[:7]
+    digits[9:] -= u8(10) * digits[8:-1]
     # row j: a nonzero digit at j or after it, so digit j is significant
     sig = digits != 0
     for j in range(15, -1, -1):
@@ -142,8 +145,8 @@ def _text_slots(x: np.ndarray) -> np.ndarray:
     small = ~expo & (k < 0)
     # digits before the point (a fixed value writes all of them), the
     # rest one slot further on, after the point
-    whole = np.where(expo, 1, np.maximum(k + 1, 0))
-    before = np.arange(17)[:, None] < whole
+    whole = np.where(expo, 1, np.maximum(k + 1, 0)).astype(u8)
+    before = np.arange(17, dtype=u8)[:, None] < whole
     chars = (digits + u8(ord("0"))) * (sig | before)
 
     mat = np.zeros((SLOTS, x.size), u8)

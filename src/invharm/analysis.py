@@ -106,20 +106,22 @@ def find_divergences(modes: NormalModes, t_max: float) -> list[float]:
     return roots
 
 
-def fit_entropy_line(traj, window, omega: float) -> tuple[float, float]:
-    """Least-squares line through S(t), restricted to whole modulation
-    periods.  The entropy modulation rides on the variances, which
-    oscillate at twice the system mode frequency omega, so the period is
-    pi / omega; at omega = 0 the whole window is fitted.  Whole periods
-    do not remove the modulation's bias of the slope: over N periods it
-    falls like 1/N^2 but does not vanish.  ROADMAP item 15 measured it at
-    9.9e-3 to 6.6e-2 of the slope on the window [5, 15], and 1.1e-3 to
-    5.5e-3 on [20, 40].  Returns (slope, intercept)."""
+def fit_entropy_line(times, S, window, omega: float) -> tuple[float, float]:
+    """Least-squares line through the entropy ``S`` at ``times``, two
+    arrays of one shape, restricted to whole modulation periods.  The
+    entropy modulation rides on the variances, which oscillate at twice
+    the system mode frequency omega, so the period is pi / omega; at
+    omega = 0 the whole window is fitted.  Whole periods do not remove
+    the modulation's bias of the slope: over N periods it falls like
+    1/N^2 but does not vanish.  ROADMAP item 15 measured it at 9.9e-3 to
+    6.6e-2 of the slope on the window [5, 15], and 1.1e-3 to 5.5e-3 on
+    [20, 40].  Returns (slope, intercept)."""
     t0, t1 = window
-    times = np.asarray(traj.times)
+    times, S = np.asarray(times), np.asarray(S)
+    if S.shape != times.shape:
+        raise ValueError(f"S has shape {S.shape}, times {times.shape}")
     if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
         raise ValueError("window extends beyond the trajectory")
-    S = traj.diags.S
     if omega > 0:
         period = math.pi / omega
         n_periods = int(math.floor((t1 - t0) / period))

@@ -45,7 +45,7 @@ from .evolution import (
     run_exact,
     run_me,
 )
-from .gaussian import Diagnostics, SqueezeSpec, squeezed_pure
+from .gaussian import SqueezeSpec, squeezed_pure
 from .modes import NormalModes, SupersystemParams, derive_modes, params_from_modes
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config"]
@@ -455,46 +455,37 @@ def cmd_divergences(cfg: RunConfig, out_dir: str) -> dict:
 def _scan_inputs(cfg: RunConfig, name: str, values):
     """The modes, system state and environment state of a scan of
     ``name`` over ``values``: the varied one a list with one entry per
-    value, the others cfg's own.  Each varied section validates itself,
-    and only a varied squeezing builds states, one per value, so nothing
-    is parsed again.  A value its section rejects is a ``ConfigError``
-    naming its entry, counted from 0, and the value; a state that cannot
-    be built names its section, as in a config."""
+    value, the others cfg's own.  Each value builds its section, which
+    validates itself, and a varied squeezing its state, so nothing is
+    parsed again.  A value rejected by either is a ``ConfigError``
+    naming its entry, counted from 0, and the value."""
     if name not in SCAN_PARAMETERS:
         raise ConfigError(
             f"cannot vary '{name}'; choose one of {', '.join(SCAN_PARAMETERS)}"
         )
     section, key = SCAN_PARAMETERS[name]
+    mean = cfg.sys_mean if section == "system" else cfg.env_mean
     varied = []
     for i, v in enumerate(values):
         try:
-            varied.append(dataclasses.replace(getattr(cfg, section), **{key: v}))
+            obj = dataclasses.replace(getattr(cfg, section), **{key: v})
+            if section != "modes":
+                obj = squeezed_pure(obj, cfg.modes.hbar, mean)
+            varied.append(obj)
         except ValueError as exc:
             raise ConfigError(f"--values entry {i} ({name} = {v!r}): {exc}") from exc
     sys0, env0 = cfg.states
     if section == "modes":
         return varied, sys0, env0
-    mean = cfg.sys_mean if section == "system" else cfg.env_mean
-    states = [_state(section, spec, cfg.modes.hbar, mean) for spec in varied]
-    return (cfg.modes, states, env0) if section == "system" else (cfg.modes, sys0, states)
+    return (cfg.modes, varied, env0) if section == "system" else (cfg.modes, sys0, varied)
 
 
-def _scan_one(traj, text, value: float, omega: float, window, out_dir: str, idx: int):
-    """Write one scan value's ``scan_NNN.csv`` from its CSV rows ``text``,
-    and fit its entropy line over ``window``; ``traj`` is that value's
-    exact run and ``omega`` its system frequency."""
-    filename = f"scan_{idx:03d}.csv"
-    _write_text(os.path.join(out_dir, filename), EVOLVE_COLUMNS, text)
-    try:
-        slope, s0 = fit_entropy_line(traj, window, omega)
-    except ValueError:
-        slope = s0 = None
-    return {
-        "value": value,
-        "file": filename,
-        "slope": _json_safe(slope),
-        "S0": _json_safe(s0),
-    }
+def _scan_one(out_dir: str, i: int, rows) -> str:
+    """Write value ``i``'s ``scan_NNN.csv`` from its CSV ``rows``; returns
+    the file name."""
+    filename = f"scan_{i:03d}.csv"
+    _write_text(os.path.join(out_dir, filename), EVOLVE_COLUMNS, rows)
+    return filename
 
 
 def cmd_scan(cfg: RunConfig, out_dir: str, vary: str, values) -> dict:
@@ -515,21 +506,19 @@ def cmd_scan(cfg: RunConfig, out_dir: str, vary: str, values) -> dict:
     ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))
     ends = [0, *(ends[grid.size - 1 :: grid.size] + 1).tolist()]
     text = memoryview(text)
-    if isinstance(modes, list):
-        omegas = [m.omega for m in modes]
-    else:
-        omegas = [modes.omega] * len(values)
+    value_modes = modes if isinstance(modes, list) else [modes] * len(values)
     index_runs = []
-    for i, (value, omega) in enumerate(zip(values, omegas)):
-        traj = dataclasses.replace(
-            runs,
-            moments=runs.moments[i],
-            diags=Diagnostics(*(col[i] for col in vars(runs.diags).values())),
-        )
-        rows = text[ends[i] : ends[i + 1]]
-        index_runs.append(
-            _scan_one(traj, rows, value, omega, cfg.fit_window, out_dir, i)
-        )
+    for i, (value, S, m) in enumerate(zip(values, runs.diags.S, value_modes)):
+        try:
+            slope, s0 = fit_entropy_line(grid, S, cfg.fit_window, m.omega)
+        except ValueError:
+            slope = s0 = None
+        index_runs.append({
+            "value": value,
+            "file": _scan_one(out_dir, i, text[ends[i] : ends[i + 1]]),
+            "slope": _json_safe(slope),
+            "S0": _json_safe(s0),
+        })
     # index written last, in input order
     index = {"config": cfg.echo(), "vary": vary, "runs": index_runs}
     _write_json(os.path.join(out_dir, "scan_index.json"), index)
@@ -598,12 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser as it was, so every call of main shares one
+_PARSER = build_parser()
+
+
 # An overflowing kernel gives inf or nan in array code, without a warning
 # here; the CSV writer and the root scan turn it into a numerical failure.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         cfg = load_config(args.config)
         out_dir = args.out
         try:

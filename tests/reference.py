@@ -248,10 +248,11 @@ def moments_of(state: GaussianState) -> np.ndarray:
     )
 
 
-def fit_entropy_log(traj, window) -> tuple[float, float]:
-    """Least squares of S against ln t; returns (c0, c1) of c0 + c1 ln t."""
+def fit_entropy_log(times, S, window) -> tuple[float, float]:
+    """Least squares of the entropy ``S`` at ``times`` against ln t;
+    returns (c0, c1) of c0 + c1 ln t."""
     t0, t1 = window
-    times = np.asarray(traj.times)
+    times, S = np.asarray(times), np.asarray(S)
     if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
         raise ValueError("window extends beyond the trajectory")
     if t0 <= 0:
@@ -259,5 +260,5 @@ def fit_entropy_log(traj, window) -> tuple[float, float]:
     mask = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
     if mask.sum() < 2:
         raise ValueError("fewer than 2 samples in fit window")
-    c1, c0 = np.polyfit(np.log(times[mask]), traj.diags.S[mask], 1)
+    c1, c0 = np.polyfit(np.log(times[mask]), S[mask], 1)
     return float(c0), float(c1)

@@ -95,7 +95,7 @@ def test_criterion_3_entropy_slope_equals_rate():
             omega=1.0, lambda_sq=lam * lam, theta_c=math.pi / 64, m_s=1.0, m_e=1.0
         )
         traj = run_exact(modes, SYS, ENV, np.linspace(0.0, 16.0, 801))
-        slope, _ = fit_entropy_line(traj, (5.0, 15.0), modes.omega)
+        slope, _ = fit_entropy_line(traj.times, traj.diags.S, (5.0, 15.0), modes.omega)
         rel = abs(slope - lam) / lam
         ok &= rel < 0.1
         details.append(f"lam={lam}: slope {slope:.4f} ({rel:.1%})")
@@ -111,7 +111,9 @@ def test_criterion_4_logarithmic_coupling_dependence():
             omega=1.0, lambda_sq=1.0, theta_c=th, m_s=1.0, m_e=1.0
         )
         traj = run_exact(modes, SYS, ENV, np.linspace(0.0, 26.0, 1301))
-        fits.append(fit_entropy_line(traj, (14.0, 24.0), modes.omega))
+        fits.append(
+            fit_entropy_line(traj.times, traj.diags.S, (14.0, 24.0), modes.omega)
+        )
     spacings = [fits[i + 1][1] - fits[i][1] for i in range(2)]
     slopes = [f[0] for f in fits]
     ok = all(abs(s + math.log(4.0)) < 0.3 * math.log(4.0) for s in spacings)
@@ -129,7 +131,7 @@ def test_criterion_5_stable_environment_bounded():
         omega=1.0, lambda_sq=-16.0, theta_c=math.pi / 64, m_s=1.0, m_e=1.0
     )
     traj = run_exact(modes, SYS, ENV, np.linspace(0.0, 50.0, 2001))
-    slope, _ = fit_entropy_line(traj, (0.0, 50.0), modes.omega)
+    slope, _ = fit_entropy_line(traj.times, traj.diags.S, (0.0, 50.0), modes.omega)
     max_s = traj.diags.S.max()
     ok = abs(slope) < 0.01 and max_s < 1.0
     assert report(
@@ -150,7 +152,7 @@ def test_criterion_6_free_particle_log_entropy():
         squeezed_pure(SqueezeSpec(1.0)),
         np.linspace(0.0, 100.0, 2001),
     )
-    c0, c1 = fit_entropy_log(traj, (10.0, 100.0))
+    c0, c1 = fit_entropy_log(traj.times, traj.diags.S, (10.0, 100.0))
     times = traj.times
     mask = (times >= 10.0) & (times <= 100.0)
     S = traj.diags.S[mask]

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from invharm import (
-    Diagnostics,
     GaussianState,
     NormalModes,
     SqueezeSpec,
-    Trajectory,
     coeffs_general,
     critical_time_derived,
     dtilde,
@@ -27,19 +25,6 @@ from reference import fit_entropy_log
 LATE_ROOTS = NormalModes(
     omega=0.001, lambda_sq=-9e-6, theta_c=0.785398, m_s=1.0, m_e=1.0
 )
-
-
-def synthetic_trajectory(times, S):
-    S = np.asarray(S, float)
-    one = np.ones_like(S)
-    diags = Diagnostics(A=one, S=S, S_approx=S, varsigma=0.0 * one, E=0.5 * one)
-    return Trajectory(
-        times=np.asarray(times, float),
-        moments=np.zeros((len(times), 5)),
-        diags=diags,
-        bridged=np.zeros(len(times), dtype=bool),
-        bridges=[],
-    )
 
 
 class TestCriticalTime:
@@ -232,7 +217,7 @@ class TestEntropyFits:
     def test_line_fit_exact_recovery(self):
         times = np.linspace(0.0, 20.0, 2001)
         S = 0.7 * times - 1.3
-        slope, s0 = fit_entropy_line(synthetic_trajectory(times, S), (5.0, 15.0), 1.0)
+        slope, s0 = fit_entropy_line(times, S, (5.0, 15.0), 1.0)
         assert slope == pytest.approx(0.7, rel=1e-12)
         assert s0 == pytest.approx(-1.3, rel=1e-10)
 
@@ -240,7 +225,7 @@ class TestEntropyFits:
         times = np.linspace(0.0, 20.0, 4001)
         # modulation at twice the mode frequency, period pi/omega
         S = 0.7 * times - 1.3 + 0.2 * np.sin(2.0 * times)
-        slope, s0 = fit_entropy_line(synthetic_trajectory(times, S), (5.0, 15.0), 1.0)
+        slope, s0 = fit_entropy_line(times, S, (5.0, 15.0), 1.0)
         # whole-period trimming keeps the residual modulation bias an
         # order of magnitude below the modulation amplitude
         assert slope == pytest.approx(0.7, abs=0.02)
@@ -248,25 +233,32 @@ class TestEntropyFits:
 
     def test_line_fit_window_checks(self):
         times = np.linspace(0.0, 20.0, 201)
-        traj = synthetic_trajectory(times, times)
         with pytest.raises(ValueError, match=r"^window extends beyond the trajectory$"):
-            fit_entropy_line(traj, (5.0, 25.0), 1.0)
+            fit_entropy_line(times, times, (5.0, 25.0), 1.0)
         with pytest.raises(
             ValueError, match=r"^window spans 0 modulation periods; need >= 3$"
         ):
-            fit_entropy_line(traj, (5.0, 7.0), 1.0)
+            fit_entropy_line(times, times, (5.0, 7.0), 1.0)
+
+    def test_line_fit_rejects_an_entropy_of_another_shape(self):
+        times = np.linspace(0.0, 20.0, 201)
+        with pytest.raises(ValueError, match=r"^S has shape \(200,\), times \(201,\)$"):
+            fit_entropy_line(times, times[1:], (5.0, 15.0), 1.0)
+        # a scan's (V, n) entropy is fitted one value's row at a time
+        with pytest.raises(ValueError, match=r"^S has shape \(2, 201\), times \(201,\)$"):
+            fit_entropy_line(times, np.stack((times, times)), (5.0, 15.0), 1.0)
 
     def test_log_fit_exact_recovery(self):
         times = np.linspace(1.0, 100.0, 2001)
         S = 2.0 + 0.5 * np.log(times)
-        c0, c1 = fit_entropy_log(synthetic_trajectory(times, S), (10.0, 100.0))
+        c0, c1 = fit_entropy_log(times, S, (10.0, 100.0))
         assert c0 == pytest.approx(2.0, rel=1e-10)
         assert c1 == pytest.approx(0.5, rel=1e-10)
 
     def test_log_fit_rejects_zero_start(self):
         times = np.linspace(0.0, 10.0, 101)
         with pytest.raises(ValueError, match=r"^log fit window must start at t > 0$"):
-            fit_entropy_log(synthetic_trajectory(times, times), (0.0, 10.0))
+            fit_entropy_log(times, times, (0.0, 10.0))
 
     def test_unstable_entropy_is_not_logarithmic(self, base_modes):
         # a linearly growing entropy fits a log model poorly
@@ -277,7 +269,7 @@ class TestEntropyFits:
             squeezed_pure(SqueezeSpec(2.0)),
             grid,
         )
-        c0, c1 = fit_entropy_log(traj, (5.0, 15.0))
+        c0, c1 = fit_entropy_log(traj.times, traj.diags.S, (5.0, 15.0))
         times = traj.times
         mask = (times >= 5.0) & (times <= 15.0)
         S = traj.diags.S[mask]
@@ -292,7 +284,9 @@ class TestEntropyFits:
             squeezed_pure(SqueezeSpec(2.0)),
             grid,
         )
-        slope, s0 = fit_entropy_line(traj, (5.0, 15.0), base_modes.omega)
+        slope, s0 = fit_entropy_line(
+            traj.times, traj.diags.S, (5.0, 15.0), base_modes.omega
+        )
         assert slope == pytest.approx(1.0, rel=0.1)
         assert s0 < 0.0  # linear growth postponed, not instantaneous
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import invharm.cli
 import invharm.evolution
-from invharm import NormalModes, find_divergences
+from invharm import NormalModes, find_divergences, fit_entropy_line, run_exact
 from invharm.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -1049,6 +1049,41 @@ class TestScanCommand:
             assert (scan / f"scan_{i:03d}.csv").read_bytes() == (out / "evolve.csv").read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "vary, values, fitted",
+        [
+            ("theta_c", "0.05,0.01,0.002", 3),
+            # at omega 0.5 the window spans fewer than 3 modulation periods
+            ("omega", "0.5,1.3,0.0", 2),
+            ("r_e", "0.5,2.0,6.0", 3),
+        ],
+    )
+    def test_each_fit_is_that_of_its_own_run(
+        self, tmp_path, capsys, vary, values, fitted
+    ):
+        # each value's (slope, S0) in the index is, bit for bit, the fit
+        # of the one-value run of the config with that value
+        cfg = write_config(tmp_path / "c.json", extra={"grid": {"t_max": 16.0, "samples": 401}})
+        args = ["--vary", vary, f"--values={values}"]
+        assert run_cli(["scan", "--config", cfg, "--out", str(tmp_path), *args]) == EXIT_OK
+        capsys.readouterr()
+        runs = json.loads((tmp_path / "scan_index.json").read_text())["runs"]
+        section, key = invharm.cli.SCAN_PARAMETERS[vary]
+        fits = []
+        for value in values.split(","):
+            raw = load_config(cfg).echo()
+            raw[section][key] = float(value)
+            one = parse_config(raw)
+            traj = run_exact(one.modes, *one.states, one.grid())
+            try:
+                fits.append(
+                    fit_entropy_line(traj.times, traj.diags.S, one.fit_window, one.modes.omega)
+                )
+            except ValueError:
+                fits.append((None, None))
+        assert [(r["slope"], r["S0"]) for r in runs] == fits
+        assert sum(fit != (None, None) for fit in fits) == fitted
+
     def test_a_numerical_failure_writes_no_scan_file(self, tmp_path, capsys):
         # the third value's kernels overflow: the scan exits 3 naming the
         # column and time of its first non-finite value, before any file
@@ -1071,7 +1106,9 @@ class TestScanCommand:
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "validation"
-        assert err["message"].startswith("'system': initial state has scaled area A = ")
+        assert err["message"].startswith(
+            "--values entry 1 (r_s = 9009.38782981161): initial state has scaled area A = "
+        )
         assert not list(tmp_path.glob("scan_*"))
 
 
